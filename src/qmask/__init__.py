@@ -12,7 +12,6 @@ ships as built-in examples.
 from .qlinalg import (
     QubitState,
     TwoQubitState,
-    ReducedState,
     basis_ket,
     frob_dist,
     is_unitary,
@@ -21,9 +20,7 @@ from .qlinalg import (
     ptrace_B,
 )
 from .conditions import (
-    CrossTermScalars,
     MaskingReport,
-    cross_scalars,
     cross_term_matrix,
     eq4_residuals,
     eq7_eq8_residuals,
@@ -71,10 +68,10 @@ from .ortho import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QubitState", "TwoQubitState", "ReducedState", "basis_ket",
+    "QubitState", "TwoQubitState", "basis_ket",
     "frob_dist", "is_unitary", "outer", "ptrace_A", "ptrace_B",
-    "CrossTermScalars", "MaskingReport", "cross_scalars",
-    "cross_term_matrix", "eq4_residuals", "eq7_eq8_residuals",
+    "MaskingReport", "cross_term_matrix", "eq4_residuals",
+    "eq7_eq8_residuals",
     "masks_all_superpositions", "masks_state", "reduced_pair_residual",
     "BasisPattern", "FeasibilityConfig", "FeasibilityOutcome",
     "FeasibilityStatus", "ScanViolation", "TableRow", "TableRowResult",

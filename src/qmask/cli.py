@@ -31,24 +31,6 @@ from .qlinalg import QubitState, TwoQubitState
 DRIFT_LIMIT = 1e-9
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    tol: float = 1e-9
-    seed: int = 42
-    restarts: int = 200
-    grid: int = 201
-    output_path: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
-
-
 class InputError(Exception):
     """Malformed input file or argument (CLI exit code 2)."""
 

@@ -8,14 +8,13 @@ This module numbers its residual systems once and for all:
 * ``eq4``  — the six marginal-equality lines between Psi0 and Psi1;
 * ``eq3``  — the two cross-term matrices that must vanish for the
   superposition's marginals to collapse onto the components';
-* ``eq5/eq6`` — the explicit entries of Tr_A(|Psi0><Psi1|) and its
-  adjoint, with the scalar shorthands A, B, C, D (and primed B-side
-  versions A', B', C', D');
+* ``eq5/eq6`` — the explicit entries A, B, C, D of Tr_A(|Psi0><Psi1|)
+  and its adjoint (and primed B-side versions A', B', C', D');
 * ``eq7/eq8`` — the simplified three-line scalar systems equivalent to
   the cross-term matrices vanishing.
 
 Every verdict is computed from partial-trace matrices; the scalar
-shorthands are derivable views only (see ``cross_scalars``).
+entries are read off those matrices (see ``eq7_eq8_residuals``).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 
 from .qlinalg import (
     DEFAULT_TOL,
-    Complex,
     Mat2,
     QubitState,
     TwoQubitState,
@@ -40,37 +38,6 @@ from .qlinalg import (
 #: below this norm the superposition alpha0 Psi0 + alpha1 Psi1 is reported
 #: as degenerate instead of being renormalized
 DEGENERATE_NORM = 1e-6
-
-
-@dataclass(frozen=True)
-class CrossTermScalars:
-    """The scalar shorthands for the cross partial traces.
-
-    A side (entries of Tr_A(|Psi0><Psi1|)), amplitudes a_i, b_i:
-
-    * ``A = a0 b0* + a2 b2*``     — (0,0) entry
-    * ``B = a0 b1* + a2 b3*``     — (0,1) entry
-    * ``C = a1 b0* + a3 b2*``     — (1,0) entry
-    * ``D = a1* b1 + a3* b3``     — note: the *conjugate* of the (1,1)
-      entry ``a1 b1* + a3 b3*``.  D is kept in this conjugated form for
-      fidelity with the shorthand's definition; verdict code never
-      consumes it and uses the matrix entry instead
-      (see :func:`eq7_eq8_residuals`).
-
-    B side (entries of Tr_B(|Psi0><Psi1|)): ``Ap = a0 b0* + a1 b1*``,
-    ``Bp = a0 b2* + a1 b3*``, ``Cp = a2 b0* + a3 b1*``,
-    ``Dp = a2 b2* + a3 b3*`` (Dp *is* the (1,1) entry; only D is
-    conjugated).
-    """
-
-    A: Complex
-    B: Complex
-    C: Complex
-    D: Complex
-    Ap: Complex
-    Bp: Complex
-    Cp: Complex
-    Dp: Complex
 
 
 @dataclass(frozen=True)
@@ -160,28 +127,6 @@ def cross_term_matrix(psi0: TwoQubitState, psi1: TwoQubitState,
     z = b.alpha0 * b.alpha1.conjugate()
     T = ptr(outer(psi0, psi1))
     return z * T + z.conjugate() * T.conj().T
-
-
-def cross_scalars(psi0: TwoQubitState, psi1: TwoQubitState,
-                  ) -> CrossTermScalars:
-    """The eq5/eq6 scalar shorthands, exactly per their definitions.
-
-    Documented accessor only: ``D`` is the conjugated form
-    ``a1* b1 + a3* b3`` (see :class:`CrossTermScalars`); verdicts always
-    use the partial-trace entries.
-    """
-    a = psi0.vec
-    b = psi1.vec
-    return CrossTermScalars(
-        A=complex(a[0] * b[0].conjugate() + a[2] * b[2].conjugate()),
-        B=complex(a[0] * b[1].conjugate() + a[2] * b[3].conjugate()),
-        C=complex(a[1] * b[0].conjugate() + a[3] * b[2].conjugate()),
-        D=complex(a[1].conjugate() * b[1] + a[3].conjugate() * b[3]),
-        Ap=complex(a[0] * b[0].conjugate() + a[1] * b[1].conjugate()),
-        Bp=complex(a[0] * b[2].conjugate() + a[1] * b[3].conjugate()),
-        Cp=complex(a[2] * b[0].conjugate() + a[3] * b[1].conjugate()),
-        Dp=complex(a[2] * b[2].conjugate() + a[3] * b[3].conjugate()),
-    )
 
 
 def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,

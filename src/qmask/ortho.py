@@ -28,7 +28,6 @@ from .qlinalg import (
     NORM_TOL,
     QubitState,
     TwoQubitState,
-    frob_dist,
 )
 
 #: branch labels for the eliminated sign in the example-1 parameterization

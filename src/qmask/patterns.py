@@ -192,7 +192,10 @@ class _PairSystem:
     """Residual system for one pattern pair, optionally with the qubit.
 
     Parameters are the interleaved re/im of the pre-merge slots of both
-    patterns, followed (full system only) by re/im of alpha0, alpha1.
+    patterns, followed (full system only) by one phase angle phi: the
+    masked qubit is b = (|0> + e^{-i phi}|1>)/sqrt(2), so that
+    z = alpha0 alpha1* = e^{i phi}/2 (see `feasible_full` for why one
+    angle suffices).
     Component weighting makes the squared residual norm equal
     rA^2 + rB^2 (+ cross norms) + penalty terms.
     """
@@ -205,7 +208,7 @@ class _PairSystem:
         self.S1 = p1.slot_matrix()
         self.full = full
         self.delta_opt = delta * (1.0 + _DELTA_MARGIN)
-        self.n_params = 2 * (self.n0 + self.n1) + (4 if full else 0)
+        self.n_params = 2 * (self.n0 + self.n1) + (1 if full else 0)
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
         z0 = _complex_slots(theta, 0, self.n0)
@@ -230,8 +233,7 @@ class _PairSystem:
         parts.append(_floor_hinge(z1, self.delta_opt))
 
         if self.full:
-            al = _complex_slots(theta, 2 * (self.n0 + self.n1), 2)
-            z = al[..., 0] * al[..., 1].conj()
+            z = 0.5 * np.exp(1j * theta[..., -1])
             tA = np.einsum("...ji,...jk->...ik", M0, M1.conj())
             tB = np.einsum("...ij,...kj->...ik", M0, M1.conj())
             crossA = z[..., None, None] * tA \
@@ -240,8 +242,6 @@ class _PairSystem:
                 + z.conj()[..., None, None] * np.swapaxes(tB, -1, -2).conj()
             parts.append(_hermitian_components(crossA))
             parts.append(_hermitian_components(crossB))
-            parts.append(_norm_residual(al))
-            parts.append(_floor_hinge(al, self.delta_opt))
             # non-orthogonality: |<Psi0|Psi1>| >= delta
             ov = np.abs(np.einsum("...i,...i->...", c0.conj(), c1))
             parts.append(np.maximum(0.0, self.delta_opt - ov)[..., None])
@@ -260,10 +260,7 @@ class _PairSystem:
             theta[k, 0:2 * n_slots:2] = z.real
             theta[k, 1:2 * n_slots:2] = z.imag
             if self.full:
-                a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                a /= np.linalg.norm(a)
-                theta[k, 2 * n_slots::2] = a.real
-                theta[k, 2 * n_slots + 1::2] = a.imag
+                theta[k, -1] = math.pi * rng.random()
         return theta
 
 
@@ -323,11 +320,7 @@ def _minimize_batch(system: _PairSystem, theta: np.ndarray,
         diag = np.einsum("rpp->rp", H)
         damped = H + lam[active, None, None] * \
             (diag[:, :, None] * eye[None]) + 1e-12 * eye[None]
-        try:
-            step = np.linalg.solve(damped, -g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(
-                damped.reshape(-1, p, p)[0], -g[0], rcond=None)[0][None]
+        step = np.linalg.solve(damped, -g[..., None])[..., 0]
 
         trial = th_a + step
         r_t = system.residuals(trial)
@@ -357,11 +350,11 @@ def _minimize_batch(system: _PairSystem, theta: np.ndarray,
 # feasibility oracle
 # ---------------------------------------------------------------------------
 
-def _check_delta_domain(cfg: FeasibilityConfig, *patterns: BasisPattern):
-    for p in patterns:
-        if cfg.delta >= 1.0 / math.sqrt(len(p)):
+def _check_delta_domain(delta: float, *slot_counts: int):
+    for n in slot_counts:
+        if delta >= 1.0 / math.sqrt(n):
             raise ValueError(
-                f"delta {cfg.delta} too large for a {len(p)}-slot pattern")
+                f"delta {delta} too large for a {n}-slot pattern")
 
 
 def _project_slots(z: np.ndarray, S: np.ndarray,
@@ -411,14 +404,10 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, theta: np.ndarray,
     b = None
 
     if full:
-        al = _project_slots(_complex_slots(theta, 2 * (n0 + n1), 2),
-                            np.eye(2), cfg.delta)
-        if al is None:
-            return None
         overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
         if overlap < cfg.delta - _CHECK_SLACK:
             return None
-        b = QubitState.normalized(complex(al[0]), complex(al[1]))
+        b = QubitState.normalized(1.0, complex(np.exp(-1j * theta[-1])))
         for sub in ("A", "B"):
             cross = conditions.cross_term_matrix(psi0, psi1, b, sub)
             residual = max(residual, float(np.linalg.norm(cross)))
@@ -434,7 +423,8 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, theta: np.ndarray,
 
 def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
             full: bool) -> FeasibilityOutcome:
-    _check_delta_domain(cfg, p0, p1)
+    # the full system's qubit is a 2-slot pattern: |alpha_i| = 1/sqrt(2)
+    _check_delta_domain(cfg.delta, len(p0), len(p1), *((2,) if full else ()))
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
     theta = _minimize_batch(system, theta, cfg.iters)
@@ -480,9 +470,13 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
                   cfg: FeasibilityConfig) -> FeasibilityOutcome:
     """Decide the full masking system with a non-orthogonality constraint.
 
-    On top of the eq4 search this adds the masked qubit (alpha0, alpha1)
-    with |alpha_i| >= delta, the two eq3 cross-matrix systems, and
-    |<Psi0|Psi1>| >= delta.
+    On top of the eq4 search this adds one phase angle phi for the
+    masked qubit b = (|0> + e^{-i phi}|1>)/sqrt(2), the two eq3
+    cross-matrix systems, and |<Psi0|Psi1>| >= delta.  The cross terms
+    are real-linear in z = alpha0 alpha1*, so any qubit with
+    |alpha_i| >= delta > 0 masks iff the b with the same arg z does:
+    |alpha0| and |alpha1| never decide feasibility.  delta >= 1/sqrt(2)
+    is rejected since no qubit meets both floors there.
     """
     return _decide(p0, p1, cfg, full=True)
 
@@ -547,7 +541,8 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
 
     A violation is a pair with differing ket-sets that is Feasible for
     the full masking system under the non-orthogonality constraint
-    |<Psi0|Psi1>| >= delta and |alpha_i| >= delta.
+    |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
+    (see `feasible_full`).
     """
     violations = []
     pats = duplicate_free_patterns()

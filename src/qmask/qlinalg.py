@@ -121,31 +121,6 @@ class TwoQubitState:
         return float(np.linalg.norm(self.vec))
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """A 2x2 marginal produced by a partial trace of |Psi><Psi|.
-
-    Validates hermiticity and that the trace equals the squared norm of
-    the traced state.
-    """
-
-    m: Mat2
-    traced_norm2: float = 1.0
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError(f"reduced state must be 2x2, got {m.shape}")
-        _check_finite(m, "reduced state entries")
-        if frob_dist(m, m.conj().T) > NORM_TOL:
-            raise ValueError("reduced state is not Hermitian")
-        if abs(m.trace().real - self.traced_norm2) > NORM_TOL:
-            raise ValueError(
-                f"trace {m.trace()!r} != traced-state norm^2 "
-                f"{self.traced_norm2!r}")
-        object.__setattr__(self, "m", m)
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------

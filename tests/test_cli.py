@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from qmask.cli import RunConfig, main
+from qmask.cli import main
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -206,19 +206,8 @@ def test_verify_reports_failing_bundled_claims(capsys):
 
 
 # ---------------------------------------------------------------------------
-# config container and script plumbing
+# script plumbing
 # ---------------------------------------------------------------------------
-
-def test_run_config_validation():
-    cfg = RunConfig()
-    assert (cfg.tol, cfg.seed, cfg.restarts, cfg.grid) == (1e-9, 42, 200, 201)
-    with pytest.raises(ValueError):
-        RunConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(grid=1)
-    with pytest.raises(ValueError):
-        RunConfig(format="yaml")
-
 
 def test_console_script_help_runs():
     proc = subprocess.run([sys.executable, "-m", "qmask.cli", "--help"],

@@ -8,7 +8,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qmask.conditions import (
-    cross_scalars,
     cross_term_matrix,
     eq4_residuals,
     eq7_eq8_residuals,
@@ -103,42 +102,42 @@ def test_eq4_lines_bound_the_marginal_distance(v, w):
 
 
 # ---------------------------------------------------------------------------
-# cross-term scalars and matrices
+# cross-term matrices
 # ---------------------------------------------------------------------------
 
-def test_cross_scalars_frozen_for_split_support_pair():
-    sc = cross_scalars(PSI0, PSI1)
-    assert sc.A == pytest.approx(0.0, abs=ATOL)
-    assert sc.B == pytest.approx(0.5, abs=ATOL)
-    assert sc.C == pytest.approx(0.5j, abs=ATOL)
-    assert sc.D == pytest.approx(0.0, abs=ATOL)
-    assert (sc.Ap, sc.Bp, sc.Cp, sc.Dp) == (sc.A, sc.B, sc.C, sc.D)
-
-
-def test_cross_scalars_frozen_for_bell_self_pair():
-    phi_plus = TwoQubitState.unit([1.0, 0.0, 0.0, 1.0])
-    sc = cross_scalars(phi_plus, phi_plus)
-    assert sc.A == pytest.approx(0.5, abs=ATOL)
-    assert sc.D == pytest.approx(0.5, abs=ATOL)
-    assert sc.B == sc.C == 0.0
-    assert sc.Ap == pytest.approx(0.5, abs=ATOL)
-    assert sc.Dp == pytest.approx(0.5, abs=ATOL)
-
-
 def test_cross_matrix_rebuilds_from_scalars():
-    # scalar shorthands are the entries of z*Tr_x(|0><1|); D is stored
-    # conjugated, so the (1,1) entry uses conj(D)
+    # the eq5/eq6 shorthands A, B, C, D (primed on the B side) written out
+    # are the entries of Tr_x(|Psi0><Psi1|), with amplitudes a_i, b_i
     b = _qubit((0.8, 0.6j))
     z = b.vec[0] * np.conj(b.vec[1])
-    sc = cross_scalars(PSI0, PSI1)
-    T_A = np.array([[sc.A, sc.B], [sc.C, np.conj(sc.D)]])
+    a, c = PSI0.vec, np.conj(PSI1.vec)
+    T_A = np.array([[a[0] * c[0] + a[2] * c[2], a[0] * c[1] + a[2] * c[3]],
+                    [a[1] * c[0] + a[3] * c[2], a[1] * c[1] + a[3] * c[3]]])
     np.testing.assert_allclose(
         cross_term_matrix(PSI0, PSI1, b, "A"),
         z * T_A + np.conj(z) * T_A.conj().T, atol=ATOL)
-    T_B = np.array([[sc.Ap, sc.Bp], [sc.Cp, sc.Dp]])
+    T_B = np.array([[a[0] * c[0] + a[1] * c[1], a[0] * c[2] + a[1] * c[3]],
+                    [a[2] * c[0] + a[3] * c[1], a[2] * c[2] + a[3] * c[3]]])
+    for T in (T_A, T_B):
+        np.testing.assert_allclose(T, [[0.0, 0.5], [0.5j, 0.0]], atol=ATOL)
     np.testing.assert_allclose(
         cross_term_matrix(PSI0, PSI1, b, "B"),
         z * T_B + np.conj(z) * T_B.conj().T, atol=ATOL)
+
+
+@seed(15)
+@settings(max_examples=100, deadline=None)
+@given(v=vec4, w=vec4, q=qubits)
+def test_cross_matrix_depends_on_qubit_only_through_phase(v, w, q):
+    # real-linear in z = alpha0 alpha1*: any qubit's cross matrices are
+    # 2|z| times those of the equal-magnitude qubit with the same arg z
+    s0, s1, b = _unit(v), _unit(w), _qubit(q)
+    z = b.alpha0 * b.alpha1.conjugate()
+    b_phi = QubitState.normalized(1.0, complex(np.exp(-1j * np.angle(z))))
+    for s in "AB":
+        np.testing.assert_allclose(
+            cross_term_matrix(s0, s1, b, s),
+            2.0 * abs(z) * cross_term_matrix(s0, s1, b_phi, s), atol=ATOL)
 
 
 def test_cross_matrix_rejects_unknown_subsystem():

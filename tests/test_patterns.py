@@ -281,6 +281,11 @@ def test_delta_domain_guard():
         feasible_eq4(BasisPattern(("00", "01", "10", "11")),
                      BasisPattern(("00",)),
                      FeasibilityConfig(delta=0.6))
+    # single kets allow any delta < 1, but the masked qubit cannot have
+    # both |alpha_i| >= 0.75
+    with pytest.raises(ValueError):
+        feasible_full(BasisPattern(("00",)), BasisPattern(("11",)),
+                      FeasibilityConfig(delta=0.75))
 
 
 def test_table_results_keep_fixture_order(tables_run):

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from qmask.qlinalg import (
     QubitState,
-    ReducedState,
     TwoQubitState,
     basis_ket,
     frob_dist,
@@ -78,10 +77,6 @@ class TestContainers(unittest.TestCase):
     def test_basis_ket_rejects_bad_label(self):
         with self.assertRaises(ValueError):
             basis_ket("02")
-
-    def test_reduced_state_rejects_non_hermitian(self):
-        with self.assertRaises(ValueError):
-            ReducedState(np.array([[0.5, 1.0], [0.0, 0.5]]))
 
 
 # ---------------------------------------------------------------------------
