@@ -7,9 +7,10 @@ Subcommands::
     qmask surface {1,2}        sample an example solution surface to CSV
     qmask verify               one-shot regression over the built-in claims
 
-State files are JSON objects ``{"re": [...], "im": [...]}`` with length
-2 (qubit) or 4 (two-qubit state, basis order 00,01,10,11).  Norm drift
-up to 1e-9 is corrected with a warning; larger drift is an input error.
+State files are JSON objects ``{"re": [...], "im": [...]}`` with flat
+lists of length 2 (qubit) or 4 (two-qubit state, basis order
+00,01,10,11).  Norm drift up to 1e-9 is corrected with a warning;
+larger drift is an input error.
 
 Exit codes: 0 success, 1 verdict/mismatch failure, 2 input failure.
 Identical flags and seed give byte-identical output.
@@ -45,15 +46,14 @@ def _load_amplitudes(path, expected_len: int) -> np.ndarray:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise InputError(f'{path}: expected an object {{"re": [...], "im": [...]}}')
-    re, im = raw["re"], raw["im"]
-    if (not isinstance(re, list) or not isinstance(im, list)
-            or len(re) != expected_len or len(im) != expected_len):
-        raise InputError(
-            f"{path}: re/im must be lists of length {expected_len}")
     try:
-        vec = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+        re, im = (np.asarray(raw[k], dtype=float) for k in ("re", "im"))
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: non-numeric amplitude ({exc})") from exc
+    if re.shape != (expected_len,) or im.shape != (expected_len,):
+        raise InputError(
+            f"{path}: re/im must be flat lists of length {expected_len}")
+    vec = re + 1j * im
     if not np.all(np.isfinite(vec.view(float))):
         raise InputError(f"{path}: non-finite amplitude")
     norm = float(np.linalg.norm(vec))

@@ -170,11 +170,14 @@ def example1_residual(pt: Example1Point) -> float:
     the fixed pair, called eq10/eq11/eq12 internally).
     """
     s = math.sqrt(1.0 - pt.radius2())
-    if pt.branch == "plus":
-        val = pt.x0 * pt.x1 + pt.y0 * s + pt.x0 * s - pt.x1 * pt.y0
-    else:
-        val = pt.x0 * pt.x1 - pt.y0 * s - pt.x0 * s - pt.x1 * pt.y0
-    return abs(val)
+    return abs(_example1_value(pt.x0, pt.y0, pt.x1, s, pt.branch))
+
+
+def _example1_value(x0, y0, x1, s, branch: str):
+    """Left side of the example-1 equation; floats or broadcast arrays."""
+    if branch == "plus":
+        return x0 * x1 + y0 * s + x0 * s - x1 * y0
+    return x0 * x1 - y0 * s - x0 * s - x1 * y0
 
 
 def sample_example1(grid_n: int, branch: str, tol: float,
@@ -184,28 +187,15 @@ def sample_example1(grid_n: int, branch: str, tol: float,
     Keeps domain-valid points whose example-1 residual is <= tol, in
     lattice order (x0 outermost, x1 innermost).
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
     axis = _axis(grid_n)
-    x0, y0, x1 = np.meshgrid(axis, axis, axis, indexing="ij")
+    x0, y0, x1 = np.ix_(axis, axis, axis)
     r2 = x0 ** 2 + y0 ** 2 + x1 ** 2
     valid = r2 <= 1.0
     s = np.sqrt(np.where(valid, 1.0 - r2, 0.0))
-    if branch == "plus":
-        val = x0 * x1 + y0 * s + x0 * s - x1 * y0
-    else:
-        val = x0 * x1 - y0 * s - x0 * s - x1 * y0
-    keep = valid & (np.abs(val) <= tol)
-    points = []
-    for i, j, k in np.argwhere(keep):
-        points.append(SurfacePoint(
-            coordinates=(float(axis[i]), float(axis[j]), float(axis[k])),
-            residual=float(abs(val[i, j, k])),
-            branch=branch,
-        ))
-    return points
+    val = abs(_example1_value(x0, y0, x1, s, branch))
+    return _kept_points(axis, val, valid & (val <= tol), branch)
 
 
 # ---------------------------------------------------------------------------
@@ -253,37 +243,39 @@ def build_example2_states(x0: float, y0: float, sign: str,
     return psi0, psi1
 
 
-def example2_residual(lam: float, x0: float, y0: float) -> float:
+def example2_residual(lam, x0, y0):
     """|(-x0^2 - y0^2 + 1/2) * lam / (1 + lam^2)| (the eq17 residual).
 
-    Zero iff lam = 0 or x0^2 + y0^2 = 1/2.
+    Zero iff lam = 0 or x0^2 + y0^2 = 1/2.  Takes floats or broadcast
+    arrays.
     """
     return abs((-x0 * x0 - y0 * y0 + 0.5) * lam / (1.0 + lam * lam))
 
 
 def sample_example2(grid_n: int, tol: float) -> list[SurfacePoint]:
     """Scan (lam, x0, y0) over [-1,1]^3, keeping eq17 residuals <= tol."""
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     axis = _axis(grid_n)
-    lam, x0, y0 = np.meshgrid(axis, axis, axis, indexing="ij")
-    val = np.abs((-x0 ** 2 - y0 ** 2 + 0.5) * lam / (1.0 + lam ** 2))
-    keep = val <= tol
-    points = []
-    for i, j, k in np.argwhere(keep):
-        points.append(SurfacePoint(
-            coordinates=(float(axis[i]), float(axis[j]), float(axis[k])),
-            residual=float(val[i, j, k]),
-            branch="na",
-        ))
-    return points
+    val = example2_residual(*np.ix_(axis, axis, axis))
+    return _kept_points(axis, val, val <= tol, "na")
 
 
 def _axis(grid_n: int) -> np.ndarray:
     # (k - m)/m for k = 0..2m (odd grid_n) keeps 0 and +-0.5 exact in
     # binary; fall back to linspace spacing for even counts.
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
     half = (grid_n - 1) / 2.0
     return (np.arange(grid_n) - half) / half
+
+
+def _kept_points(axis: np.ndarray, val: np.ndarray, keep: np.ndarray,
+                 branch: str) -> list[SurfacePoint]:
+    """The kept lattice points of a cube scan, in lattice order."""
+    return [SurfacePoint(
+        coordinates=(float(axis[i]), float(axis[j]), float(axis[k])),
+        residual=float(val[i, j, k]),
+        branch=branch,
+    ) for i, j, k in np.argwhere(keep)]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,12 @@ _DELTA_MARGIN = 1e-4
 #: numeric slack when re-checking |coeff| >= delta on a witness
 _CHECK_SLACK = 1e-12
 
+#: damped least-squares iterations per restart
+_ITERS = 2000
+
+#: best residuals at or above this are Infeasible
+_INFEASIBLE_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class BasisPattern:
@@ -78,18 +84,16 @@ class FeasibilityConfig:
 
     delta: float = 0.1
     restarts: int = 200
-    iters: int = 2000
     tol: float = 1e-8
-    infeasible_floor: float = 1e-6
     seed: int = 42
 
     def __post_init__(self):
-        if not 0 < self.tol < self.infeasible_floor:
-            raise ValueError("need 0 < tol < infeasible_floor")
+        if not 0 < self.tol < _INFEASIBLE_FLOOR:
+            raise ValueError(f"need 0 < tol < {_INFEASIBLE_FLOOR}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.restarts < 1 or self.iters < 1:
-            raise ValueError("restarts and iters must be >= 1")
+        if self.restarts < 1:
+            raise ValueError("restarts must be >= 1")
 
 
 class FeasibilityStatus(str, Enum):
@@ -188,15 +192,42 @@ def _complex_slots(theta: np.ndarray, start: int, n: int) -> np.ndarray:
     return t[..., 0::2] + 1j * t[..., 1::2]
 
 
+#: orthonormal basis of the 2x2 Hermitian matrices
+_PAULI = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
+          np.array([[0, 1], [1, 0]]) / math.sqrt(2.0),
+          np.array([[0, -1j], [1j, 0]]) / math.sqrt(2.0)]
+
+#: the eight local observables 1(x)P and P(x)1: <c|O|c> are the Frobenius
+#: components of Tr_A|c><c| and Tr_B|c><c|, so two states share both
+#: marginals iff they agree on all eight
+_LOCAL = np.array([np.kron(np.eye(2), P) for P in _PAULI]
+                  + [np.kron(P, np.eye(2)) for P in _PAULI])
+
+
+def _forms(u: np.ndarray, F: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^dag F_m v for each matrix F_m of the stack F, batched over rows."""
+    uv = u.conj()[..., :, None] * v[..., None, :]
+    # einsum, not a BLAS matmul: threaded BLAS on these thin products ran
+    # the search several times slower on a loaded 2-core host
+    return np.einsum("...ij,mij->...m", uv, F)
+
+
 class _PairSystem:
     """Residual system for one pattern pair, optionally with the qubit.
 
-    Parameters are the interleaved re/im of the pre-merge slots of both
-    patterns, followed (full system only) by one phase angle phi: the
-    masked qubit is b = (|0> + e^{-i phi}|1>)/sqrt(2), so that
+    Parameters are the interleaved re/im of the pre-merge slots z0, z1
+    of both patterns, followed (full system only) by one phase angle
+    phi: the masked qubit is b = (|0> + e^{-i phi}|1>)/sqrt(2), so that
     z = alpha0 alpha1* = e^{i phi}/2 (see `feasible_full` for why one
     angle suffices).
-    Component weighting makes the squared residual norm equal
+
+    Every row is a form in the slots over matrices built once from the
+    slot matrices S0, S1.  Re z0^dag H0 z0 + Re z1^dag H1 z1
+    - (0,...,0, 1, 1) gives <c0|O|c0> - <c1|O|c1> for each `_LOCAL`
+    observable O and both norms minus one; the slot floors follow.  The
+    full system adds Re(e^{i phi} z1^dag C z0), the Frobenius components
+    of both eq3 cross matrices, and the floor on the overlap
+    |z1^dag S1^T S0 z0|.  The squared residual norm is
     rA^2 + rB^2 (+ cross norms) + penalty terms.
     """
 
@@ -204,8 +235,13 @@ class _PairSystem:
                  delta: float, full: bool):
         self.n0 = len(p0)
         self.n1 = len(p1)
-        self.S0 = p0.slot_matrix()
-        self.S1 = p1.slot_matrix()
+        S0 = p0.slot_matrix()
+        S1 = p1.slot_matrix()
+        eye, zero = np.eye(4)[None], np.zeros((1, 4, 4))
+        self.H0 = S0.T @ np.concatenate([_LOCAL, eye, zero]) @ S0
+        self.H1 = S1.T @ np.concatenate([-_LOCAL, zero, eye]) @ S1
+        self.C = S1.T @ np.concatenate([_LOCAL, eye]) @ S0
+        self.unit = np.r_[np.zeros(len(_LOCAL)), 1.0, 1.0]
         self.full = full
         self.delta_opt = delta * (1.0 + _DELTA_MARGIN)
         self.n_params = 2 * (self.n0 + self.n1) + (1 if full else 0)
@@ -213,39 +249,15 @@ class _PairSystem:
     def residuals(self, theta: np.ndarray) -> np.ndarray:
         z0 = _complex_slots(theta, 0, self.n0)
         z1 = _complex_slots(theta, 2 * self.n0, self.n1)
-        c0 = z0 @ self.S0.T
-        c1 = z1 @ self.S1.T
-        M0 = c0.reshape(*c0.shape[:-1], 2, 2)
-        M1 = c1.reshape(*c1.shape[:-1], 2, 2)
-
-        # marginal differences: Tr_B = M M^dag, Tr_A = M^T conj(M)
-        trB0 = np.einsum("...ij,...kj->...ik", M0, M0.conj())
-        trB1 = np.einsum("...ij,...kj->...ik", M1, M1.conj())
-        trA0 = np.einsum("...ji,...jk->...ik", M0, M0.conj())
-        trA1 = np.einsum("...ji,...jk->...ik", M1, M1.conj())
-        parts = [_hermitian_components(trA0 - trA1),
-                 _hermitian_components(trB0 - trB1)]
-
-        # unit-norm penalties and nonzero floors on pre-merge slots
-        parts.append(_norm_residual(c0))
-        parts.append(_norm_residual(c1))
-        parts.append(_floor_hinge(z0, self.delta_opt))
-        parts.append(_floor_hinge(z1, self.delta_opt))
-
+        parts = [_forms(z0, self.H0, z0).real + _forms(z1, self.H1, z1).real
+                 - self.unit,
+                 np.maximum(0.0, self.delta_opt - np.abs(z0)),
+                 np.maximum(0.0, self.delta_opt - np.abs(z1))]
         if self.full:
-            z = 0.5 * np.exp(1j * theta[..., -1])
-            tA = np.einsum("...ji,...jk->...ik", M0, M1.conj())
-            tB = np.einsum("...ij,...kj->...ik", M0, M1.conj())
-            crossA = z[..., None, None] * tA \
-                + z.conj()[..., None, None] * np.swapaxes(tA, -1, -2).conj()
-            crossB = z[..., None, None] * tB \
-                + z.conj()[..., None, None] * np.swapaxes(tB, -1, -2).conj()
-            parts.append(_hermitian_components(crossA))
-            parts.append(_hermitian_components(crossB))
-            # non-orthogonality: |<Psi0|Psi1>| >= delta
-            ov = np.abs(np.einsum("...i,...i->...", c0.conj(), c1))
-            parts.append(np.maximum(0.0, self.delta_opt - ov)[..., None])
-
+            cross = _forms(z1, self.C, z0)
+            parts.append((np.exp(1j * theta[..., -1:]) * cross[..., :-1]).real)
+            overlap = np.abs(cross[..., -1:])
+            parts.append(np.maximum(0.0, self.delta_opt - overlap))
         return np.concatenate(parts, axis=-1)
 
     def initial_points(self, seed: int, restarts: int) -> np.ndarray:
@@ -262,24 +274,6 @@ class _PairSystem:
             if self.full:
                 theta[k, -1] = math.pi * rng.random()
         return theta
-
-
-def _hermitian_components(H: np.ndarray) -> np.ndarray:
-    """4 reals per 2x2 Hermitian slice; squared sum = Frobenius^2."""
-    return np.stack([
-        H[..., 0, 0].real,
-        H[..., 1, 1].real,
-        math.sqrt(2.0) * H[..., 0, 1].real,
-        math.sqrt(2.0) * H[..., 0, 1].imag,
-    ], axis=-1)
-
-
-def _norm_residual(c: np.ndarray) -> np.ndarray:
-    return (np.einsum("...i,...i->...", c.conj(), c).real - 1.0)[..., None]
-
-
-def _floor_hinge(z: np.ndarray, delta: float) -> np.ndarray:
-    return np.maximum(0.0, delta - np.abs(z))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +421,7 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
     _check_delta_domain(cfg.delta, len(p0), len(p1), *((2,) if full else ()))
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
-    theta = _minimize_batch(system, theta, cfg.iters)
+    theta = _minimize_batch(system, theta, _ITERS)
 
     best_residual = math.inf
     best_witness = None
@@ -442,7 +436,7 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
 
     if best_residual <= cfg.tol:
         status = FeasibilityStatus.FEASIBLE
-    elif best_residual >= cfg.infeasible_floor:
+    elif best_residual >= _INFEASIBLE_FLOOR:
         status = FeasibilityStatus.INFEASIBLE
     else:
         status = FeasibilityStatus.INCONCLUSIVE

@@ -81,12 +81,18 @@ def test_check_corrects_small_norm_drift(triple, tmp_path, capsys):
     {"re": [1.0, 0.0], "im": [0.0, 0.0], "x": 1},      # extra key
     {"re": [1.0, "a"], "im": [0.0, 0.0]},              # non-numeric
     {"re": [0.0, 0.0], "im": [0.0, 0.0]},              # zero vector
+    {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},  # nested qubit
+    {"re": [[1], [0], [0], [0]],                       # nested two-qubit
+     "im": [[0], [0], [0], [0]]},
     "{not json",                                       # unparseable
 ])
 def test_check_rejects_bad_state_file(triple, tmp_path, payload, capsys):
-    b = _write(tmp_path, "bad.json", payload)
-    assert main(["check", b, triple[1], triple[2]]) == 2
-    assert "error:" in capsys.readouterr().err
+    bad = _write(tmp_path, "bad.json", payload)
+    for slot in range(3):  # the bad file as b, Psi0 and Psi1 in turn
+        files = list(triple)
+        files[slot] = bad
+        assert main(["check", *files]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_check_missing_file_exits_two(triple, tmp_path, capsys):

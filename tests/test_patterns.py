@@ -6,12 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from qmask.conditions import reduced_pair_residual
+from qmask.conditions import cross_term_matrix, reduced_pair_residual
 from qmask.patterns import (
+    _INFEASIBLE_FLOOR,
     BasisPattern,
     FeasibilityConfig,
     FeasibilityStatus,
+    _PairSystem,
     assemble,
     duplicate_free_patterns,
     feasible_eq4,
@@ -19,6 +23,7 @@ from qmask.patterns import (
     load_table_fixture,
     reproduce_table,
 )
+from qmask.qlinalg import QubitState, TwoQubitState
 
 DELTA = 0.1
 FAST_CFG = FeasibilityConfig(restarts=60, seed=42)
@@ -72,7 +77,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FeasibilityConfig(tol=0.0)
     with pytest.raises(ValueError):
-        FeasibilityConfig(tol=1e-3, infeasible_floor=1e-4)
+        FeasibilityConfig(tol=_INFEASIBLE_FLOOR)
     with pytest.raises(ValueError):
         FeasibilityConfig(delta=1.5)
     with pytest.raises(ValueError):
@@ -102,6 +107,15 @@ def test_fixture_loader_rejects_corrupt_file(tmp_path, monkeypatch):
         mod.load_table_fixture()
     bad.write_text("{not json")
     with pytest.raises(ValueError):
+        mod.load_table_fixture()
+
+
+def test_fixture_loader_keeps_missing_file_error(tmp_path, monkeypatch):
+    # a missing fixture is not reported as a corrupt one
+    from qmask import patterns as mod
+
+    monkeypatch.setattr(mod, "fixture_path", lambda: tmp_path / "none.json")
+    with pytest.raises(FileNotFoundError):
         mod.load_table_fixture()
 
 
@@ -200,6 +214,59 @@ def test_single_ket_table_matches_grid_oracle(tables_run):
 
 
 # ---------------------------------------------------------------------------
+# search residuals against the reference conditions
+# ---------------------------------------------------------------------------
+
+SYSTEM_PATTERNS = duplicate_free_patterns() + [
+    BasisPattern(("00", "00", "01")), BasisPattern(("11", "10", "11"))]
+slot_values = st.lists(
+    st.complex_numbers(min_magnitude=0.3, max_magnitude=1.0,
+                       allow_nan=False, allow_infinity=False),
+    min_size=4, max_size=4)
+
+
+def _unit_slots(p: BasisPattern, values) -> np.ndarray:
+    z = np.array(values[:len(p)])
+    norm = np.linalg.norm(p.slot_matrix() @ z)
+    assume(norm > 1e-3)
+    return z / norm
+
+
+@seed(3)
+@settings(max_examples=200, deadline=None)
+@given(p0=st.sampled_from(SYSTEM_PATTERNS),
+       p1=st.sampled_from(SYSTEM_PATTERNS),
+       v0=slot_values, v1=slot_values,
+       phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       full=st.booleans())
+def test_search_residuals_match_conditions(p0, p1, v0, v1, phi, full):
+    # at unit norm with every slot above the floor, the squared residual
+    # norm is the reference marginal distance (plus, for the full system,
+    # the cross norms and the overlap floor)
+    system = _PairSystem(p0, p1, DELTA, full)
+    z0, z1 = _unit_slots(p0, v0), _unit_slots(p1, v1)
+    z = np.concatenate([z0, z1])
+    assume(np.abs(z).min() >= system.delta_opt)
+    theta = np.stack([z.real, z.imag], axis=-1).ravel()
+    if full:
+        theta = np.append(theta, phi)
+    r = system.residuals(theta)
+
+    psi0 = TwoQubitState.unit(p0.slot_matrix() @ z0)
+    psi1 = TwoQubitState.unit(p1.slot_matrix() @ z1)
+    rA, rB = reduced_pair_residual(psi0, psi1)
+    expected = rA ** 2 + rB ** 2
+    if full:
+        b = QubitState.normalized(1.0, complex(np.exp(-1j * phi)))
+        for sub in "AB":
+            cross = cross_term_matrix(psi0, psi1, b, sub)
+            expected += float(np.linalg.norm(cross)) ** 2
+        overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
+        expected += max(0.0, system.delta_opt - overlap) ** 2
+    assert float(r @ r) == pytest.approx(expected, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # search semantics
 # ---------------------------------------------------------------------------
 
@@ -223,7 +290,7 @@ def test_infeasible_outcome_reports_finite_floor():
     assert out.status is FeasibilityStatus.INFEASIBLE
     assert out.witness is None
     assert math.isfinite(out.best_residual)
-    assert out.best_residual >= FAST_CFG.infeasible_floor
+    assert out.best_residual >= _INFEASIBLE_FLOOR
     assert out.restarts_used == FAST_CFG.restarts
 
 
