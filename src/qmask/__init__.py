@@ -42,7 +42,7 @@ from .patterns import (
     feasible_eq4,
     feasible_full,
     load_table_fixture,
-    reproduce_table,
+    reproduce_tables,
     support_theorem_scan,
 )
 from .ortho import (
@@ -76,7 +76,7 @@ __all__ = [
     "BasisPattern", "FeasibilityConfig", "FeasibilityOutcome",
     "FeasibilityStatus", "ScanViolation", "TableRow", "TableRowResult",
     "Witness", "assemble", "duplicate_free_patterns", "feasible_eq4",
-    "feasible_full", "load_table_fixture", "reproduce_table",
+    "feasible_full", "load_table_fixture", "reproduce_tables",
     "support_theorem_scan",
     "BRANCHES", "EXAMPLE1_PAIR", "SURFACE_CSV_HEADER", "Example1Point",
     "Example2Params", "OrthoPairParams", "SurfacePoint",

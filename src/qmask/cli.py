@@ -8,8 +8,8 @@ Subcommands::
     qmask verify               one-shot regression over the built-in claims
 
 State files are JSON objects ``{"re": [...], "im": [...]}`` with flat
-lists of length 2 (qubit) or 4 (two-qubit state, basis order
-00,01,10,11).  Norm drift up to 1e-9 is corrected with a warning;
+lists of JSON numbers of length 2 (qubit) or 4 (two-qubit state, basis
+order 00,01,10,11).  Norm drift up to 1e-9 is corrected with a warning;
 larger drift is an input error.
 
 Exit codes: 0 success, 1 verdict/mismatch failure, 2 input failure.
@@ -46,13 +46,17 @@ def _load_amplitudes(path, expected_len: int) -> np.ndarray:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise InputError(f'{path}: expected an object {{"re": [...], "im": [...]}}')
-    try:
-        re, im = (np.asarray(raw[k], dtype=float) for k in ("re", "im"))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: non-numeric amplitude ({exc})") from exc
-    if re.shape != (expected_len,) or im.shape != (expected_len,):
+    parts = (raw["re"], raw["im"])
+    if not all(isinstance(p, list) and len(p) == expected_len for p in parts):
         raise InputError(
             f"{path}: re/im must be flat lists of length {expected_len}")
+    # JSON numbers only: bool is an int subclass, and strings would coerce
+    if not all(type(v) in (int, float) for p in parts for v in p):
+        raise InputError(f"{path}: non-numeric amplitude")
+    try:
+        re, im = (np.array(p, dtype=float) for p in parts)
+    except OverflowError as exc:
+        raise InputError(f"{path}: amplitude out of float range") from exc
     vec = re + 1j * im
     if not np.all(np.isfinite(vec.view(float))):
         raise InputError(f"{path}: non-finite amplitude")
@@ -112,8 +116,7 @@ def cmd_check(args) -> int:
     b = _load_qubit(args.b)
     psi0 = _load_two_qubit(args.psi0)
     psi1 = _load_two_qubit(args.psi1)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = conditions.masks_state(b, psi0, psi1, tol=tol)
+    report = conditions.masks_state(b, psi0, psi1, tol=args.tol)
     payload = {k: _jsonable(v)
                for k, v in dataclasses.asdict(report).items()}
     _emit(_report_json(payload), args.out)
@@ -153,13 +156,11 @@ def cmd_tables(args) -> int:
     cfg = patterns.FeasibilityConfig(
         restarts=args.restarts,
         seed=args.seed,
-        tol=args.tol if args.tol is not None else 1e-8,
+        tol=args.tol,
     )
     try:
-        wanted = [args.table] if args.table else [1, 2, 3, 4]
-        results = []
-        for n in wanted:
-            results.extend(patterns.reproduce_table(n, cfg))
+        results = patterns.reproduce_tables(
+            [args.table] if args.table else [1, 2, 3, 4], cfg)
     except (FileNotFoundError, ValueError) as exc:
         raise InputError(f"table fixture: {exc}") from exc
     rows = [_row_dict(r) for r in results]
@@ -178,11 +179,10 @@ def cmd_tables(args) -> int:
 
 
 def cmd_surface(args) -> int:
-    tol = args.tol if args.tol is not None else 1e-9
     if args.example == 1:
-        points = ortho.sample_example1(args.grid, args.branch, tol)
+        points = ortho.sample_example1(args.grid, args.branch, args.tol)
     else:
-        points = ortho.sample_example2(args.grid, tol)
+        points = ortho.sample_example2(args.grid, args.tol)
     if args.out:
         try:
             ortho.write_surface_csv(points, args.out)
@@ -198,7 +198,7 @@ def cmd_surface(args) -> int:
 
 def _verify_checks(args):
     """Yield (name, passed, detail) for every built-in claim."""
-    tol = args.tol if args.tol is not None else 1e-9
+    tol = args.tol
 
     # fixed-point check: the quoted example-1 masked qubit
     psi0, psi1 = ortho.EXAMPLE1_PAIR.states()
@@ -218,13 +218,10 @@ def _verify_checks(args):
 
     # table reproduction
     cfg = patterns.FeasibilityConfig(restarts=args.restarts, seed=args.seed)
-    mismatches = []
-    for n in (1, 2, 3, 4):
-        for res in patterns.reproduce_table(n, cfg):
-            if not res.agree:
-                mismatches.append(
-                    (res.row.table, res.row.index, res.row.expected,
-                     res.outcome.status.value))
+    mismatches = [(res.row.table, res.row.index, res.row.expected,
+                   res.outcome.status.value)
+                  for res in patterns.reproduce_tables((1, 2, 3, 4), cfg)
+                  if not res.agree]
     yield ("tables", not mismatches,
            f"{len(mismatches)} mismatched rows: {mismatches}")
 
@@ -263,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", help="qubit state JSON file")
     p.add_argument("psi0", help="two-qubit state JSON file")
     p.add_argument("psi1", help="two-qubit state JSON file")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-9,
                    help="residual tolerance (default 1e-9)")
     p.add_argument("--out", default=None, help="write report here")
     p.set_defaults(func=cmd_check)
@@ -273,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to one table (default: all)")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-8,
                    help="witness tolerance (default 1e-8)")
     p.add_argument("--out", default=None, help="write JSON report here")
     p.set_defaults(func=cmd_tables)
@@ -284,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="example-1 sign branch (default plus)")
     p.add_argument("--grid", type=int, default=201,
                    help="lattice points per axis (default 201)")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-9,
                    help="keep threshold (default 1e-9)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_surface)
@@ -292,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every built-in claim check")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-9,
                    help="residual tolerance (default 1e-9)")
     p.set_defaults(func=cmd_verify)
 
@@ -303,10 +300,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

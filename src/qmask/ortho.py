@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qlinalg import (
-    Complex,
     Mat4,
     NORM_TOL,
     QubitState,
@@ -43,10 +42,10 @@ SQRT_HALF = math.sqrt(0.5)
 class OrthoPairParams:
     """Coefficients of the split-support pair a0|00>+a1|11>, b0|01>+b1|10>."""
 
-    a0: Complex
-    a1: Complex
-    b0: Complex
-    b1: Complex
+    a0: complex
+    a1: complex
+    b0: complex
+    b1: complex
 
     def __post_init__(self):
         for (u, v), what in (((self.a0, self.a1), "a"),
@@ -57,8 +56,8 @@ class OrthoPairParams:
                     f"|{what}0|^2 + |{what}1|^2 = {n2!r}, expected 1")
 
     def states(self) -> tuple[TwoQubitState, TwoQubitState]:
-        psi0 = TwoQubitState(self.a0, 0.0, 0.0, self.a1)
-        psi1 = TwoQubitState(0.0, self.b0, self.b1, 0.0)
+        psi0 = TwoQubitState([self.a0, 0.0, 0.0, self.a1])
+        psi1 = TwoQubitState([0.0, self.b0, self.b1, 0.0])
         return psi0, psi1
 
 
@@ -238,8 +237,8 @@ def build_example2_states(x0: float, y0: float, sign: str,
             f"x0^2 + y0^2 = {x0 ** 2 + y0 ** 2!r}, expected 1/2")
     c = complex(x0, y0)
     w = SQRT_HALF if sign == "plus" else -SQRT_HALF
-    psi0 = TwoQubitState(c, 0.0, 0.0, w)
-    psi1 = TwoQubitState(0.0, c, w, 0.0)
+    psi0 = TwoQubitState([c, 0.0, 0.0, w])
+    psi1 = TwoQubitState([0.0, c, w, 0.0])
     return psi0, psi1
 
 

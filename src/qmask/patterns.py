@@ -511,23 +511,19 @@ def load_table_fixture() -> list[TableRow]:
     return rows
 
 
-def reproduce_table(n: int, cfg: FeasibilityConfig) -> list[TableRowResult]:
-    """Run the eq4 oracle on every bundled row of table ``n``.
+def reproduce_tables(tables, cfg: FeasibilityConfig) -> list[TableRowResult]:
+    """Run the eq4 oracle on every bundled row of the given tables.
 
     Results keep fixture order; each carries the computed outcome so a
     disagreement always ships evidence (a witness for rows we find
     feasible, the best residual for rows we find infeasible).
     """
-    if n not in (1, 2, 3, 4):
-        raise ValueError(f"table must be 1-4, got {n}")
-    results = []
-    for row in load_table_fixture():
-        if row.table != n:
-            continue
-        outcome = feasible_eq4(BasisPattern(row.psi0_kets),
-                               BasisPattern(row.psi1_kets), cfg)
-        results.append(TableRowResult(row=row, outcome=outcome))
-    return results
+    tables = set(tables)
+    if not tables <= {1, 2, 3, 4}:
+        raise ValueError(f"tables must be 1-4, got {sorted(tables)}")
+    return [TableRowResult(row=row, outcome=feasible_eq4(
+                BasisPattern(row.psi0_kets), BasisPattern(row.psi1_kets), cfg))
+            for row in load_table_fixture() if row.table in tables]
 
 
 def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:

@@ -14,12 +14,10 @@ Normalization is validated, never silently re-imposed; use the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# Complex scalars are plain Python/numpy complex numbers.
-Complex = complex
 
 # Mat2 / Mat4: row-major complex ndarrays of shape (2, 2) / (4, 4).
 Mat2 = np.ndarray
@@ -42,8 +40,8 @@ def _check_finite(values, what: str) -> None:
 class QubitState:
     """A single-qubit state alpha0|0> + alpha1|1>, validated unit norm."""
 
-    alpha0: Complex
-    alpha1: Complex
+    alpha0: complex
+    alpha1: complex
 
     def __post_init__(self):
         _check_finite((self.alpha0, self.alpha1), "qubit amplitudes")
@@ -52,7 +50,7 @@ class QubitState:
             raise ValueError(f"qubit state not normalized: |alpha|^2 = {n2!r}")
 
     @classmethod
-    def normalized(cls, alpha0: Complex, alpha1: Complex) -> "QubitState":
+    def normalized(cls, alpha0: complex, alpha1: complex) -> "QubitState":
         """Rescale (alpha0, alpha1) to unit norm and construct."""
         _check_finite((alpha0, alpha1), "qubit amplitudes")
         n = float(np.hypot(abs(alpha0), abs(alpha1)))
@@ -65,52 +63,42 @@ class QubitState:
         return np.array([self.alpha0, self.alpha1], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitState:
     """A two-qubit vector in the fixed |00>,|01>,|10>,|11> order.
 
+    ``vec`` holds a read-only complex128 copy of the input, shape (4,).
     Unit norm is validated unless ``normalized=False``; unnormalized
     instances are meant only as intermediate superpositions.
     """
 
-    c00: Complex
-    c01: Complex
-    c10: Complex
-    c11: Complex
+    vec: np.ndarray
     normalized: bool = True
 
     def __post_init__(self):
-        _check_finite((self.c00, self.c01, self.c10, self.c11),
-                      "two-qubit amplitudes")
+        v = np.array(self.vec, dtype=np.complex128).reshape(4)
+        if not np.isfinite(v).all():
+            raise ValueError(f"two-qubit amplitudes must be finite, got {v!r}")
         if self.normalized:
-            n2 = sum(abs(c) ** 2 for c in self.amplitudes)
+            n2 = float(np.vdot(v, v).real)
             if abs(n2 - 1.0) > NORM_TOL:
                 raise ValueError(
                     f"two-qubit state not normalized: |c|^2 = {n2!r}")
+        v.flags.writeable = False
+        object.__setattr__(self, "vec", v)
 
     @classmethod
     def from_vec(cls, vec, normalized: bool = True) -> "TwoQubitState":
-        v = np.asarray(vec, dtype=np.complex128).reshape(4)
-        return cls(complex(v[0]), complex(v[1]), complex(v[2]), complex(v[3]),
-                   normalized=normalized)
+        return cls(vec, normalized)
 
     @classmethod
     def unit(cls, vec) -> "TwoQubitState":
         """Rescale ``vec`` to unit norm and construct."""
         v = np.asarray(vec, dtype=np.complex128).reshape(4)
-        _check_finite(v, "two-qubit amplitudes")
         n = float(np.linalg.norm(v))
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls.from_vec(v / n)
-
-    @property
-    def amplitudes(self) -> tuple[Complex, Complex, Complex, Complex]:
-        return (self.c00, self.c01, self.c10, self.c11)
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=np.complex128)
+        if not 0.0 < n < math.inf:  # also rejects nan
+            raise ValueError(f"cannot normalize {v!r}: norm {n!r}")
+        return cls(v / n)
 
     @property
     def mat(self) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 
 from qmask.patterns import (
     FeasibilityConfig,
-    reproduce_table,
+    reproduce_tables,
     support_theorem_scan,
 )
 
@@ -27,8 +27,10 @@ def default_cfg() -> FeasibilityConfig:
 def tables_run(default_cfg):
     """(results-by-table, elapsed seconds) at the default config."""
     t0 = time.perf_counter()
-    results = {n: reproduce_table(n, default_cfg) for n in (1, 2, 3, 4)}
-    return results, time.perf_counter() - t0
+    rows = reproduce_tables((1, 2, 3, 4), default_cfg)
+    elapsed = time.perf_counter() - t0
+    return {n: [r for r in rows if r.row.table == n]
+            for n in (1, 2, 3, 4)}, elapsed
 
 
 @pytest.fixture(scope="session")

@@ -84,6 +84,10 @@ def test_check_corrects_small_norm_drift(triple, tmp_path, capsys):
     {"re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]},  # nested qubit
     {"re": [[1], [0], [0], [0]],                       # nested two-qubit
      "im": [[0], [0], [0], [0]]},
+    {"re": ["1", "0"], "im": [0.0, 0.0]},              # string
+    {"re": [1.0, 0.0], "im": [False, False]},          # boolean
+    {"re": [1.0, None], "im": [0.0, 0.0]},             # null
+    {"re": [10 ** 400, 0], "im": [0, 0]},              # beyond float range
     "{not json",                                       # unparseable
 ])
 def test_check_rejects_bad_state_file(triple, tmp_path, payload, capsys):
@@ -93,6 +97,13 @@ def test_check_rejects_bad_state_file(triple, tmp_path, payload, capsys):
         files[slot] = bad
         assert main(["check", *files]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_check_reports_null_amplitude_as_non_numeric(triple, tmp_path,
+                                                      capsys):
+    b = _write(tmp_path, "null.json", {"re": [1.0, None], "im": [0.0, 0.0]})
+    assert main(["check", b, triple[1], triple[2]]) == 2
+    assert "non-numeric amplitude" in capsys.readouterr().err
 
 
 def test_check_missing_file_exits_two(triple, tmp_path, capsys):

@@ -21,7 +21,7 @@ from qmask.patterns import (
     feasible_eq4,
     feasible_full,
     load_table_fixture,
-    reproduce_table,
+    reproduce_tables,
 )
 from qmask.qlinalg import QubitState, TwoQubitState
 
@@ -120,8 +120,9 @@ def test_fixture_loader_keeps_missing_file_error(tmp_path, monkeypatch):
 
 
 def test_reproduce_table_rejects_bad_index():
-    with pytest.raises(ValueError):
-        reproduce_table(5, FAST_CFG)
+    for tables in ([5], [1, 0]):
+        with pytest.raises(ValueError):
+            reproduce_tables(tables, FAST_CFG)
 
 
 # ---------------------------------------------------------------------------

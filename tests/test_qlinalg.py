@@ -65,6 +65,14 @@ class TestContainers(unittest.TestCase):
         s = TwoQubitState.from_vec([1.0, 1.0, 0.0, 0.0], normalized=False)
         self.assertAlmostEqual(s.norm(), math.sqrt(2.0), places=14)
 
+    def test_two_qubit_vec_is_a_read_only_copy(self):
+        v = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+        s = TwoQubitState.from_vec(v)
+        v[0] = 0.0
+        self.assertEqual(s.vec[0], 1.0)
+        with self.assertRaises(ValueError):
+            s.vec[0] = 0
+
     def test_two_qubit_rejects_non_finite(self):
         with self.assertRaises(ValueError):
             TwoQubitState.unit([np.inf, 0.0, 0.0, 0.0])
