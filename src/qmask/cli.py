@@ -36,6 +36,15 @@ class InputError(Exception):
     """Malformed input file or argument (CLI exit code 2)."""
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of ``--tol``: a finite positive number."""
+    value = float(text)
+    if not 0.0 < value < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _load_amplitudes(path, expected_len: int) -> np.ndarray:
     try:
         with open(path) as fh:
@@ -260,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", help="qubit state JSON file")
     p.add_argument("psi0", help="two-qubit state JSON file")
     p.add_argument("psi1", help="two-qubit state JSON file")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="residual tolerance (default 1e-9)")
     p.add_argument("--out", default=None, help="write report here")
     p.set_defaults(func=cmd_check)
@@ -270,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to one table (default: all)")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_tolerance, default=1e-8,
                    help="witness tolerance (default 1e-8)")
     p.add_argument("--out", default=None, help="write JSON report here")
     p.set_defaults(func=cmd_tables)
@@ -281,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="example-1 sign branch (default plus)")
     p.add_argument("--grid", type=int, default=201,
                    help="lattice points per axis (default 201)")
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="keep threshold (default 1e-9)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_surface)
@@ -289,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run every built-in claim check")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9,
+    p.add_argument("--tol", type=_tolerance, default=1e-9,
                    help="residual tolerance (default 1e-9)")
     p.set_defaults(func=cmd_verify)
 

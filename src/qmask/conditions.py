@@ -13,14 +13,17 @@ This module numbers its residual systems once and for all:
 * ``eq7/eq8`` — the simplified three-line scalar systems equivalent to
   the cross-term matrices vanishing.
 
-Every verdict is computed from partial-trace matrices; the scalar
-entries are read off those matrices (see ``eq7_eq8_residuals``).
+Every verdict reads the entries of 2x2 blocks from one scalar kernel,
+``_blocks(u, v)``: Tr_A|u><v| = M_u^T conj(M_v) (eq5: A, B, C, D_entry)
+then Tr_B|u><v| = M_u M_v^dagger (eq6), row-major, ``M[i, j]`` being the
+amplitude of |i>_A |j>_B.  ``reduced_pair_residual`` keeps 4x4 arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import sub
 
 import numpy as np
 
@@ -38,6 +41,9 @@ from .qlinalg import (
 #: below this norm the superposition alpha0 Psi0 + alpha1 Psi1 is reported
 #: as degenerate instead of being renormalized
 DEGENERATE_NORM = 1e-6
+
+#: kernel entries whose Psi0 - Psi1 differences are the six eq4 lines
+_EQ4_ENTRIES = (4, 0, 3, 7, 1, 5)
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,39 @@ class MaskingReport:
                 *self.superposition_residuals)
 
 
-def _require_normalized(*states: TwoQubitState) -> None:
-    for s in states:
-        if not s.normalized:
-            raise ValueError("expected a normalized two-qubit state")
+def _require_normalized(psi0: TwoQubitState, psi1: TwoQubitState) -> None:
+    if not (psi0.normalized and psi1.normalized):
+        raise ValueError("expected a normalized two-qubit state")
+
+
+def _blocks(u, v) -> tuple[complex, ...]:
+    """Entries of Tr_A|u><v| then Tr_B|u><v|, row-major (module docstring)."""
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = (c.conjugate() for c in v)
+    p00, p11, p22, p33 = u0 * v0, u1 * v1, u2 * v2, u3 * v3
+    return (p00 + p22, u0 * v1 + u2 * v3, u1 * v0 + u3 * v2, p11 + p33,
+            p00 + p11, u0 * v2 + u1 * v3, u2 * v0 + u3 * v1, p22 + p33)
+
+
+def _frob(entries) -> float:
+    """Frobenius (Euclidean) norm of an iterable of complex entries."""
+    return math.hypot(*map(abs, entries))
+
+
+def _pair(psi0: TwoQubitState, psi1: TwoQubitState):
+    """Both states' amplitude lists and marginal blocks."""
+    _require_normalized(psi0, psi1)
+    u, v = psi0.vec.tolist(), psi1.vec.tolist()
+    return u, v, _blocks(u, u), _blocks(v, v)
+
+
+def _crosses(b: QubitState, u, v):
+    """The A- and B-side cross matrices z T + z* T^dagger, row-major."""
+    z = b.alpha0 * b.alpha1.conjugate()
+    t = [z * c for c in _blocks(u, v)]
+    return [(2.0 * t[k].real, t[k + 1] + t[k + 2].conjugate(),
+             t[k + 2] + t[k + 1].conjugate(), 2.0 * t[k + 3].real)
+            for k in (0, 4)]
 
 
 def eq4_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -79,21 +114,8 @@ def eq4_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
     Lines 1-4 are the diagonal marginal differences, lines 5-6 the
     magnitudes of the off-diagonal (complex) differences.
     """
-    _require_normalized(psi0, psi1)
-    a = psi0.vec
-    b = psi1.vec
-    aa = np.abs(a) ** 2
-    bb = np.abs(b) ** 2
-    return (
-        abs(aa[0] + aa[1] - bb[0] - bb[1]),
-        abs(aa[0] + aa[2] - bb[0] - bb[2]),
-        abs(aa[1] + aa[3] - bb[1] - bb[3]),
-        abs(aa[2] + aa[3] - bb[2] - bb[3]),
-        abs(a[0] * a[1].conjugate() + a[2] * a[3].conjugate()
-            - b[0] * b[1].conjugate() - b[2] * b[3].conjugate()),
-        abs(a[0] * a[2].conjugate() + a[1] * a[3].conjugate()
-            - b[0] * b[2].conjugate() - b[1] * b[3].conjugate()),
-    )
+    _, _, m0, m1 = _pair(psi0, psi1)
+    return tuple(abs(m0[i] - m1[i]) for i in _EQ4_ENTRIES)
 
 
 def reduced_pair_residual(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -101,8 +123,8 @@ def reduced_pair_residual(psi0: TwoQubitState, psi1: TwoQubitState,
     """Frobenius distances between the marginals of Psi0 and Psi1.
 
     Returns ``(rA, rB)`` with ``rA = ||Tr_A(P0) - Tr_A(P1)||_F`` and
-    ``rB`` the same for Tr_B.  Both vanish iff the eq4 system holds.
-    Rejects unnormalized inputs.
+    ``rB`` the same for Tr_B; both vanish iff eq4 holds.  Rejects
+    unnormalized inputs.  The search ranks restarts by its 4x4 arithmetic.
     """
     _require_normalized(psi0, psi1)
     r0 = outer(psi0, psi0)
@@ -123,10 +145,8 @@ def cross_term_matrix(psi0: TwoQubitState, psi1: TwoQubitState,
     _require_normalized(psi0, psi1)
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    ptr = ptrace_A if subsystem == "A" else ptrace_B
-    z = b.alpha0 * b.alpha1.conjugate()
-    T = ptr(outer(psi0, psi1))
-    return z * T + z.conjugate() * T.conj().T
+    c = _crosses(b, psi0.vec.tolist(), psi1.vec.tolist())[subsystem == "B"]
+    return np.array(c, dtype=np.complex128).reshape(2, 2)
 
 
 def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
@@ -143,36 +163,24 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
 
     A superposition with norm below ``DEGENERATE_NORM`` is reported via
     ``degenerate_superposition`` with infinite superposition residuals.
+    Raises ``ValueError`` unless ``0 < tol < inf``.
     """
-    _require_normalized(psi0, psi1)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    lines = eq4_residuals(psi0, psi1)
-    crossA = float(np.linalg.norm(cross_term_matrix(psi0, psi1, b, "A")))
-    crossB = float(np.linalg.norm(cross_term_matrix(psi0, psi1, b, "B")))
-
-    psi_vec = b.alpha0 * psi0.vec + b.alpha1 * psi1.vec
-    norm = float(np.linalg.norm(psi_vec))
+    u, v, m0, m1 = _pair(psi0, psi1)
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    lines = tuple(abs(m0[i] - m1[i]) for i in _EQ4_ENTRIES)
+    crossA, crossB = map(_frob, _crosses(b, u, v))
+    psi = [b.alpha0 * x + b.alpha1 * y for x, y in zip(u, v)]
+    norm = _frob(psi)
     degenerate = norm < DEGENERATE_NORM
-    if degenerate:
-        sup = (math.inf, math.inf)
-    else:
-        psi = TwoQubitState.unit(psi_vec)
-        rho = outer(psi, psi)
-        rho0 = outer(psi0, psi0)
-        sup = (frob_dist(ptrace_A(rho), ptrace_A(rho0)),
-               frob_dist(ptrace_B(rho), ptrace_B(rho0)))
+    sup = (math.inf, math.inf)
+    if not degenerate:
+        psi = [c / norm for c in psi]
+        d = list(map(sub, _blocks(psi, psi), m0))
+        sup = (_frob(d[:4]), _frob(d[4:]))
 
-    residuals = (*lines, crossA, crossB, *sup)
-    return MaskingReport(
-        eq4_residuals=lines,
-        crossA_norm=crossA,
-        crossB_norm=crossB,
-        superposition_residuals=sup,
-        verdict=all(r <= tol for r in residuals),
-        tol=tol,
-        degenerate_superposition=degenerate,
-    )
+    verdict = all(r <= tol for r in (*lines, crossA, crossB, *sup))
+    return MaskingReport(lines, crossA, crossB, sup, verdict, tol, degenerate)
 
 
 def masks_all_superpositions(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -180,14 +188,12 @@ def masks_all_superpositions(psi0: TwoQubitState, psi1: TwoQubitState,
     """True iff the pair masks *every* qubit state.
 
     Quantifying eq3 over all (alpha0, alpha1) forces the bare cross
-    traces to vanish: requires ``reduced_pair_residual <= tol`` and
-    ``||Tr_x(|Psi0><Psi1|)||_F <= tol`` for both subsystems.
+    traces to vanish: requires both marginal distances of the pair and
+    ``||Tr_x(|Psi0><Psi1|)||_F`` for both subsystems to be <= tol.
     """
-    rA, rB = reduced_pair_residual(psi0, psi1)
-    cross = outer(psi0, psi1)
-    tA = float(np.linalg.norm(ptrace_A(cross)))
-    tB = float(np.linalg.norm(ptrace_B(cross)))
-    return max(rA, rB, tA, tB) <= tol
+    u, v, m0, m1 = _pair(psi0, psi1)
+    d, t = list(map(sub, m0, m1)), _blocks(u, v)
+    return max(map(_frob, (d[:4], d[4:], t[:4], t[4:]))) <= tol
 
 
 def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -205,12 +211,6 @@ def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
     to the bounded factor between entrywise and Frobenius norms).
     """
     _require_normalized(psi0, psi1)
-    z = b.alpha0 * b.alpha1.conjugate()
-    out = []
-    for ptr in (ptrace_A, ptrace_B):
-        T = ptr(outer(psi0, psi1))
-        A_, B_, C_, D_entry = T[0, 0], T[0, 1], T[1, 0], T[1, 1]
-        out.append(abs((z * A_).real))
-        out.append(abs((z * D_entry).real))
-        out.append(abs(z * B_ + z.conjugate() * C_.conjugate()))
-    return tuple(out)
+    crosses = _crosses(b, psi0.vec.tolist(), psi1.vec.tolist())
+    return tuple(r for c00, c01, _, c11 in crosses
+                 for r in (abs(c00) / 2.0, abs(c11) / 2.0, abs(c01)))

@@ -188,13 +188,15 @@ def sample_example1(grid_n: int, branch: str, tol: float,
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
-    axis = _axis(grid_n)
-    x0, y0, x1 = np.ix_(axis, axis, axis)
-    r2 = x0 ** 2 + y0 ** 2 + x1 ** 2
-    valid = r2 <= 1.0
-    s = np.sqrt(np.where(valid, 1.0 - r2, 0.0))
-    val = abs(_example1_value(x0, y0, x1, s, branch))
-    return _kept_points(axis, val, valid & (val <= tol), branch)
+
+    def residual(x0, y0, x1):  # nan (never kept) outside the domain
+        r2 = x0 ** 2 + y0 ** 2 + x1 ** 2
+        valid = r2 <= 1.0
+        s = np.sqrt(np.where(valid, 1.0 - r2, 0.0))
+        val = abs(_example1_value(x0, y0, x1, s, branch))
+        return np.where(valid, val, np.nan)
+
+    return _lattice_points(grid_n, residual, tol, branch)
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +255,7 @@ def example2_residual(lam, x0, y0):
 
 def sample_example2(grid_n: int, tol: float) -> list[SurfacePoint]:
     """Scan (lam, x0, y0) over [-1,1]^3, keeping eq17 residuals <= tol."""
-    axis = _axis(grid_n)
-    val = example2_residual(*np.ix_(axis, axis, axis))
-    return _kept_points(axis, val, val <= tol, "na")
+    return _lattice_points(grid_n, example2_residual, tol, "na")
 
 
 def _axis(grid_n: int) -> np.ndarray:
@@ -267,14 +267,26 @@ def _axis(grid_n: int) -> np.ndarray:
     return (np.arange(grid_n) - half) / half
 
 
-def _kept_points(axis: np.ndarray, val: np.ndarray, keep: np.ndarray,
-                 branch: str) -> list[SurfacePoint]:
-    """The kept lattice points of a cube scan, in lattice order."""
-    return [SurfacePoint(
-        coordinates=(float(axis[i]), float(axis[j]), float(axis[k])),
-        residual=float(val[i, j, k]),
-        branch=branch,
-    ) for i, j, k in np.argwhere(keep)]
+def _lattice_points(grid_n: int, residual, tol: float,
+                    branch: str) -> list[SurfacePoint]:
+    """The points of a grid_n^3 cube scan with residual <= tol, in order.
+
+    ``residual(u, v, w)`` gets the broadcast axes of one slab of the
+    outermost coordinate (shapes (1,), (n, 1), (1, n)) and returns its
+    (n, n) residuals.  One slab at a time keeps memory at grid_n^2
+    floats, with the same elementwise arithmetic as the whole cube.
+    """
+    axis = _axis(grid_n)
+    v, w = np.ix_(axis, axis)
+    points = []
+    for i in range(grid_n):
+        u = axis[i:i + 1]
+        val = residual(u, v, w)
+        j, k = np.nonzero(val <= tol)
+        points += [SurfacePoint((float(u[0]), y, z), r, branch)
+                   for y, z, r in zip(axis[j].tolist(), axis[k].tolist(),
+                                      val[j, k].tolist())]
+    return points
 
 
 # ---------------------------------------------------------------------------

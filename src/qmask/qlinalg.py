@@ -30,12 +30,6 @@ NORM_TOL = 1e-12
 DEFAULT_TOL = 1e-9
 
 
-def _check_finite(values, what: str) -> None:
-    arr = np.asarray(values, dtype=np.complex128)
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
-        raise ValueError(f"{what} must be finite, got {values!r}")
-
-
 @dataclass(frozen=True)
 class QubitState:
     """A single-qubit state alpha0|0> + alpha1|1>, validated unit norm."""
@@ -44,18 +38,20 @@ class QubitState:
     alpha1: complex
 
     def __post_init__(self):
-        _check_finite((self.alpha0, self.alpha1), "qubit amplitudes")
-        n2 = abs(self.alpha0) ** 2 + abs(self.alpha1) ** 2
+        a0, a1 = self.alpha0, self.alpha1
+        if not all(map(math.isfinite, (a0.real, a0.imag, a1.real, a1.imag))):
+            raise ValueError(f"qubit amplitudes must be finite: {(a0, a1)!r}")
+        n2 = abs(a0) ** 2 + abs(a1) ** 2
         if abs(n2 - 1.0) > NORM_TOL:
             raise ValueError(f"qubit state not normalized: |alpha|^2 = {n2!r}")
 
     @classmethod
     def normalized(cls, alpha0: complex, alpha1: complex) -> "QubitState":
         """Rescale (alpha0, alpha1) to unit norm and construct."""
-        _check_finite((alpha0, alpha1), "qubit amplitudes")
-        n = float(np.hypot(abs(alpha0), abs(alpha1)))
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
+        n = math.hypot(abs(alpha0), abs(alpha1))
+        if not 0.0 < n < math.inf:  # also rejects nan
+            raise ValueError(
+                f"cannot normalize {(alpha0, alpha1)!r}: norm {n!r}")
         return cls(complex(alpha0) / n, complex(alpha1) / n)
 
     @property

@@ -223,6 +223,24 @@ def test_verify_reports_failing_bundled_claims(capsys):
 
 
 # ---------------------------------------------------------------------------
+# --tol
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9", "tiny"])
+@pytest.mark.parametrize("command", ["check", "surface", "verify", "tables"])
+def test_tol_must_be_finite_and_positive(command, tol, triple, capsys):
+    argv = {"check": ["check", *triple],
+            "surface": ["surface", "1", "--grid", "3"],
+            "verify": ["verify", "--restarts", "1"],
+            "tables": ["tables", "--restarts", "1"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--tol={tol}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --tol" in captured.err and captured.out == ""
+
+
+# ---------------------------------------------------------------------------
 # script plumbing
 # ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from qmask.conditions import (
+    DEGENERATE_NORM,
     cross_term_matrix,
     eq4_residuals,
     eq7_eq8_residuals,
@@ -15,7 +16,16 @@ from qmask.conditions import (
     masks_state,
     reduced_pair_residual,
 )
-from qmask.qlinalg import QubitState, TwoQubitState, basis_ket
+from qmask.ortho import EXAMPLE1_PAIR, build_example2_states, example2_qubit
+from qmask.qlinalg import (
+    QubitState,
+    TwoQubitState,
+    basis_ket,
+    frob_dist,
+    outer,
+    ptrace_A,
+    ptrace_B,
+)
 
 ATOL = 1e-12
 SQRT_HALF = math.sqrt(0.5)
@@ -184,8 +194,9 @@ def test_masks_state_flags_degenerate_superposition():
 
 
 def test_masks_state_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        masks_state(GOOD_B, PSI0, PSI1, tol=0.0)
+    for tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            masks_state(GOOD_B, PSI0, PSI1, tol=tol)
 
 
 def test_masks_all_superpositions_false_for_masking_families():
@@ -232,3 +243,93 @@ def test_verdict_invariant_under_qubit_global_phase(q, phase):
     r2 = masks_state(rotated, PSI0, PSI1)
     assert r1.verdict == r2.verdict
     np.testing.assert_allclose(r1.residuals(), r2.residuals(), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the 2x2 block kernel against the 4x4 outer-product reference
+# ---------------------------------------------------------------------------
+
+def _seeded_triples(rng, n):
+    """(b, Psi0, Psi1, masks) in four kinds: the example-1 surface, the
+    example-2 family (both mask), Gaussian random triples and degenerate
+    superpositions (neither masks)."""
+    psi0_ex1, psi1_ex1 = EXAMPLE1_PAIR.states()
+    for k in range(n):
+        kind = k % 4
+        if kind == 0:
+            # a qubit on the example-1 surface: alpha1 is fixed by alpha0
+            r = math.sqrt(rng.uniform(0.01, 0.9))
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            x0, y0 = r * math.cos(phi), r * math.sin(phi)
+            scale = math.sqrt(1.0 - r * r) / (math.sqrt(2.0) * r)
+            sign = 1.0 if rng.uniform() < 0.5 else -1.0
+            alpha1 = sign * scale * complex(-(x0 + y0), x0 - y0)
+            yield (QubitState.normalized(complex(x0, y0), alpha1),
+                   psi0_ex1, psi1_ex1, True)
+        elif kind == 1:
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            psi0, psi1 = build_example2_states(
+                SQRT_HALF * math.cos(phi), SQRT_HALF * math.sin(phi),
+                "plus" if rng.uniform() < 0.5 else "minus")
+            yield example2_qubit(rng.uniform(-3.0, 3.0)), psi0, psi1, True
+        elif kind == 2:
+            b, v0, v1 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                         for m in (2, 4, 4))
+            yield _qubit(b), _unit(v0), _unit(v1), False
+        else:
+            # Psi1 = e^{i t} Psi0 and alpha1 = -e^{-i t} alpha0 cancel
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            psi0 = _unit(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            yield (QubitState.normalized(1.0, -np.exp(-1j * t)), psi0,
+                   _unit(np.exp(1j * t) * psi0.vec), False)
+
+
+def _reference(b, psi0, psi1, tol=1e-9):
+    """Every masks_state residual, eq7/eq8 and both cross matrices from
+    4x4 outer products and partial traces."""
+    z = b.alpha0 * np.conj(b.alpha1)
+    r0, r1, x = outer(psi0, psi0), outer(psi1, psi1), outer(psi0, psi1)
+    dA, dB = ptrace_A(r0) - ptrace_A(r1), ptrace_B(r0) - ptrace_B(r1)
+    lines = (abs(dB[0, 0]), abs(dA[0, 0]), abs(dA[1, 1]), abs(dB[1, 1]),
+             abs(dA[0, 1]), abs(dB[0, 1]))
+    Ts = (ptrace_A(x), ptrace_B(x))
+    cross = [z * T + np.conj(z) * T.conj().T for T in Ts]
+    eq78 = [r for T in Ts for r in (
+        abs((z * T[0, 0]).real), abs((z * T[1, 1]).real),
+        abs(z * T[0, 1] + np.conj(z) * np.conj(T[1, 0])))]
+    sup_vec = b.alpha0 * psi0.vec + b.alpha1 * psi1.vec
+    if np.linalg.norm(sup_vec) < DEGENERATE_NORM:
+        sup = (math.inf, math.inf)
+    else:
+        psi = TwoQubitState.unit(sup_vec)
+        rho = outer(psi, psi)
+        sup = (frob_dist(ptrace_A(rho), ptrace_A(r0)),
+               frob_dist(ptrace_B(rho), ptrace_B(r0)))
+    residuals = (*lines, *map(np.linalg.norm, cross), *sup)
+    every = max(np.linalg.norm(T) for T in Ts) <= tol \
+        and max(map(np.linalg.norm, (dA, dB))) <= tol
+    return residuals, eq78, cross, all(r <= tol for r in residuals), every
+
+
+def test_block_kernel_matches_outer_product_reference():
+    triples = list(_seeded_triples(np.random.default_rng(2024), 2000))
+    degenerate = 0
+    for b, psi0, psi1, masks in triples:
+        residuals, eq78, cross, verdict, every = _reference(b, psi0, psi1)
+        report = masks_state(b, psi0, psi1)
+        assert report.verdict == verdict == masks
+        assert masks_all_superpositions(psi0, psi1) == every
+        got = np.array(report.residuals())
+        want = np.array(residuals)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.max(abs(got[finite] - want[finite])) <= 1e-15
+        assert np.max(abs(np.subtract(eq7_eq8_residuals(psi0, psi1, b),
+                                      eq78))) <= 1e-15
+        assert max(abs(eq4_residuals(psi0, psi1) - want[:6])) <= 1e-15
+        for s, ref in zip("AB", cross):
+            m = cross_term_matrix(psi0, psi1, b, s)
+            assert m.shape == (2, 2) and m.dtype == np.complex128
+            assert np.max(abs(m - ref)) <= 1e-15
+        degenerate += report.degenerate_superposition
+    assert degenerate == 500

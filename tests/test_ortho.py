@@ -110,6 +110,43 @@ def test_sample_example1_frozen_grid():
     assert max(p.residual for p in pts) <= 1e-9
 
 
+def _full_cube_points(val, keep, axis):
+    return [((axis[i], axis[j], axis[k]), val[i, j, k])
+            for i, j, k in np.argwhere(keep)]
+
+
+def _sampled(points):
+    return [(p.coordinates, p.residual) for p in points]
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-2])
+@pytest.mark.parametrize("branch", ortho.BRANCHES)
+def test_sample_example1_matches_full_cube(branch, tol):
+    # the whole grid^3 cube at once, in lattice order, float for float
+    axis = (np.arange(41) - 20.0) / 20.0
+    x0, y0, x1 = np.ix_(axis, axis, axis)
+    r2 = x0 ** 2 + y0 ** 2 + x1 ** 2
+    valid = r2 <= 1.0
+    s = np.sqrt(np.where(valid, 1.0 - r2, 0.0))
+    if branch == "plus":
+        val = abs(x0 * x1 + y0 * s + x0 * s - x1 * y0)
+    else:
+        val = abs(x0 * x1 - y0 * s - x0 * s - x1 * y0)
+    expected = _full_cube_points(val, valid & (val <= tol), axis)
+    assert len(expected) > 0
+    assert _sampled(ortho.sample_example1(41, branch, tol)) == expected
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-2])
+def test_sample_example2_matches_full_cube(tol):
+    axis = (np.arange(41) - 20.0) / 20.0
+    lam, x0, y0 = np.ix_(axis, axis, axis)
+    val = abs((-x0 * x0 - y0 * y0 + 0.5) * lam / (1.0 + lam * lam))
+    expected = _full_cube_points(val, val <= tol, axis)
+    assert len(expected) > 41 * 41
+    assert _sampled(ortho.sample_example2(41, tol)) == expected
+
+
 def test_sample_example1_rejects_bad_branch():
     with pytest.raises(ValueError):
         ortho.sample_example1(11, "sideways", 1e-9)

@@ -52,6 +52,14 @@ class TestContainers(unittest.TestCase):
         with self.assertRaises(ValueError):
             QubitState(1.0, 1.0)
 
+    def test_qubit_rejects_non_finite(self):
+        with self.assertRaises(ValueError):
+            QubitState(math.nan, 1.0)
+        with self.assertRaises(ValueError):
+            QubitState.normalized(math.inf, 0.0)
+        with self.assertRaises(ValueError):
+            QubitState.normalized(complex(0.0, math.nan), 1.0)
+
     def test_two_qubit_unit_normalizes(self):
         s = TwoQubitState.unit([2.0, 0.0, 0.0, 2.0j])
         self.assertAlmostEqual(s.norm(), 1.0, places=14)
