@@ -50,7 +50,6 @@ from .ortho import (
     EXAMPLE1_PAIR,
     SURFACE_CSV_HEADER,
     Example1Point,
-    Example2Params,
     OrthoPairParams,
     SurfacePoint,
     build_example2_states,
@@ -79,7 +78,7 @@ __all__ = [
     "feasible_full", "load_table_fixture", "reproduce_tables",
     "support_theorem_scan",
     "BRANCHES", "EXAMPLE1_PAIR", "SURFACE_CSV_HEADER", "Example1Point",
-    "Example2Params", "OrthoPairParams", "SurfacePoint",
+    "OrthoPairParams", "SurfacePoint",
     "build_example2_states", "complete_masker_unitary", "eq9_residuals",
     "eq13_residuals", "example1_residual", "example2_qubit",
     "example2_residual", "sample_example1", "sample_example2",

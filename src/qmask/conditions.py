@@ -72,11 +72,6 @@ class MaskingReport:
                 *self.superposition_residuals)
 
 
-def _require_normalized(psi0: TwoQubitState, psi1: TwoQubitState) -> None:
-    if not (psi0.normalized and psi1.normalized):
-        raise ValueError("expected a normalized two-qubit state")
-
-
 def _blocks(u, v) -> tuple[complex, ...]:
     """Entries of Tr_A|u><v| then Tr_B|u><v|, row-major (module docstring)."""
     u0, u1, u2, u3 = u
@@ -93,7 +88,6 @@ def _frob(entries) -> float:
 
 def _pair(psi0: TwoQubitState, psi1: TwoQubitState):
     """Both states' amplitude lists and marginal blocks."""
-    _require_normalized(psi0, psi1)
     u, v = psi0.vec.tolist(), psi1.vec.tolist()
     return u, v, _blocks(u, u), _blocks(v, v)
 
@@ -123,10 +117,9 @@ def reduced_pair_residual(psi0: TwoQubitState, psi1: TwoQubitState,
     """Frobenius distances between the marginals of Psi0 and Psi1.
 
     Returns ``(rA, rB)`` with ``rA = ||Tr_A(P0) - Tr_A(P1)||_F`` and
-    ``rB`` the same for Tr_B; both vanish iff eq4 holds.  Rejects
-    unnormalized inputs.  The search ranks restarts by its 4x4 arithmetic.
+    ``rB`` the same for Tr_B; both vanish iff eq4 holds.  The search
+    ranks restarts by its 4x4 arithmetic.
     """
-    _require_normalized(psi0, psi1)
     r0 = outer(psi0, psi0)
     r1 = outer(psi1, psi1)
     rA = frob_dist(ptrace_A(r0), ptrace_A(r1))
@@ -142,7 +135,6 @@ def cross_term_matrix(psi0: TwoQubitState, psi1: TwoQubitState,
     alpha0* alpha1 Tr_x(|Psi1><Psi0|)`` for ``subsystem`` x in
     ``{"A", "B"}``.  Masking requires the zero matrix.
     """
-    _require_normalized(psi0, psi1)
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
     c = _crosses(b, psi0.vec.tolist(), psi1.vec.tolist())[subsystem == "B"]
@@ -210,7 +202,6 @@ def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
     six <= tol coincides with both cross matrices vanishing at tol (up
     to the bounded factor between entrywise and Frobenius norms).
     """
-    _require_normalized(psi0, psi1)
     crosses = _crosses(b, psi0.vec.tolist(), psi1.vec.tolist())
     return tuple(r for c00, c01, _, c11 in crosses
                  for r in (abs(c00) / 2.0, abs(c11) / 2.0, abs(c01)))

@@ -27,6 +27,7 @@ from .qlinalg import (
     NORM_TOL,
     QubitState,
     TwoQubitState,
+    is_unitary,
 )
 
 #: branch labels for the eliminated sign in the example-1 parameterization
@@ -92,32 +93,6 @@ class Example1Point:
     def qubit(self) -> QubitState:
         return QubitState(complex(self.x0, self.y0),
                           complex(self.x1, self.y1()))
-
-
-@dataclass(frozen=True)
-class Example2Params:
-    """Coefficients of the example-2 system in real/imaginary parts.
-
-    ``a0 = x0 + y0 i``, ``a1 = x1 + y1 i``, ``b0 = x2 + y2 i``,
-    ``b1 = x3 + y3 i``; ``lam`` is the masked qubit's parameter
-    (``alpha0 = 1/sqrt(1+lam^2)``, ``alpha1 = i lam/sqrt(1+lam^2)``);
-    ``sign`` picks between the two solution families.
-    """
-
-    lam: float
-    x0: float
-    y0: float
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    x3: float
-    y3: float
-    sign: str = "plus"
-
-    def __post_init__(self):
-        if self.sign not in BRANCHES:
-            raise ValueError(f"sign must be one of {BRANCHES}")
 
 
 @dataclass(frozen=True)
@@ -209,10 +184,15 @@ def example2_qubit(lam: float) -> QubitState:
     return QubitState(1.0 / d, complex(0.0, lam / d))
 
 
-def eq13_residuals(p: Example2Params) -> tuple[float, ...]:
-    """The five eq13 lines evaluated verbatim as absolute residuals."""
-    x0, y0, x1, y1 = p.x0, p.y0, p.x1, p.y1
-    x2, y2, x3, y3 = p.x2, p.y2, p.x3, p.y3
+def eq13_residuals(a0: complex, a1: complex, b0: complex, b1: complex,
+                   ) -> tuple[float, ...]:
+    """The five eq13 lines for ``a0 = x0 + y0 i``, ..., ``b1 = x3 + y3 i``.
+
+    Evaluated verbatim as absolute residuals; for lam != 0 they do not
+    depend on the masked qubit's parameter lam.
+    """
+    x0, y0, x1, y1, x2, y2, x3, y3 = (
+        t for c in map(complex, (a0, a1, b0, b1)) for t in (c.real, c.imag))
     line1 = max(abs(x ** 2 + y ** 2 - 0.5)
                 for x, y in ((x0, y0), (x1, y1), (x2, y2), (x3, y3)))
     return (
@@ -300,10 +280,10 @@ def complete_masker_unitary(psi0: TwoQubitState, psi1: TwoQubitState,
     e0 = |0>|0> and e2 = |1>|0| are the input-side product states; the
     remaining two columns are filled by Gram-Schmidt over the canonical
     basis vectors in fixed order (rejection threshold 1e-8), making the
-    completion deterministic.  Requires <Psi0|Psi1> = 0 within 1e-9 and
-    unit norms.
+    completion deterministic.  Raises ``ValueError`` unless F passes
+    ``is_unitary``; as ||F^dagger F - I||_F is about sqrt(2)
+    |<Psi0|Psi1>|, that needs |<Psi0|Psi1>| below about 7e-13.
     """
-    _check_orthonormal_pair(psi0, psi1)
     cols = [psi0.vec, psi1.vec]
     for k in range(4):
         cand = np.zeros(4, dtype=np.complex128)
@@ -313,24 +293,13 @@ def complete_masker_unitary(psi0: TwoQubitState, psi1: TwoQubitState,
         n = float(np.linalg.norm(cand))
         if n > 1e-8:
             cols.append(cand / n)
-        if len(cols) == 4:
+        if len(cols) == 4:  # e0..e3 span C^4, so the loop always gets here
             break
-    if len(cols) < 4:
-        raise ValueError("orthonormal completion failed")
-    F = np.empty((4, 4), dtype=np.complex128)
-    F[:, 0] = cols[0]
-    F[:, 2] = cols[1]
-    F[:, 1] = cols[2]
-    F[:, 3] = cols[3]
+    F = np.column_stack([cols[0], cols[2], cols[1], cols[3]])
+    if not is_unitary(F):
+        ov = complex(np.vdot(psi0.vec, psi1.vec))
+        raise ValueError(f"no unitary completion: <Psi0|Psi1> = {ov!r}")
     return F
-
-
-def _check_orthonormal_pair(psi0: TwoQubitState, psi1: TwoQubitState) -> None:
-    if not (psi0.normalized and psi1.normalized):
-        raise ValueError("expected normalized states")
-    ov = complex(np.vdot(psi0.vec, psi1.vec))
-    if abs(ov) > 1e-9:
-        raise ValueError(f"states are not orthogonal: <Psi0|Psi1> = {ov!r}")
 
 
 def write_surface_csv(points: list[SurfacePoint], path_or_file) -> None:

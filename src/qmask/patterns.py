@@ -82,7 +82,8 @@ class BasisPattern:
 class FeasibilityConfig:
     """Search configuration for the pattern feasibility oracle."""
 
-    delta: float = 0.1
+    #: fixed floor on every |slot|, |<Psi0|Psi1>| and the qubit's |alpha_i|
+    delta: float = field(default=0.1, init=False)
     restarts: int = 200
     tol: float = 1e-8
     seed: int = 42
@@ -90,10 +91,10 @@ class FeasibilityConfig:
     def __post_init__(self):
         if not 0 < self.tol < _INFEASIBLE_FLOOR:
             raise ValueError(f"need 0 < tol < {_INFEASIBLE_FLOOR}")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class FeasibilityStatus(str, Enum):
@@ -160,16 +161,16 @@ def assemble(pattern: BasisPattern, coeffs) -> tuple[TwoQubitState, float]:
 
     Duplicate kets are summed after assignment, so pre-merge
     coefficients carry any nonzero constraints while merged amplitudes
-    may vanish.  The state is returned unnormalized together with its
-    norm.
+    may vanish.  The state is the merged vector rescaled to unit norm,
+    returned with the norm before rescaling; raises ``ValueError`` when
+    the merged amplitudes cancel.
     """
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.shape[0] != len(pattern):
         raise ValueError(
             f"pattern has {len(pattern)} slots, got {c.shape[0]} coefficients")
     merged = pattern.slot_matrix() @ c
-    state = TwoQubitState.from_vec(merged, normalized=False)
-    return state, float(np.linalg.norm(merged))
+    return TwoQubitState.unit(merged), float(np.linalg.norm(merged))
 
 
 def duplicate_free_patterns() -> list[BasisPattern]:
@@ -344,13 +345,6 @@ def _minimize_batch(system: _PairSystem, theta: np.ndarray,
 # feasibility oracle
 # ---------------------------------------------------------------------------
 
-def _check_delta_domain(delta: float, *slot_counts: int):
-    for n in slot_counts:
-        if delta >= 1.0 / math.sqrt(n):
-            raise ValueError(
-                f"delta {delta} too large for a {n}-slot pattern")
-
-
 def _project_slots(z: np.ndarray, S: np.ndarray,
                    delta: float) -> np.ndarray | None:
     """Nearest point with unit merged norm and every |slot| >= delta.
@@ -417,8 +411,6 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, theta: np.ndarray,
 
 def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
             full: bool) -> FeasibilityOutcome:
-    # the full system's qubit is a 2-slot pattern: |alpha_i| = 1/sqrt(2)
-    _check_delta_domain(cfg.delta, len(p0), len(p1), *((2,) if full else ()))
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
     theta = _minimize_batch(system, theta, _ITERS)
@@ -469,8 +461,7 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     cross-matrix systems, and |<Psi0|Psi1>| >= delta.  The cross terms
     are real-linear in z = alpha0 alpha1*, so any qubit with
     |alpha_i| >= delta > 0 masks iff the b with the same arg z does:
-    |alpha0| and |alpha1| never decide feasibility.  delta >= 1/sqrt(2)
-    is rejected since no qubit meets both floors there.
+    |alpha0| and |alpha1| never decide feasibility.
     """
     return _decide(p0, p1, cfg, full=True)
 

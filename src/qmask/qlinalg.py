@@ -8,8 +8,8 @@ Fixes the conventions used by every other module:
   Tr_B acting on the A side and Tr_A acting on the B side;
 * absolute Frobenius tolerances (amplitudes here are O(1)).
 
-Normalization is validated, never silently re-imposed; use the
-``normalized`` constructors when a vector needs rescaling.
+States are unit vectors: normalization is validated, never silently
+re-imposed; use ``normalized``/``unit`` when a vector needs rescaling.
 """
 
 from __future__ import annotations
@@ -63,29 +63,25 @@ class QubitState:
 class TwoQubitState:
     """A two-qubit vector in the fixed |00>,|01>,|10>,|11> order.
 
-    ``vec`` holds a read-only complex128 copy of the input, shape (4,).
-    Unit norm is validated unless ``normalized=False``; unnormalized
-    instances are meant only as intermediate superpositions.
+    ``vec`` holds a read-only complex128 copy of the input, shape (4,),
+    validated unit norm.
     """
 
     vec: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         v = np.array(self.vec, dtype=np.complex128).reshape(4)
         if not np.isfinite(v).all():
             raise ValueError(f"two-qubit amplitudes must be finite, got {v!r}")
-        if self.normalized:
-            n2 = float(np.vdot(v, v).real)
-            if abs(n2 - 1.0) > NORM_TOL:
-                raise ValueError(
-                    f"two-qubit state not normalized: |c|^2 = {n2!r}")
+        n2 = float(np.vdot(v, v).real)
+        if abs(n2 - 1.0) > NORM_TOL:
+            raise ValueError(f"two-qubit state not normalized: |c|^2 = {n2!r}")
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
 
     @classmethod
-    def from_vec(cls, vec, normalized: bool = True) -> "TwoQubitState":
-        return cls(vec, normalized)
+    def from_vec(cls, vec) -> "TwoQubitState":
+        return cls(vec)
 
     @classmethod
     def unit(cls, vec) -> "TwoQubitState":
@@ -100,9 +96,6 @@ class TwoQubitState:
     def mat(self) -> np.ndarray:
         """2x2 amplitude matrix M with M[i, j] = amplitude of |i>_A |j>_B."""
         return self.vec.reshape(2, 2)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,14 @@ def test_tol_must_be_finite_and_positive(command, tol, triple, capsys):
     assert "argument --tol" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_negative_seed_is_named_in_the_error(command, capsys):
+    assert main([command, "--restarts", "1", "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and "fixture" not in captured.err
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # script plumbing
 # ---------------------------------------------------------------------------

@@ -82,12 +82,6 @@ def test_eq4_frozen_values_for_unbalanced_pair():
         (0.0, math.sqrt(2.0) * 0.28), atol=ATOL)
 
 
-def test_eq4_rejects_unnormalized_input():
-    loose = TwoQubitState.from_vec([1.0, 1.0, 0.0, 0.0], normalized=False)
-    with pytest.raises(ValueError):
-        eq4_residuals(loose, basis_ket("00"))
-
-
 @seed(11)
 @settings(max_examples=60, deadline=None)
 @given(v=vec4, phase=angles)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qmask import ortho
 from qmask.conditions import cross_term_matrix, masks_state
-from qmask.qlinalg import QubitState, TwoQubitState
+from qmask.qlinalg import QubitState, TwoQubitState, is_unitary
 
 ATOL = 1e-12
 SQRT_HALF = math.sqrt(0.5)
@@ -164,17 +164,17 @@ def test_example2_qubit_is_unit_and_phase_locked():
 
 
 def test_eq13_zero_on_the_balanced_family():
-    p = ortho.Example2Params(lam=0.37, x0=0.5, y0=0.5,
-                             x1=SQRT_HALF, y1=0.0,
-                             x2=0.5, y2=0.5, x3=SQRT_HALF, y3=0.0)
-    assert max(ortho.eq13_residuals(p)) <= ATOL
+    a0 = b0 = complex(0.5, 0.5)
+    a1 = b1 = complex(SQRT_HALF, 0.0)
+    assert max(ortho.eq13_residuals(a0, a1, b0, b1)) <= ATOL
 
 
 def test_eq13_frozen_generic_values():
-    p = ortho.Example2Params(lam=0.0, x0=0.6, y0=0.2, x1=0.5, y1=0.5,
-                             x2=0.3, y2=0.4, x3=0.1, y3=0.7)
+    coeffs = (complex(0.6, 0.2), complex(0.5, 0.5),
+              complex(0.3, 0.4), complex(0.1, 0.7))
     np.testing.assert_allclose(
-        ortho.eq13_residuals(p), (0.25, 0.14, 0.15, 0.48, 0.45), atol=1e-10)
+        ortho.eq13_residuals(*coeffs), (0.25, 0.14, 0.15, 0.48, 0.45),
+        atol=1e-10)
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])
@@ -234,6 +234,23 @@ def test_masker_rejects_non_orthogonal_pair():
     psi0 = TwoQubitState.unit([1.0, 0.0, 0.0, 1.0])
     with pytest.raises(ValueError):
         ortho.complete_masker_unitary(psi0, psi0)
+
+
+@pytest.mark.parametrize("norm2, overlap, accepted", [
+    (1.0, 1e-10, False), (1.0, 7.5e-13, False), (1.0, 4e-13, True),
+    (1.0 + 0.99e-12, 4e-13, False), (1.0 + 0.99e-12, 0.0, True)])
+def test_masker_returns_only_unitary_completions(norm2, overlap, accepted):
+    # F holds both states as columns, so ||F^dagger F - I|| is about
+    # sqrt(2) |<Psi0|Psi1>| plus Psi0's norm error
+    psi0 = TwoQubitState([math.sqrt(norm2), 0.0, 0.0, 0.0])
+    psi1 = TwoQubitState.unit([overlap, 1.0, 0.0, 0.0])
+    if not accepted:
+        with pytest.raises(ValueError, match="no unitary completion"):
+            ortho.complete_masker_unitary(psi0, psi1)
+        return
+    F = ortho.complete_masker_unitary(psi0, psi1)
+    assert is_unitary(F)
+    np.testing.assert_array_equal(F[:, [0, 2]], np.c_[psi0.vec, psi1.vec])
 
 
 # ---------------------------------------------------------------------------

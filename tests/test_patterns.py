@@ -16,6 +16,7 @@ from qmask.patterns import (
     FeasibilityConfig,
     FeasibilityStatus,
     _PairSystem,
+    _minimize_batch,
     assemble,
     duplicate_free_patterns,
     feasible_eq4,
@@ -51,11 +52,11 @@ def test_pattern_rejects_bad_kets(kets):
 
 
 def test_assemble_merges_duplicate_kets():
-    state, norm = assemble(BasisPattern(("00", "00")), [0.3, -0.3])
-    assert norm == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(ValueError):  # the merged amplitudes cancel
+        assemble(BasisPattern(("00", "00")), [0.3, -0.3])
     state, norm = assemble(BasisPattern(("00", "11", "00")), [0.5, 0.5, 0.5])
     assert norm == pytest.approx(math.sqrt(1.25), abs=1e-12)
-    np.testing.assert_allclose(state.vec, [1.0, 0.0, 0.0, 0.5])
+    np.testing.assert_allclose(state.vec * norm, [1.0, 0.0, 0.0, 0.5])
 
 
 def test_assemble_rejects_wrong_length():
@@ -79,9 +80,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         FeasibilityConfig(tol=_INFEASIBLE_FLOOR)
     with pytest.raises(ValueError):
-        FeasibilityConfig(delta=1.5)
-    with pytest.raises(ValueError):
         FeasibilityConfig(restarts=0)
+    with pytest.raises(ValueError, match="seed"):
+        FeasibilityConfig(seed=-1)
+    with pytest.raises(TypeError):  # the floor is fixed
+        FeasibilityConfig(delta=0.2)
+    assert FeasibilityConfig().delta == 0.1
 
 
 def test_fixture_row_counts():
@@ -267,6 +271,23 @@ def test_search_residuals_match_conditions(p0, p1, v0, v1, phi, full):
     assert float(r @ r) == pytest.approx(expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("kets0, kets1, full", [
+    (("00", "11"), ("01", "10"), False),
+    (("00", "00", "01"), ("00", "01"), False),
+    (("00", "01", "10"), ("00", "01", "10"), True),
+    (("00", "01"), ("00", "11"), True),
+])
+def test_search_rows_do_not_depend_on_batch(kets0, kets1, full):
+    # each restart row converges to the same bits alone, in a subset of
+    # rows, or in the whole batch
+    system = _PairSystem(BasisPattern(kets0), BasisPattern(kets1), DELTA, full)
+    start = system.initial_points(42, 6)
+    whole = _minimize_batch(system, start.copy(), 300)
+    for rows in [[k] for k in range(6)] + [[1, 4]]:
+        np.testing.assert_array_equal(
+            _minimize_batch(system, start[rows], 300), whole[rows])
+
+
 # ---------------------------------------------------------------------------
 # search semantics
 # ---------------------------------------------------------------------------
@@ -341,19 +362,6 @@ def test_seed_changes_search_path_not_verdicts():
     p1 = BasisPattern(("01", "10"))
     alt = feasible_eq4(p0, p1, FeasibilityConfig(restarts=60, seed=7))
     assert alt.status is FeasibilityStatus.FEASIBLE
-
-
-def test_delta_domain_guard():
-    # four slots cannot all carry magnitude >= 0.6 in a unit state
-    with pytest.raises(ValueError):
-        feasible_eq4(BasisPattern(("00", "01", "10", "11")),
-                     BasisPattern(("00",)),
-                     FeasibilityConfig(delta=0.6))
-    # single kets allow any delta < 1, but the masked qubit cannot have
-    # both |alpha_i| >= 0.75
-    with pytest.raises(ValueError):
-        feasible_full(BasisPattern(("00",)), BasisPattern(("11",)),
-                      FeasibilityConfig(delta=0.75))
 
 
 def test_table_results_keep_fixture_order(tables_run):

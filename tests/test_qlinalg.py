@@ -62,16 +62,12 @@ class TestContainers(unittest.TestCase):
 
     def test_two_qubit_unit_normalizes(self):
         s = TwoQubitState.unit([2.0, 0.0, 0.0, 2.0j])
-        self.assertAlmostEqual(s.norm(), 1.0, places=14)
+        self.assertAlmostEqual(np.linalg.norm(s.vec), 1.0, places=14)
         np.testing.assert_allclose(s.vec, [math.sqrt(0.5), 0, 0, math.sqrt(0.5) * 1j])
 
     def test_two_qubit_rejects_non_unit_when_normalized(self):
         with self.assertRaises(ValueError):
             TwoQubitState.from_vec([1.0, 1.0, 0.0, 0.0])
-
-    def test_two_qubit_from_vec_unnormalized_keeps_norm(self):
-        s = TwoQubitState.from_vec([1.0, 1.0, 0.0, 0.0], normalized=False)
-        self.assertAlmostEqual(s.norm(), math.sqrt(2.0), places=14)
 
     def test_two_qubit_vec_is_a_read_only_copy(self):
         v = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
