@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import conditions, ortho, patterns
-from .qlinalg import QubitState, TwoQubitState
+from .qlinalg import DEFAULT_TOL, QubitState, TwoQubitState
 
 DRIFT_LIMIT = 1e-9
 
@@ -46,6 +46,7 @@ def _tolerance(text: str) -> float:
 
 
 def _load_amplitudes(path, expected_len: int) -> np.ndarray:
+    """The file's amplitudes, norm checked; the state constructors rescale."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -76,7 +77,6 @@ def _load_amplitudes(path, expected_len: int) -> np.ndarray:
     if norm != 1.0:
         print(f"warning: {path}: norm drift {abs(norm - 1.0):.3e} corrected",
               file=sys.stderr)
-        vec = vec / norm
     return vec
 
 
@@ -162,11 +162,7 @@ def _row_dict(res: patterns.TableRowResult) -> dict:
 
 
 def cmd_tables(args) -> int:
-    cfg = patterns.FeasibilityConfig(
-        restarts=args.restarts,
-        seed=args.seed,
-        tol=args.tol,
-    )
+    cfg = patterns.FeasibilityConfig(restarts=args.restarts, seed=args.seed)
     try:
         results = patterns.reproduce_tables(
             [args.table] if args.table else [1, 2, 3, 4], cfg)
@@ -207,17 +203,16 @@ def cmd_surface(args) -> int:
 
 def _verify_checks(args):
     """Yield (name, passed, detail) for every built-in claim."""
-    tol = args.tol
-
     # fixed-point check: the quoted example-1 masked qubit
     psi0, psi1 = ortho.EXAMPLE1_PAIR.states()
     b = QubitState.normalized(complex(0.2, -0.2), math.sqrt(23.0) / 5.0)
-    report = conditions.masks_state(b, psi0, psi1, tol=tol)
+    report = conditions.masks_state(b, psi0, psi1)
     yield ("example1-fixed-point", report.verdict,
            f"max residual {max(report.residuals()):.3e}")
 
     # orthogonal-family spot checks
     r9 = ortho.eq9_residuals(ortho.EXAMPLE1_PAIR, b)
+    tol = DEFAULT_TOL
     yield ("eq9-spot-check", max(r9) <= 0.5 + tol and r9[0] <= tol,
            f"line residuals {tuple(f'{v:.3e}' for v in r9)}")
     on = ortho.example2_residual(0.6, 0.5, 0.5)
@@ -269,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", help="qubit state JSON file")
     p.add_argument("psi0", help="two-qubit state JSON file")
     p.add_argument("psi1", help="two-qubit state JSON file")
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
-                   help="residual tolerance (default 1e-9)")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                   help="residual tolerance (default %(default)g)")
     p.add_argument("--out", default=None, help="write report here")
     p.set_defaults(func=cmd_check)
 
@@ -279,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to one table (default: all)")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=_tolerance, default=1e-8,
-                   help="witness tolerance (default 1e-8)")
     p.add_argument("--out", default=None, help="write JSON report here")
     p.set_defaults(func=cmd_tables)
 
@@ -290,16 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="example-1 sign branch (default plus)")
     p.add_argument("--grid", type=int, default=201,
                    help="lattice points per axis (default 201)")
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
-                   help="keep threshold (default 1e-9)")
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                   help="keep threshold (default %(default)g)")
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("verify", help="run every built-in claim check")
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=_tolerance, default=1e-9,
-                   help="residual tolerance (default 1e-9)")
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -176,16 +176,16 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
 
 
 def masks_all_superpositions(psi0: TwoQubitState, psi1: TwoQubitState,
-                             tol: float = DEFAULT_TOL) -> bool:
+                             ) -> bool:
     """True iff the pair masks *every* qubit state.
 
     Quantifying eq3 over all (alpha0, alpha1) forces the bare cross
     traces to vanish: requires both marginal distances of the pair and
-    ``||Tr_x(|Psi0><Psi1|)||_F`` for both subsystems to be <= tol.
+    ``||Tr_x(|Psi0><Psi1|)||_F`` for both subsystems to be <= DEFAULT_TOL.
     """
     u, v, m0, m1 = _pair(psi0, psi1)
     d, t = list(map(sub, m0, m1)), _blocks(u, v)
-    return max(map(_frob, (d[:4], d[4:], t[:4], t[4:]))) <= tol
+    return max(map(_frob, (d[:4], d[4:], t[:4], t[4:]))) <= DEFAULT_TOL
 
 
 def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,

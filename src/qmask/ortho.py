@@ -52,7 +52,7 @@ class OrthoPairParams:
         for (u, v), what in (((self.a0, self.a1), "a"),
                              ((self.b0, self.b1), "b")):
             n2 = abs(u) ** 2 + abs(v) ** 2
-            if abs(n2 - 1.0) > NORM_TOL:
+            if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
                 raise ValueError(
                     f"|{what}0|^2 + |{what}1|^2 = {n2!r}, expected 1")
 
@@ -102,10 +102,6 @@ class SurfacePoint:
     coordinates: tuple[float, float, float]
     residual: float
     branch: str
-
-    def __post_init__(self):
-        if self.residual < 0:
-            raise ValueError("residual must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -210,18 +206,14 @@ def build_example2_states(x0: float, y0: float, sign: str,
 
     Returns ``Psi0 = (x0+y0 i)|00> +- (1/sqrt2)|11>`` and
     ``Psi1 = (x0+y0 i)|01> +- (1/sqrt2)|10>`` (sign "plus"/"minus").
-    Raises if x0^2 + y0^2 differs from 1/2 by more than 1e-9.
+    Raises ``ValueError`` unless x0^2 + y0^2 = 1/2 to the states'
+    unit-norm tolerance ``NORM_TOL`` (1e-12).
     """
     if sign not in BRANCHES:
         raise ValueError(f"sign must be one of {BRANCHES}")
-    if abs(x0 ** 2 + y0 ** 2 - 0.5) > 1e-9:
-        raise ValueError(
-            f"x0^2 + y0^2 = {x0 ** 2 + y0 ** 2!r}, expected 1/2")
     c = complex(x0, y0)
     w = SQRT_HALF if sign == "plus" else -SQRT_HALF
-    psi0 = TwoQubitState([c, 0.0, 0.0, w])
-    psi1 = TwoQubitState([0.0, c, w, 0.0])
-    return psi0, psi1
+    return OrthoPairParams(c, w, c, w).states()
 
 
 def example2_residual(lam, x0, y0):
@@ -277,7 +269,7 @@ def complete_masker_unitary(psi0: TwoQubitState, psi1: TwoQubitState,
                             ) -> Mat4:
     """A 4x4 unitary F with F e0 = Psi0 and F e2 = Psi1.
 
-    e0 = |0>|0> and e2 = |1>|0| are the input-side product states; the
+    e0 = |0>|0> and e2 = |1>|0> are the input-side product states; the
     remaining two columns are filled by Gram-Schmidt over the canonical
     basis vectors in fixed order (rejection threshold 1e-8), making the
     completion deterministic.  Raises ``ValueError`` unless F passes

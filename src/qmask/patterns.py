@@ -85,12 +85,11 @@ class FeasibilityConfig:
     #: fixed floor on every |slot|, |<Psi0|Psi1>| and the qubit's |alpha_i|
     delta: float = field(default=0.1, init=False)
     restarts: int = 200
-    tol: float = 1e-8
+    #: fixed witness tolerance on the re-verified residual
+    tol: float = field(default=1e-8, init=False)
     seed: int = 42
 
     def __post_init__(self):
-        if not 0 < self.tol < _INFEASIBLE_FLOOR:
-            raise ValueError(f"need 0 < tol < {_INFEASIBLE_FLOOR}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.seed < 0:
@@ -189,8 +188,7 @@ def duplicate_free_patterns() -> list[BasisPattern]:
 
 def _complex_slots(theta: np.ndarray, start: int, n: int) -> np.ndarray:
     """View 2n consecutive reals of theta (..., p) as n complex slots."""
-    t = theta[..., start:start + 2 * n]
-    return t[..., 0::2] + 1j * t[..., 1::2]
+    return theta[..., start:start + 2 * n].view(np.complex128)
 
 
 #: orthonormal basis of the 2x2 Hermitian matrices
@@ -269,9 +267,7 @@ class _PairSystem:
             rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
             mag = 0.35 + 0.5 * rng.random(n_slots)
             phase = 2.0 * math.pi * rng.random(n_slots)
-            z = mag * np.exp(1j * phase)
-            theta[k, 0:2 * n_slots:2] = z.real
-            theta[k, 1:2 * n_slots:2] = z.imag
+            _complex_slots(theta[k], 0, n_slots)[:] = mag * np.exp(1j * phase)
             if self.full:
                 theta[k, -1] = math.pi * rng.random()
         return theta

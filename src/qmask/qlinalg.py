@@ -38,11 +38,8 @@ class QubitState:
     alpha1: complex
 
     def __post_init__(self):
-        a0, a1 = self.alpha0, self.alpha1
-        if not all(map(math.isfinite, (a0.real, a0.imag, a1.real, a1.imag))):
-            raise ValueError(f"qubit amplitudes must be finite: {(a0, a1)!r}")
-        n2 = abs(a0) ** 2 + abs(a1) ** 2
-        if abs(n2 - 1.0) > NORM_TOL:
+        n2 = abs(self.alpha0) ** 2 + abs(self.alpha1) ** 2
+        if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
             raise ValueError(f"qubit state not normalized: |alpha|^2 = {n2!r}")
 
     @classmethod
@@ -71,10 +68,8 @@ class TwoQubitState:
 
     def __post_init__(self):
         v = np.array(self.vec, dtype=np.complex128).reshape(4)
-        if not np.isfinite(v).all():
-            raise ValueError(f"two-qubit amplitudes must be finite, got {v!r}")
         n2 = float(np.vdot(v, v).real)
-        if abs(n2 - 1.0) > NORM_TOL:
+        if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
             raise ValueError(f"two-qubit state not normalized: |c|^2 = {n2!r}")
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
@@ -128,11 +123,11 @@ def frob_dist(M1, M2) -> float:
     return float(np.linalg.norm(np.asarray(M1) - np.asarray(M2)))
 
 
-def is_unitary(M: Mat4, tol: float = NORM_TOL) -> bool:
-    """True iff ||M^dagger M - I||_F <= tol."""
+def is_unitary(M: Mat4) -> bool:
+    """True iff ||M^dagger M - I||_F <= NORM_TOL."""
     M = np.asarray(M, dtype=np.complex128)
     eye = np.eye(M.shape[0], dtype=np.complex128)
-    return frob_dist(M.conj().T @ M, eye) <= tol
+    return frob_dist(M.conj().T @ M, eye) <= NORM_TOL
 
 
 # Convenience kets in the fixed basis order.

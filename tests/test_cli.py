@@ -121,7 +121,8 @@ def test_tables_single_table_report(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["row_count"] == 16
     assert report["mismatch_count"] == 0
-    assert report["config"]["restarts"] == 80
+    assert report["config"] == {"delta": 0.1, "restarts": 80, "seed": 42,
+                                "tol": 1e-8}
     feasible = [r for r in report["rows"] if r["status"] == "Feasible"]
     assert len(feasible) == 4
     assert all("witness" in r for r in feasible)
@@ -227,17 +228,27 @@ def test_verify_reports_failing_bundled_claims(capsys):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9", "tiny"])
-@pytest.mark.parametrize("command", ["check", "surface", "verify", "tables"])
+@pytest.mark.parametrize("command", ["check", "surface"])
 def test_tol_must_be_finite_and_positive(command, tol, triple, capsys):
     argv = {"check": ["check", *triple],
-            "surface": ["surface", "1", "--grid", "3"],
-            "verify": ["verify", "--restarts", "1"],
-            "tables": ["tables", "--restarts", "1"]}[command]
+            "surface": ["surface", "1", "--grid", "3"]}[command]
     with pytest.raises(SystemExit) as exc:
         main([*argv, f"--tol={tol}"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "argument --tol" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9", "tiny"])
+@pytest.mark.parametrize("command", ["verify", "tables"])
+def test_verify_and_tables_take_no_tol(command, tol, capsys):
+    # their tolerances are fixed, so any --tol is an unknown argument
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--restarts", "1", f"--tol={tol}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --tol" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["verify", "tables"])

@@ -187,6 +187,14 @@ def test_build_example2_states_mask_the_lambda_family(sign):
 def test_build_example2_states_requires_circle_point():
     with pytest.raises(ValueError):
         ortho.build_example2_states(0.6, 0.6, "plus")
+    # x0^2 + y0^2 = 1/2 must hold to the states' unit-norm tolerance 1e-12
+    for offset in (4e-10, 2e-9):
+        with pytest.raises(ValueError):
+            ortho.build_example2_states(math.sqrt(0.5 + offset), 0.0, "plus")
+    for sign, w in (("plus", SQRT_HALF), ("minus", -SQRT_HALF)):
+        psi0, psi1 = ortho.build_example2_states(math.sqrt(0.5), 0.0, sign)
+        assert psi0.vec.tolist() == [SQRT_HALF, 0.0, 0.0, w]
+        assert psi1.vec.tolist() == [0.0, SQRT_HALF, w, 0.0]
 
 
 def test_example2_residual_frozen():

@@ -75,9 +75,9 @@ def test_duplicate_free_patterns_enumeration():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the witness tolerance is fixed
         FeasibilityConfig(tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         FeasibilityConfig(tol=_INFEASIBLE_FLOOR)
     with pytest.raises(ValueError):
         FeasibilityConfig(restarts=0)
@@ -86,6 +86,7 @@ def test_config_validation():
     with pytest.raises(TypeError):  # the floor is fixed
         FeasibilityConfig(delta=0.2)
     assert FeasibilityConfig().delta == 0.1
+    assert FeasibilityConfig().tol == 1e-8 < _INFEASIBLE_FLOOR
 
 
 def test_fixture_row_counts():

@@ -22,6 +22,7 @@ from qmask.qlinalg import (
 
 ATOL = 1e-12
 HALF_I = np.eye(2) / 2.0
+NON_FINITE = (math.nan, math.inf, -math.inf, complex(math.inf, math.nan))
 
 complex_amp = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=3.0, allow_nan=False, allow_infinity=False
@@ -53,10 +54,13 @@ class TestContainers(unittest.TestCase):
             QubitState(1.0, 1.0)
 
     def test_qubit_rejects_non_finite(self):
-        with self.assertRaises(ValueError):
-            QubitState(math.nan, 1.0)
-        with self.assertRaises(ValueError):
-            QubitState.normalized(math.inf, 0.0)
+        for bad in NON_FINITE:
+            with self.assertRaises(ValueError):
+                QubitState(bad, 0.0)
+            with self.assertRaises(ValueError):
+                QubitState(bad, 1.0)
+            with self.assertRaises(ValueError):
+                QubitState.normalized(bad, 0.0)
         with self.assertRaises(ValueError):
             QubitState.normalized(complex(0.0, math.nan), 1.0)
 
@@ -78,8 +82,13 @@ class TestContainers(unittest.TestCase):
             s.vec[0] = 0
 
     def test_two_qubit_rejects_non_finite(self):
-        with self.assertRaises(ValueError):
-            TwoQubitState.unit([np.inf, 0.0, 0.0, 0.0])
+        for bad in NON_FINITE:
+            with self.assertRaises(ValueError):
+                TwoQubitState([bad, 0.0, 0.0, 0.0])
+            with self.assertRaises(ValueError):
+                TwoQubitState([bad, 1.0, 0.0, 0.0])
+            with self.assertRaises(ValueError):
+                TwoQubitState.unit([bad, 0.0, 0.0, 0.0])
 
     def test_mat_layout_row_is_first_qubit(self):
         # amplitude of |10> must land at mat[1, 0]
