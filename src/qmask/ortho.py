@@ -51,7 +51,8 @@ class OrthoPairParams:
     def __post_init__(self):
         for (u, v), what in (((self.a0, self.a1), "a"),
                              ((self.b0, self.b1), "b")):
-            n2 = abs(u) ** 2 + abs(v) ** 2
+            # x * x, not x ** 2: a huge amplitude gives inf, not OverflowError
+            n2 = abs(u) * abs(u) + abs(v) * abs(v)
             if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
                 raise ValueError(
                     f"|{what}0|^2 + |{what}1|^2 = {n2!r}, expected 1")
@@ -84,7 +85,7 @@ class Example1Point:
                 "outside the square-root domain")
 
     def radius2(self) -> float:
-        return self.x0 ** 2 + self.y0 ** 2 + self.x1 ** 2
+        return self.x0 * self.x0 + self.y0 * self.y0 + self.x1 * self.x1
 
     def y1(self) -> float:
         root = math.sqrt(1.0 - self.radius2())
@@ -189,7 +190,7 @@ def eq13_residuals(a0: complex, a1: complex, b0: complex, b1: complex,
     """
     x0, y0, x1, y1, x2, y2, x3, y3 = (
         t for c in map(complex, (a0, a1, b0, b1)) for t in (c.real, c.imag))
-    line1 = max(abs(x ** 2 + y ** 2 - 0.5)
+    line1 = max(abs(x * x + y * y - 0.5)
                 for x, y in ((x0, y0), (x1, y1), (x2, y2), (x3, y3)))
     return (
         line1,

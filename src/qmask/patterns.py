@@ -57,6 +57,10 @@ class BasisPattern:
             if k not in KET_LABELS:
                 raise ValueError(f"unknown ket label {k!r}")
         object.__setattr__(self, "kets", kets)
+        S = np.zeros((4, len(kets)))
+        S[self.indices, range(len(kets))] = 1.0
+        S.flags.writeable = False
+        object.__setattr__(self, "_slots", S)
 
     def __len__(self) -> int:
         return len(self.kets)
@@ -71,11 +75,8 @@ class BasisPattern:
         return frozenset(self.kets)
 
     def slot_matrix(self) -> np.ndarray:
-        """(4, n) 0/1 matrix mapping slot coefficients to amplitudes."""
-        S = np.zeros((4, len(self.kets)))
-        for slot, idx in enumerate(self.indices):
-            S[idx, slot] = 1.0
-        return S
+        """Read-only (4, n) 0/1 map from slot coefficients to amplitudes."""
+        return self._slots
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,14 @@ class Witness:
 
 @dataclass(frozen=True)
 class FeasibilityOutcome:
+    """A decision with the smallest re-verified residual over all restarts.
+
+    ``best_residual`` is the largest marginal distance
+    (`conditions.reduced_pair_residual`) for eq4 and the largest
+    `conditions.masks_state` residual for the full system; it is ``inf``
+    when no restart gave a candidate, e.g. none met the overlap floor.
+    """
+
     status: FeasibilityStatus
     best_residual: float
     restarts_used: int
@@ -232,8 +241,8 @@ class _PairSystem:
 
     def __init__(self, p0: BasisPattern, p1: BasisPattern,
                  delta: float, full: bool):
-        self.n0 = len(p0)
-        self.n1 = len(p1)
+        self.p0, self.p1 = p0, p1
+        self.n0, self.n1 = len(p0), len(p1)
         S0 = p0.slot_matrix()
         S1 = p1.slot_matrix()
         eye, zero = np.eye(4)[None], np.zeros((1, 4, 4))
@@ -242,6 +251,7 @@ class _PairSystem:
         self.C = S1.T @ np.concatenate([_LOCAL, eye]) @ S0
         self.unit = np.r_[np.zeros(len(_LOCAL)), 1.0, 1.0]
         self.full = full
+        self.delta = delta
         self.delta_opt = delta * (1.0 + _DELTA_MARGIN)
         self.n_params = 2 * (self.n0 + self.n1) + (1 if full else 0)
 
@@ -365,44 +375,33 @@ def _project_slots(z: np.ndarray, S: np.ndarray,
     return None
 
 
-def _verify_candidate(p0: BasisPattern, p1: BasisPattern, theta: np.ndarray,
-                      cfg: FeasibilityConfig, full: bool,
+def _verify_candidate(system: _PairSystem, theta: np.ndarray,
                       ) -> tuple[float, Witness] | None:
-    """Re-check one candidate through `conditions` only.
+    """Re-check one restart's candidate through `assemble` and `conditions`.
 
     Returns (residual, witness) when the floor/normalization
-    constraints hold, else None.  The residual is the max of the
-    marginal distances (and, for the full system, the cross norms).
+    constraints (and, for the full system, the overlap floor) hold,
+    else None.  The residual is the largest marginal distance for eq4
+    and the largest `masks_state` residual for the full system.
     """
-    n0, n1 = len(p0), len(p1)
-    z0 = _project_slots(_complex_slots(theta, 0, n0),
-                        p0.slot_matrix(), cfg.delta)
-    z1 = _project_slots(_complex_slots(theta, 2 * n0, n1),
-                        p1.slot_matrix(), cfg.delta)
+    z0 = _project_slots(_complex_slots(theta, 0, system.n0),
+                        system.p0.slot_matrix(), system.delta)
+    z1 = _project_slots(_complex_slots(theta, 2 * system.n0, system.n1),
+                        system.p1.slot_matrix(), system.delta)
     if z0 is None or z1 is None:
         return None
-    psi0 = TwoQubitState.unit(p0.slot_matrix() @ z0)
-    psi1 = TwoQubitState.unit(p1.slot_matrix() @ z1)
-    rA, rB = conditions.reduced_pair_residual(psi0, psi1)
-    residual = max(rA, rB)
-    b = None
-
-    if full:
+    (psi0, _), (psi1, _) = assemble(system.p0, z0), assemble(system.p1, z1)
+    if system.full:
         overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
-        if overlap < cfg.delta - _CHECK_SLACK:
+        if overlap < system.delta - _CHECK_SLACK:
             return None
         b = QubitState.normalized(1.0, complex(np.exp(-1j * theta[-1])))
-        for sub in ("A", "B"):
-            cross = conditions.cross_term_matrix(psi0, psi1, b, sub)
-            residual = max(residual, float(np.linalg.norm(cross)))
-
-    witness = Witness(
-        psi0=psi0, psi1=psi1,
-        coeffs0=tuple(complex(v) for v in z0),
-        coeffs1=tuple(complex(v) for v in z1),
-        b=b,
-    )
-    return residual, witness
+        residual = max(conditions.masks_state(b, psi0, psi1).residuals())
+    else:
+        b = None
+        residual = max(conditions.reduced_pair_residual(psi0, psi1))
+    return residual, Witness(psi0, psi1, tuple(map(complex, z0)),
+                             tuple(map(complex, z1)), b)
 
 
 def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
@@ -410,17 +409,10 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
     theta = _minimize_batch(system, theta, _ITERS)
-
-    best_residual = math.inf
-    best_witness = None
-    for k in range(cfg.restarts):  # restart-index order => deterministic
-        checked = _verify_candidate(p0, p1, theta[k], cfg, full)
-        if checked is None:
-            continue
-        residual, witness = checked
-        if residual < best_residual:
-            best_residual = residual
-            best_witness = witness
+    # the first minimum in restart-index order => deterministic
+    checked = filter(None, (_verify_candidate(system, th) for th in theta))
+    best_residual, best_witness = min(checked, key=lambda c: c[0],
+                                      default=(math.inf, None))
 
     if best_residual <= cfg.tol:
         status = FeasibilityStatus.FEASIBLE
@@ -457,7 +449,9 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     cross-matrix systems, and |<Psi0|Psi1>| >= delta.  The cross terms
     are real-linear in z = alpha0 alpha1*, so any qubit with
     |alpha_i| >= delta > 0 masks iff the b with the same arg z does:
-    |alpha0| and |alpha1| never decide feasibility.
+    |alpha0| and |alpha1| never decide feasibility.  A candidate is
+    accepted by `conditions.masks_state`: Feasible needs every residual
+    of its report <= cfg.tol.
     """
     return _decide(p0, p1, cfg, full=True)
 
@@ -484,15 +478,18 @@ def load_table_fixture() -> list[TableRow]:
     counters: dict[int, int] = {}
     for entry in raw:
         try:
-            table = int(entry["table"])
-            p0 = tuple(entry["psi0_kets"])
-            p1 = tuple(entry["psi1_kets"])
-            expected = entry["expected"]
+            table, p0, p1, expected = (entry[key] for key in (
+                "table", "psi0_kets", "psi1_kets", "expected"))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed fixture row {entry!r}") from exc
-        if expected not in ("mask", "no") or table not in (1, 2, 3, 4):
+        # a JSON integer (never a bool), and lists of ket strings
+        if (type(table) is not int or table not in (1, 2, 3, 4)
+                or expected not in ("mask", "no")
+                or not all(isinstance(kets, list)
+                           and all(isinstance(k, str) for k in kets)
+                           for kets in (p0, p1))):
             raise ValueError(f"malformed fixture row {entry!r}")
-        BasisPattern(p0), BasisPattern(p1)  # label validation
+        p0, p1 = BasisPattern(p0).kets, BasisPattern(p1).kets  # checks labels
         counters[table] = counters.get(table, 0) + 1
         rows.append(TableRow(table, counters[table], p0, p1, expected))
     return rows

@@ -38,7 +38,9 @@ class QubitState:
     alpha1: complex
 
     def __post_init__(self):
-        n2 = abs(self.alpha0) ** 2 + abs(self.alpha1) ** 2
+        a0, a1 = abs(self.alpha0), abs(self.alpha1)
+        # x * x, not x ** 2: a huge amplitude gives inf, not OverflowError
+        n2 = a0 * a0 + a1 * a1
         if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
             raise ValueError(f"qubit state not normalized: |alpha|^2 = {n2!r}")
 

@@ -50,6 +50,8 @@ def test_eq9_line1_tracks_coefficient_imbalance():
 def test_ortho_pair_params_rejects_non_unit_rows():
     with pytest.raises(ValueError):
         ortho.OrthoPairParams(1.0, 1.0, SQRT_HALF, SQRT_HALF)
+    with pytest.raises(ValueError):  # |a0|^2 overflows to inf
+        ortho.OrthoPairParams(1e200, 0.0, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +76,8 @@ def test_example1_point_validation():
         ortho.Example1Point(0.9, 0.9, 0.0, "plus")   # radius > 1
     with pytest.raises(ValueError):
         ortho.Example1Point(0.1, 0.1, 0.1, "down")   # unknown branch
+    with pytest.raises(ValueError):
+        ortho.Example1Point(1e200, 0.0, 0.0, "plus")  # radius overflows
 
 
 def test_example1_point_qubit_is_unit():
@@ -175,6 +179,7 @@ def test_eq13_frozen_generic_values():
     np.testing.assert_allclose(
         ortho.eq13_residuals(*coeffs), (0.25, 0.14, 0.15, 0.48, 0.45),
         atol=1e-10)
+    assert ortho.eq13_residuals(1e200, 0.0, 0.0, 0.0)[0] == math.inf
 
 
 @pytest.mark.parametrize("sign", ["plus", "minus"])

@@ -9,7 +9,11 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from qmask.conditions import cross_term_matrix, reduced_pair_residual
+from qmask.conditions import (
+    cross_term_matrix,
+    masks_state,
+    reduced_pair_residual,
+)
 from qmask.patterns import (
     _INFEASIBLE_FLOOR,
     BasisPattern,
@@ -41,6 +45,7 @@ def test_pattern_indices_support_and_slots():
     assert len(p) == 3
     S = p.slot_matrix()
     assert S.shape == (4, 3)
+    assert S is p.slot_matrix() and not S.flags.writeable  # built once
     np.testing.assert_allclose(S[:, 0], [0, 0, 1, 0])
     np.testing.assert_allclose(S[:, 1], [1, 0, 0, 0])
 
@@ -105,11 +110,17 @@ def test_fixture_loader_rejects_corrupt_file(tmp_path, monkeypatch):
     from qmask import patterns as mod
 
     bad = tmp_path / "fixture.json"
-    bad.write_text(json.dumps([{"table": 9, "psi0_kets": ["00"],
-                                "psi1_kets": ["00"], "expected": "mask"}]))
     monkeypatch.setattr(mod, "fixture_path", lambda: bad)
-    with pytest.raises(ValueError):
-        mod.load_table_fixture()
+    good = {"table": 1, "psi0_kets": ["00"], "psi1_kets": ["00"],
+            "expected": "mask"}
+    for field, value in [("table", 9), ("table", 1.5), ("table", True),
+                         ("table", "2"), ("psi0_kets", "00"),
+                         ("psi1_kets", [0])]:
+        bad.write_text(json.dumps([{**good, field: value}]))
+        with pytest.raises(ValueError, match="malformed fixture row"):
+            mod.load_table_fixture()
+    bad.write_text(json.dumps([good]))
+    assert mod.load_table_fixture()[0].table == 1
     bad.write_text("{not json")
     with pytest.raises(ValueError):
         mod.load_table_fixture()
@@ -345,6 +356,20 @@ def test_full_system_witness_carries_masked_qubit():
     overlap = abs(np.vdot(w.psi0.vec, w.psi1.vec))
     assert overlap >= DELTA - 1e-9
     assert min(abs(a) for a in (w.b.alpha0, w.b.alpha1)) >= DELTA - 1e-9
+    # the search accepted the witness by the check that re-verifies it
+    report = masks_state(w.b, w.psi0, w.psi1)
+    assert report.verdict
+    assert max(report.residuals()) <= 1e-8
+
+
+def test_full_system_without_overlap_is_infeasible_without_residual():
+    # distinct single kets are orthogonal, so no restart meets the
+    # overlap floor and none yields a candidate
+    out = feasible_full(BasisPattern(("00",)), BasisPattern(("01",)),
+                        FeasibilityConfig(restarts=20, seed=42))
+    assert out.status is FeasibilityStatus.INFEASIBLE
+    assert out.best_residual == math.inf
+    assert out.witness is None
 
 
 def test_search_is_deterministic():

@@ -63,6 +63,8 @@ class TestContainers(unittest.TestCase):
                 QubitState.normalized(bad, 0.0)
         with self.assertRaises(ValueError):
             QubitState.normalized(complex(0.0, math.nan), 1.0)
+        with self.assertRaises(ValueError):  # |alpha0|^2 overflows to inf
+            QubitState(1e200, 0.0)
 
     def test_two_qubit_unit_normalizes(self):
         s = TwoQubitState.unit([2.0, 0.0, 0.0, 2.0j])
