@@ -4,9 +4,10 @@ A *basis pattern* is an ordered list of computational-basis kets, each
 position carrying a complex coefficient slot constrained away from zero
 (duplicate kets are allowed and are summed after assignment).  The
 feasibility oracle decides, by seeded random-restart damped least
-squares, whether a pattern pair admits coefficients satisfying the
-marginal-equality system (and, for the support scan, the full masking
-system with a non-orthogonality constraint).
+squares with an analytic Jacobian, whether a pattern pair admits
+coefficients satisfying the marginal-equality system (and, for the
+support scan, the full masking system with a non-orthogonality
+constraint).
 
 Outcomes are three-way: Feasible carries an independently re-verified
 witness; Infeasible means the best constrained residual stayed above a
@@ -122,11 +123,14 @@ class FeasibilityOutcome:
     (`conditions.reduced_pair_residual`) for eq4 and the largest
     `conditions.masks_state` residual for the full system; it is ``inf``
     when no restart gave a candidate, e.g. none met the overlap floor.
+    ``iterations`` counts the damped least-squares steps, accepted or
+    not, summed over all restarts.
     """
 
     status: FeasibilityStatus
     best_residual: float
     restarts_used: int
+    iterations: int
     witness: Witness | None = None
 
 
@@ -212,72 +216,116 @@ _LOCAL = np.array([np.kron(np.eye(2), P) for P in _PAULI]
                   + [np.kron(P, np.eye(2)) for P in _PAULI])
 
 
-def _forms(u: np.ndarray, F: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u^dag F_m v for each matrix F_m of the stack F, batched over rows."""
-    uv = u.conj()[..., :, None] * v[..., None, :]
-    # einsum, not a BLAS matmul: threaded BLAS on these thin products ran
-    # the search several times slower on a loaded 2-core host
-    return np.einsum("...ij,mij->...m", uv, F)
-
-
 class _PairSystem:
-    """Residual system for one pattern pair, optionally with the qubit.
+    """Residual system and its Jacobian for one pattern pair.
 
-    Parameters are the interleaved re/im of the pre-merge slots z0, z1
-    of both patterns, followed (full system only) by one phase angle
-    phi: the masked qubit is b = (|0> + e^{-i phi}|1>)/sqrt(2), so that
-    z = alpha0 alpha1* = e^{i phi}/2 (see `feasible_full` for why one
-    angle suffices).
+    Parameters are the interleaved re/im of the pre-merge slots
+    z = (z0, z1) of both patterns, followed (full system only) by one
+    phase angle phi: the masked qubit is b = (|0> + e^{-i phi}|1>)/sqrt(2),
+    so that z = alpha0 alpha1* = e^{i phi}/2 (see `feasible_full` for why
+    one angle suffices).
 
-    Every row is a form in the slots over matrices built once from the
-    slot matrices S0, S1.  Re z0^dag H0 z0 + Re z1^dag H1 z1
-    - (0,...,0, 1, 1) gives <c0|O|c0> - <c1|O|c1> for each `_LOCAL`
-    observable O and both norms minus one; the slot floors follow.  The
-    full system adds Re(e^{i phi} z1^dag C z0), the Frobenius components
-    of both eq3 cross matrices, and the floor on the overlap
-    |z1^dag S1^T S0 z0|.  The squared residual norm is
-    rA^2 + rB^2 (+ cross norms) + penalty terms.
+    Every residual row has one of two shapes over one stack of complex
+    matrices K_m, built once from the slot matrices S0, S1:
+
+    - a form Re(c_m z^dag K_m z).  For eq4, K_m = diag(S0^T F S0,
+      -S1^T F S1) over the eight `_LOCAL` observables F, plus the two
+      norms diag(S0^T S0, 0) and diag(0, S1^T S1), with c = 1 and
+      ``unit`` = (0,...,0, 1, 1) subtracted: <c0|F|c0> - <c1|F|c1> and
+      both norms minus one.  The full system adds the lower-left blocks
+      S1^T F S0 with c = e^{i phi}, the Frobenius components of both eq3
+      cross matrices, and S1^T S0, whose |z^dag K z| is the overlap
+      |<c1|c0>|;
+    - a hinge max(0, delta' - |w|) on each slot w = z_k and (full
+      system) on the overlap.
+
+    The Jacobian is closed-form.  Written as one complex number per slot,
+    d/dRe + i d/dIm, a form row has the gradient c Kz + conj(c) K^dag z
+    (2Kz for the Hermitian eq4 forms).  The overlap hinge is the form
+    row of w = z^dag K z with c = -conj(w)/|w| where it is active and 0
+    elsewhere; a slot hinge is -z_k/|z_k| in its own slot, 0 where
+    inactive.  The cross rows add the phi column
+    d/dphi Re(e^{i phi} q) = -Im(e^{i phi} q).  The squared residual
+    norm is rA^2 + rB^2 (+ cross norms) + penalty terms.
     """
 
     def __init__(self, p0: BasisPattern, p1: BasisPattern,
                  delta: float, full: bool):
         self.p0, self.p1 = p0, p1
         self.n0, self.n1 = len(p0), len(p1)
-        S0 = p0.slot_matrix()
-        S1 = p1.slot_matrix()
-        eye, zero = np.eye(4)[None], np.zeros((1, 4, 4))
-        self.H0 = S0.T @ np.concatenate([_LOCAL, eye, zero]) @ S0
-        self.H1 = S1.T @ np.concatenate([-_LOCAL, zero, eye]) @ S1
-        self.C = S1.T @ np.concatenate([_LOCAL, eye]) @ S0
+        self.n = self.n0 + self.n1
+        eye = np.eye(4)[None]
+        zero = np.zeros_like(eye)
+        top = np.concatenate([_LOCAL, eye, zero])
+        bottom = np.concatenate([-_LOCAL, zero, eye])
+        O = np.zeros_like(top)
+        forms = [np.block([[top, O], [O, bottom]])]
+        if full:
+            cross = np.concatenate([_LOCAL, eye])
+            O = np.zeros_like(cross)
+            forms.append(np.block([[O, O], [cross, O]]))
+        S = np.block([[p0.slot_matrix(), np.zeros((4, self.n1))],
+                      [np.zeros((4, self.n0)), p1.slot_matrix()]])
+        K = S.T @ np.concatenate(forms) @ S
+        self.n_forms = len(K)
+        self.n_eq4 = len(top)
+        # the eq4 forms are Hermitian; the cross forms also need K^dag z
+        self.K = np.concatenate([K, K[self.n_eq4:].conj().transpose(0, 2, 1)])
         self.unit = np.r_[np.zeros(len(_LOCAL)), 1.0, 1.0]
         self.full = full
         self.delta = delta
         self.delta_opt = delta * (1.0 + _DELTA_MARGIN)
-        self.n_params = 2 * (self.n0 + self.n1) + (1 if full else 0)
+        self.n_params = 2 * self.n + (1 if full else 0)
+
+    def _products(self, theta: np.ndarray, forms: int):
+        """The slots z and K_m z for the first ``forms`` matrices of K."""
+        z = np.ascontiguousarray(_complex_slots(theta, 0, self.n))
+        # einsum, not a BLAS matmul: threaded BLAS on these thin products ran
+        # the search several times slower on a loaded 2-core host
+        return z, np.einsum("mij,...j->...mi", self.K[:forms], z)
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
-        z0 = _complex_slots(theta, 0, self.n0)
-        z1 = _complex_slots(theta, 2 * self.n0, self.n1)
-        parts = [_forms(z0, self.H0, z0).real + _forms(z1, self.H1, z1).real
-                 - self.unit,
-                 np.maximum(0.0, self.delta_opt - np.abs(z0)),
-                 np.maximum(0.0, self.delta_opt - np.abs(z1))]
+        z, Kz = self._products(theta, self.n_forms)
+        q = np.einsum("...i,...mi->...m", z.conj(), Kz)
+        e = self.n_eq4
+        parts = [q[..., :e].real - self.unit,
+                 np.maximum(0.0, self.delta_opt - np.abs(z))]
         if self.full:
-            cross = _forms(z1, self.C, z0)
-            parts.append((np.exp(1j * theta[..., -1:]) * cross[..., :-1]).real)
-            overlap = np.abs(cross[..., -1:])
-            parts.append(np.maximum(0.0, self.delta_opt - overlap))
+            parts.append((np.exp(1j * theta[..., -1:]) * q[..., e:-1]).real)
+            parts.append(np.maximum(0.0, self.delta_opt - np.abs(q[..., -1:])))
         return np.concatenate(parts, axis=-1)
+
+    def _hinge_slope(self, w: np.ndarray) -> np.ndarray:
+        """1/|w| where max(0, delta' - |w|) is active, else 0; finite at 0."""
+        mag = np.abs(w)
+        return (mag < self.delta_opt) / np.maximum(mag, 1e-300)
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        """d residuals / d theta for (R, p) rows of theta: (R, rows, p)."""
+        z, Kz = self._products(theta, len(self.K))
+        R, e, n, nf = len(theta), self.n_eq4, self.n, self.n_forms
+        J = np.zeros((R, n + nf, self.n_params))
+        Jz = _complex_slots(J, 0, n)  # d/dRe + i d/dIm of each slot
+        Jz[:, :e] = 2.0 * Kz[:, :e]
+        slots = np.arange(n)
+        Jz[:, e + slots, slots] = -z * self._hinge_slope(z)
+        if self.full:
+            q = np.einsum("ri,rmi->rm", z.conj(), Kz[:, e:nf])
+            c = np.empty((R, nf - e, 1), dtype=np.complex128)
+            c[:, :-1] = np.exp(1j * theta[:, -1:, None])
+            c[:, -1, 0] = -q[:, -1].conj() * self._hinge_slope(q[:, -1])
+            Jz[:, e + n:] = c * Kz[:, e:nf] + c.conj() * Kz[:, nf:]
+            J[:, e + n:-1, -1] = -(c[:, :-1, 0] * q[:, :-1]).imag
+        return J
 
     def initial_points(self, seed: int, restarts: int) -> np.ndarray:
         """Per-restart starts keyed by (seed, restart index)."""
         theta = np.empty((restarts, self.n_params))
-        n_slots = self.n0 + self.n1
         for k in range(restarts):
             rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-            mag = 0.35 + 0.5 * rng.random(n_slots)
-            phase = 2.0 * math.pi * rng.random(n_slots)
-            _complex_slots(theta[k], 0, n_slots)[:] = mag * np.exp(1j * phase)
+            mag = 0.35 + 0.5 * rng.random(self.n)
+            phase = 2.0 * math.pi * rng.random(self.n)
+            _complex_slots(theta[k], 0, self.n)[:] = mag * np.exp(1j * phase)
             if self.full:
                 theta[k, -1] = math.pi * rng.random()
         return theta
@@ -287,16 +335,20 @@ class _PairSystem:
 # batched damped least squares
 # ---------------------------------------------------------------------------
 
-_FD_STEP = 1e-6          # central differences are exact for these
 _STEP_STOP = 1e-13       # stop when the accepted step is this small
 _OBJ_STOP = 1e-28        # or the objective this small
 _LAMBDA_MAX = 1e12       # or damping has grown hopeless
 
 
-def _minimize_batch(system: _PairSystem, theta: np.ndarray,
-                    iters: int) -> np.ndarray:
-    """Damped least squares on every restart row of ``theta`` at once."""
+def _minimize_batch(system: _PairSystem, theta: np.ndarray, iters: int,
+                    steps: np.ndarray | None = None) -> np.ndarray:
+    """Damped least squares on every restart row of ``theta`` at once.
+
+    ``steps``, when given, is an (R,) integer array; each row's count of
+    damped steps (accepted or not) is added to it.
+    """
     R, p = theta.shape
+    steps = np.zeros(R, dtype=np.int64) if steps is None else steps
     lam = np.full(R, 1e-3)
     active = np.ones(R, dtype=bool)
     r = system.residuals(theta)
@@ -306,15 +358,9 @@ def _minimize_batch(system: _PairSystem, theta: np.ndarray,
     for _ in range(iters):
         if not active.any():
             break
+        steps[active] += 1
         th_a = theta[active]
-        # central-difference Jacobian, batched over restarts and params
-        pert = th_a[None, None, :, :] \
-            + (_FD_STEP * np.array([1.0, -1.0]))[:, None, None, None] \
-            * eye[None, :, None, :]
-        rp = system.residuals(pert.reshape(-1, p))
-        rp = rp.reshape(2, p, th_a.shape[0], -1)
-        J = (rp[0] - rp[1]).transpose(1, 2, 0) / (2.0 * _FD_STEP)
-
+        J = system.jacobian(th_a)
         r_a = r[active]
         g = np.einsum("rmp,rm->rp", J, r_a)
         H = np.einsum("rmp,rmq->rpq", J, J)
@@ -408,7 +454,8 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
             full: bool) -> FeasibilityOutcome:
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
-    theta = _minimize_batch(system, theta, _ITERS)
+    steps = np.zeros(cfg.restarts, dtype=np.int64)
+    theta = _minimize_batch(system, theta, _ITERS, steps)
     # the first minimum in restart-index order => deterministic
     checked = filter(None, (_verify_candidate(system, th) for th in theta))
     best_residual, best_witness = min(checked, key=lambda c: c[0],
@@ -424,6 +471,7 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
         status=status,
         best_residual=best_residual,
         restarts_used=cfg.restarts,
+        iterations=int(steps.sum()),
         witness=best_witness if status is FeasibilityStatus.FEASIBLE else None,
     )
 

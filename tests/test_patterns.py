@@ -283,6 +283,53 @@ def test_search_residuals_match_conditions(p0, p1, v0, v1, phi, full):
     assert float(r @ r) == pytest.approx(expected, abs=1e-12)
 
 
+def _kink_free_point(system, rng, low: int, high: int) -> np.ndarray:
+    """Random theta with ``low`` slots below the floor and ``high`` above.
+
+    Every |slot|, and the overlap unless it vanishes identically, stays
+    at least 1e-3 from the floor delta_opt and from zero.
+    """
+    overlap = system.p1.slot_matrix().T @ system.p0.slot_matrix()
+    for _ in range(100):
+        mag = np.r_[rng.uniform(0.02, 0.09, low), rng.uniform(0.3, 1.0, high)]
+        z = rng.permutation(mag) * np.exp(2j * math.pi * rng.random(len(mag)))
+        w = abs(z[system.n0:].conj() @ overlap @ z[:system.n0])
+        if system.full and overlap.any() and (
+                w < 1e-3 or abs(w - system.delta_opt) < 1e-3):
+            continue
+        theta = np.stack([z.real, z.imag], axis=-1).ravel()
+        return np.append(theta, 2.0 * math.pi * rng.random()) \
+            if system.full else theta
+    raise AssertionError("no kink-free point in 100 draws")
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_pair_system_jacobian_matches_central_differences(full):
+    # slots clear of the floor, some slots on the active side of their
+    # hinge, and (every slot small) an overlap below its floor
+    rng = np.random.default_rng(11)
+    h = 1e-6
+    for p0, p1 in itertools.product(SYSTEM_PATTERNS, repeat=2):
+        system = _PairSystem(p0, p1, DELTA, full)
+        n = system.n
+        theta = np.stack([_kink_free_point(system, rng, 0, n),
+                          _kink_free_point(system, rng, n // 2, n - n // 2),
+                          _kink_free_point(system, rng, n, 0)])
+        J = system.jacobian(theta)
+        step = h * np.eye(system.n_params)[:, None, :]
+        fd = (system.residuals(theta + step)
+              - system.residuals(theta - step)) / (2.0 * h)
+        np.testing.assert_allclose(J, fd.transpose(1, 2, 0), rtol=0,
+                                   atol=1e-7)
+        r = system.residuals(theta)
+        np.testing.assert_array_equal(system.residuals(theta[0]), r[0])
+        # the last point has every slot hinge active, and so the overlap
+        # hinge wherever the supports meet
+        assert (r[2, system.n_eq4:system.n_eq4 + n] > 0).all()
+        if full and p0.support & p1.support:
+            assert r[2, -1] > 0
+
+
 @pytest.mark.parametrize("kets0, kets1, full", [
     (("00", "11"), ("01", "10"), False),
     (("00", "00", "01"), ("00", "01"), False),
@@ -381,6 +428,19 @@ def test_search_is_deterministic():
     assert a.status is b.status
     np.testing.assert_array_equal(a.witness.psi0.vec, b.witness.psi0.vec)
     np.testing.assert_array_equal(a.witness.psi1.vec, b.witness.psi1.vec)
+
+
+@pytest.mark.parametrize("decide", [feasible_eq4, feasible_full])
+def test_outcome_counts_damped_steps(decide):
+    # every restart takes at least one damped step, and the count is
+    # part of the seeded, deterministic outcome
+    p0 = BasisPattern(("00", "01", "10"))
+    p1 = BasisPattern(("00", "01", "10", "11"))
+    cfg = FeasibilityConfig(restarts=6, seed=42)
+    a, b = decide(p0, p1, cfg), decide(p0, p1, cfg)
+    assert a.iterations >= cfg.restarts
+    assert a.iterations == b.iterations
+    assert a.restarts_used == cfg.restarts
 
 
 def test_seed_changes_search_path_not_verdicts():
