@@ -154,6 +154,7 @@ def _row_dict(res: patterns.TableRowResult) -> dict:
         "status": res.outcome.status.value,
         "best_residual": _jsonable(res.outcome.best_residual),
         "restarts_used": res.outcome.restarts_used,
+        "decided_by": res.outcome.decided_by,
         "agree": res.agree,
     }
     if res.outcome.witness is not None:

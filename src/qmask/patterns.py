@@ -3,16 +3,19 @@
 A *basis pattern* is an ordered list of computational-basis kets, each
 position carrying a complex coefficient slot constrained away from zero
 (duplicate kets are allowed and are summed after assignment).  The
-feasibility oracle decides, by seeded random-restart damped least
-squares with an analytic Jacobian, whether a pattern pair admits
-coefficients satisfying the marginal-equality system (and, for the
-support scan, the full masking system with a non-orthogonality
-constraint).
+feasibility oracle decides whether a pattern pair admits coefficients
+satisfying the marginal-equality system (and, for the support scan, the
+full masking system with a non-orthogonality constraint).  An eq4 pair
+is first given a certified lower bound on its residual; the pairs that
+bound leaves open, and every full-system pair, go to a seeded
+random-restart damped least-squares search with an analytic Jacobian.
 
 Outcomes are three-way: Feasible carries an independently re-verified
-witness; Infeasible means the best constrained residual stayed above a
-floor over all restarts; anything else is Inconclusive.  Identical
-config seeds give bit-identical outcomes.
+witness; Infeasible means either that the certified eq4 bound is at or
+above a floor (a proof) or that the best constrained residual of the
+search stayed above that floor over all restarts (evidence); anything
+else is Inconclusive.  Identical config seeds give bit-identical
+outcomes.
 """
 
 from __future__ import annotations
@@ -117,11 +120,16 @@ class Witness:
 
 @dataclass(frozen=True)
 class FeasibilityOutcome:
-    """A decision with the smallest re-verified residual over all restarts.
+    """A decision and how it was reached.
 
-    ``best_residual`` is the largest marginal distance
+    ``decided_by`` is ``"bound"`` when the certified eq4 lower bound
+    alone proved the pair Infeasible: ``best_residual`` is then that
+    bound, a number no admissible coefficient choice gets below, and
+    ``restarts_used`` and ``iterations`` are 0.  It is ``"search"``
+    otherwise: ``best_residual`` is the smallest re-verified residual
+    over all restarts, the largest marginal distance
     (`conditions.reduced_pair_residual`) for eq4 and the largest
-    `conditions.masks_state` residual for the full system; it is ``inf``
+    `conditions.masks_state` residual for the full system, or ``inf``
     when no restart gave a candidate, e.g. none met the overlap floor.
     ``iterations`` counts the damped least-squares steps, accepted or
     not, summed over all restarts.
@@ -131,6 +139,7 @@ class FeasibilityOutcome:
     best_residual: float
     restarts_used: int
     iterations: int
+    decided_by: str
     witness: Witness | None = None
 
 
@@ -394,6 +403,80 @@ def _minimize_batch(system: _PairSystem, theta: np.ndarray, iters: int,
 
 
 # ---------------------------------------------------------------------------
+# certified lower bound for eq4
+# ---------------------------------------------------------------------------
+
+#: Tr_B and Tr_A off-diagonal entries: the ket pairs (i, j) of their
+#: products c_i c_j*
+_OFF_DIAGONAL = (((0, 2), (1, 3)), ((0, 1), (2, 3)))
+
+
+def _diagonal_polygon(counts: list[int], floor: float) -> set:
+    """Points spanning the (X, Y) = (|c00|^2+|c01|^2, |c00|^2+|c10|^2) polygon.
+
+    The merged moduli^2 m lie in a box cut by sum(m) = 1: a single ket
+    has m >= floor, a duplicated ket m >= 0, an unlisted ket m = 0.  Each
+    vertex of that slice has every coordinate but one at a box bound.
+    """
+    lo = [floor if n == 1 else 0.0 for n in counts]
+    hi = [1.0 if n else 0.0 for n in counts]
+    points = set()
+    for free in (k for k in range(4) if counts[k]):
+        others = [k for k in range(4) if k != free]
+        for bits in range(8):
+            m = [0.0] * 4
+            for j, k in enumerate(others):
+                m[k] = hi[k] if bits >> j & 1 else lo[k]
+            m[free] = 1.0 - sum(m)
+            if lo[free] <= m[free] <= hi[free]:
+                points.add((m[0] + m[1], m[0] + m[2]))
+    return points
+
+
+def _linf_distance(P: set, Q: set) -> float:
+    """L-infinity distance between the convex hulls of two point sets.
+
+    It is the max over |w|_1 = 1 of min_P <w, p> - max_Q <w, q>, or 0.
+    Along each edge of the L1 ball that is a concave piecewise-linear
+    function, so its max sits at a ball vertex or where two points of
+    one set tie, i.e. at w normal to their difference.
+    """
+    dirs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    for pts in (P, Q):
+        for x0, y0 in pts:
+            for x1, y1 in pts:
+                s = abs(x1 - x0) + abs(y1 - y0)
+                if s > 0.0:
+                    dirs.append(((y1 - y0) / s, (x0 - x1) / s))
+    return max(0.0, max(min(wx * x + wy * y for x, y in P)
+                        - max(wx * x + wy * y for x, y in Q)
+                        for wx, wy in dirs))
+
+
+def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
+    """Certified lower bound on max(`conditions.reduced_pair_residual`).
+
+    Holds for every admissible choice: single-ket |c| >= delta -
+    _CHECK_SLACK (the witness check), any duplicated-ket merged value,
+    unit merged norm.  A marginal difference with diagonal (d, -d) or
+    off-diagonal (o, o*) has Frobenius norm >= sqrt(2)|d| or sqrt(2)|o|.
+    (a) |d| is at least the L-infinity distance between the two diagonal
+    polygons.  (b) |o| >= (delta - _CHECK_SLACK)^2 when one side's entry
+    is a single product of two single kets and the other's is 0.
+    """
+    floor = (delta - _CHECK_SLACK) ** 2
+    counts = [[p.kets.count(k) for k in KET_LABELS] for p in (p0, p1)]
+    bound = _linf_distance(*(_diagonal_polygon(c, floor) for c in counts))
+    for pairs in _OFF_DIAGONAL:
+        # the listed products of each side; [1] is one product of singles
+        terms = [[c[i] * c[j] for i, j in pairs if c[i] and c[j]]
+                 for c in counts]
+        if [] in terms and [1] in terms:
+            bound = max(bound, floor)
+    return math.sqrt(2.0) * bound
+
+
+# ---------------------------------------------------------------------------
 # feasibility oracle
 # ---------------------------------------------------------------------------
 
@@ -403,8 +486,9 @@ def _project_slots(z: np.ndarray, S: np.ndarray,
 
     Alternates clipping low slots up to the floor (phase preserved)
     with merged-state renormalization; converges geometrically.  Gives
-    every restart a *constrained* candidate, so infeasible patterns
-    report a finite best residual instead of rejecting everything.
+    every restart a *constrained* candidate, so a searched pair that
+    fails reports a finite best residual (the search's evidence, not the
+    certified eq4 bound) instead of rejecting everything.
     """
     z = np.array(z, dtype=np.complex128)
     target = delta * (1.0 + 1e-12)
@@ -472,6 +556,7 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
         best_residual=best_residual,
         restarts_used=cfg.restarts,
         iterations=int(steps.sum()),
+        decided_by="search",
         witness=best_witness if status is FeasibilityStatus.FEASIBLE else None,
     )
 
@@ -480,11 +565,19 @@ def feasible_eq4(p0: BasisPattern, p1: BasisPattern,
                  cfg: FeasibilityConfig) -> FeasibilityOutcome:
     """Decide the eq4 (marginal-equality) system over nonzero slots.
 
-    Searches for pre-merge coefficients with every |c| >= cfg.delta and
+    Looks for pre-merge coefficients with every |c| >= cfg.delta and
     both merged states unit norm such that the marginals of the two
-    states coincide.  Feasible outcomes carry a witness whose residual
-    was re-verified through `conditions` (never the optimizer state).
+    states coincide.  A pair whose certified lower bound (`_eq4_bound`)
+    is at or above the Infeasible floor is Infeasible without a search,
+    with that bound as ``best_residual``.  Any other pair is searched;
+    Feasible outcomes carry a witness whose residual was re-verified
+    through `conditions` (never the optimizer state).
     """
+    bound = _eq4_bound(p0, p1, cfg.delta)
+    if bound >= _INFEASIBLE_FLOOR:
+        return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound,
+                                  restarts_used=0, iterations=0,
+                                  decided_by="bound")
     return _decide(p0, p1, cfg, full=False)
 
 

@@ -1,10 +1,11 @@
 """Shared fixtures.
 
 The verdict-table reproduction and the support scan are the two
-expensive seeded searches (tens of seconds and a few minutes
-respectively at the default 200 restarts).  Both are deterministic, so
-they run once per session here and every test that needs them reads the
-cached result.
+expensive seeded searches at the default 200 restarts: the tables take
+seconds (the certified eq4 bound decides the 76 Infeasible rows without
+a search, so only the 30 Feasible rows are searched) and the scan a few
+minutes.  Both are deterministic, so they run once per session here and
+every test that needs them reads the cached result.
 """
 
 import time

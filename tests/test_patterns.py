@@ -16,10 +16,14 @@ from qmask.conditions import (
 )
 from qmask.patterns import (
     _INFEASIBLE_FLOOR,
+    KET_LABELS,
     BasisPattern,
     FeasibilityConfig,
     FeasibilityStatus,
     _PairSystem,
+    _diagonal_polygon,
+    _eq4_bound,
+    _linf_distance,
     _minimize_batch,
     assemble,
     duplicate_free_patterns,
@@ -219,6 +223,9 @@ def test_search_agrees_with_grid_oracle(k0, k1, expected):
         assert grid_min <= 1e-9
     else:
         assert grid_min >= 1e-4
+    # the certified bound never exceeds a residual the grid attains,
+    # up to the rounding of either side
+    assert _eq4_bound(p0, p1, DELTA) <= grid_min + 1e-12
 
 
 def test_single_ket_table_matches_grid_oracle(tables_run):
@@ -348,6 +355,112 @@ def test_search_rows_do_not_depend_on_batch(kets0, kets1, full):
 
 
 # ---------------------------------------------------------------------------
+# the certified eq4 lower bound
+# ---------------------------------------------------------------------------
+
+pattern_kets = st.lists(st.sampled_from(KET_LABELS), min_size=1, max_size=4)
+bound_slots = st.lists(
+    st.complex_numbers(min_magnitude=DELTA, max_magnitude=1.0,
+                       allow_nan=False, allow_infinity=False),
+    min_size=4, max_size=4)
+
+
+def _admissible_slots(p: BasisPattern, values, pinned) -> np.ndarray:
+    """Slots from ``values``; a pinned or low slot moves onto the floor
+    |c| = delta (relative to the merged norm), or a pinned copy of a ket
+    cancels its first copy."""
+    c = np.array(values[:len(p)])
+    for _ in range(30):
+        norm = np.linalg.norm(p.slot_matrix() @ c)
+        if norm <= 1e-6:
+            break
+        c /= norm
+        for k, ket in enumerate(p.kets):
+            if pinned[k] and ket in p.kets[:k]:
+                c[k] = -c[p.kets.index(ket)]
+            elif pinned[k] or abs(c[k]) < DELTA:
+                c[k] *= DELTA / abs(c[k])
+    norm = np.linalg.norm(p.slot_matrix() @ c)
+    # admissible: merged norm > 0 and every pre-merge |c| >= delta, up
+    # to the witness check's slack, once the merged state has unit norm
+    assume(norm > 1e-6 and np.abs(c).min() >= (DELTA - 1e-12) * norm)
+    return c
+
+
+@seed(5)
+@settings(max_examples=300, deadline=None)
+@given(kets0=pattern_kets, kets1=pattern_kets, v0=bound_slots, v1=bound_slots,
+       pin0=st.lists(st.booleans(), min_size=4, max_size=4),
+       pin1=st.lists(st.booleans(), min_size=4, max_size=4))
+def test_eq4_bound_is_below_every_admissible_residual(kets0, kets1, v0, v1,
+                                                      pin0, pin1):
+    p0, p1 = BasisPattern(tuple(kets0)), BasisPattern(tuple(kets1))
+    states = [assemble(p, _admissible_slots(p, v, pin))[0]
+              for p, v, pin in ((p0, v0, pin0), (p1, v1, pin1))]
+    assert max(reduced_pair_residual(*states)) >= \
+        _eq4_bound(p0, p1, DELTA) - 1e-12
+
+
+def test_eq4_bound_uses_the_witness_check_floor():
+    # Y = |c00|^2 <= 1 - |c01|^2 stays a floor below 1: the floor the
+    # witness check admits, (delta - 1e-12)^2, not delta^2
+    bound = _eq4_bound(BasisPattern(("00",)), BasisPattern(("00", "01")),
+                       DELTA)
+    assert bound == pytest.approx(math.sqrt(2.0) * (DELTA - 1e-12) ** 2,
+                                  rel=1e-13)
+
+
+def test_eq4_bound_separates_table_verdicts(tables_run):
+    # positive on exactly the Infeasible rows, which it decides alone
+    results, _ = tables_run
+    for res in itertools.chain.from_iterable(results.values()):
+        out = res.outcome
+        bound = _eq4_bound(BasisPattern(res.row.psi0_kets),
+                           BasisPattern(res.row.psi1_kets), DELTA)
+        if out.status is FeasibilityStatus.FEASIBLE:
+            assert bound < 1e-6
+            assert out.decided_by == "search"
+        else:
+            assert bound >= 0.0141
+            assert out.decided_by == "bound"
+            assert out.best_residual == bound
+
+
+def _diagonal_lp(kets0, kets1) -> float:
+    """min ||(X0, Y0) - (X1, Y1)||_inf over both moduli^2 boxes, by linprog."""
+    from scipy.optimize import linprog
+
+    floor = (DELTA - 1e-12) ** 2
+    bounds = []
+    for kets in (kets0, kets1):
+        for k in KET_LABELS:
+            n = kets.count(k)
+            bounds.append((floor if n == 1 else 0.0, 1.0 if n else 0.0))
+    bounds.append((0.0, None))
+    X, Y = [1, 1, 0, 0], [1, 0, 1, 0]
+    A_ub = [[s * a for a in line] + [-s * a for a in line] + [-1.0]
+            for line in (X, Y) for s in (1.0, -1.0)]
+    A_eq = [[1.0] * 4 + [0.0] * 4 + [0.0], [0.0] * 4 + [1.0] * 4 + [0.0]]
+    res = linprog([0.0] * 8 + [1.0], A_ub=A_ub, b_ub=[0.0] * 4, A_eq=A_eq,
+                  b_eq=[1.0, 1.0], bounds=bounds, method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_diagonal_bound_matches_linprog():
+    pairs = [(r.psi0_kets, r.psi1_kets) for r in load_table_fixture()]
+    pats = [p.kets for p in duplicate_free_patterns()]
+    pairs += list(itertools.product(pats, repeat=2))
+    assert len(pairs) == 106 + 225
+    floor = (DELTA - 1e-12) ** 2
+    for kets0, kets1 in pairs:
+        polygons = [_diagonal_polygon([kets.count(k) for k in KET_LABELS],
+                                      floor) for kets in (kets0, kets1)]
+        assert _linf_distance(*polygons) == pytest.approx(
+            _diagonal_lp(kets0, kets1), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # search semantics
 # ---------------------------------------------------------------------------
 
@@ -367,20 +480,26 @@ def test_feasible_outcome_carries_verified_witness():
 
 
 def test_infeasible_outcome_reports_finite_floor():
+    # the certified bound decides without a search: the diagonal points
+    # (1, 1) and (1, 0) are at L-infinity distance 1
     out = feasible_eq4(BasisPattern(("00",)), BasisPattern(("01",)), FAST_CFG)
     assert out.status is FeasibilityStatus.INFEASIBLE
     assert out.witness is None
     assert math.isfinite(out.best_residual)
     assert out.best_residual >= _INFEASIBLE_FLOOR
-    assert out.restarts_used == FAST_CFG.restarts
+    assert out.best_residual == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert out.decided_by == "bound"
+    assert out.restarts_used == 0 and out.iterations == 0
 
 
 def test_duplicate_ket_pattern_merges_before_deciding():
     # [00,00,01] merges to a two-slot state, so it can share marginals
-    # with [00,01]
-    out = feasible_eq4(BasisPattern(("00", "01")),
-                       BasisPattern(("00", "00", "01")), FAST_CFG)
-    assert out.status is FeasibilityStatus.FEASIBLE
+    # with [00,01]; its 00 slots may also cancel, leaving |01>, so the
+    # product c00 c01* carries no floor
+    for kets0 in (("00", "01"), ("01",)):
+        out = feasible_eq4(BasisPattern(kets0),
+                           BasisPattern(("00", "00", "01")), FAST_CFG)
+        assert out.status is FeasibilityStatus.FEASIBLE
 
 
 def test_three_term_vs_full_support_is_feasible():

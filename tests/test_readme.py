@@ -27,12 +27,14 @@ def test_readme_library_tour_values():
     assert report.verdict is True
     assert max(report.residuals()) < 1e-15
     assert out.status is FeasibilityStatus.INFEASIBLE
-    assert out.best_residual == pytest.approx(0.1414, abs=1e-4)
+    assert out.decided_by == "bound"
+    assert out.best_residual == pytest.approx(0.01414, abs=1e-5)
     assert len(points) == 191
     assert is_unitary(F)
 
     # the comments quote these values
     assert re.search(r"report\.verdict\s+# True", block)
     assert re.search(r"out\.status\s+# Infeasible", block)
-    assert f"# ~{out.best_residual:.3f} " in block
+    assert re.search(r"out\.decided_by\s+# bound", block)
+    assert f"# ~{out.best_residual:.4f} " in block
     assert f"# {len(points)} lattice points" in block
