@@ -46,6 +46,9 @@ _ITERS = 2000
 #: best residuals at or above this are Infeasible
 _INFEASIBLE_FLOOR = 1e-6
 
+#: the masked qubit of the full-system search, (|0> + |1>)/sqrt(2)
+_PLUS = QubitState.normalized(1.0, 1.0)
+
 
 @dataclass(frozen=True)
 class BasisPattern:
@@ -115,6 +118,7 @@ class Witness:
     psi1: TwoQubitState
     coeffs0: tuple[complex, ...]
     coeffs1: tuple[complex, ...]
+    #: the masked qubit, |+> for the full system and None for eq4
     b: QubitState | None = None
 
 
@@ -229,33 +233,30 @@ class _PairSystem:
     """Residual system and its Jacobian for one pattern pair.
 
     Parameters are the interleaved re/im of the pre-merge slots
-    z = (z0, z1) of both patterns, followed (full system only) by one
-    phase angle phi: the masked qubit is b = (|0> + e^{-i phi}|1>)/sqrt(2),
-    so that z = alpha0 alpha1* = e^{i phi}/2 (see `feasible_full` for why
-    one angle suffices).
+    z = (z0, z1) of both patterns.  The full system fixes the masked
+    qubit at b = |+> (see `feasible_full` for why that loses nothing).
+    Over one stack of complex matrices K_m, built once from the slot
+    matrices S0, S1, every residual row is one of three kinds, in this
+    order:
 
-    Every residual row has one of two shapes over one stack of complex
-    matrices K_m, built once from the slot matrices S0, S1:
-
-    - a form Re(c_m z^dag K_m z).  For eq4, K_m = diag(S0^T F S0,
-      -S1^T F S1) over the eight `_LOCAL` observables F, plus the two
-      norms diag(S0^T S0, 0) and diag(0, S1^T S1), with c = 1 and
-      ``unit`` = (0,...,0, 1, 1) subtracted: <c0|F|c0> - <c1|F|c1> and
-      both norms minus one.  The full system adds the lower-left blocks
-      S1^T F S0 with c = e^{i phi}, the Frobenius components of both eq3
-      cross matrices, and S1^T S0, whose |z^dag K z| is the overlap
-      |<c1|c0>|;
-    - a hinge max(0, delta' - |w|) on each slot w = z_k and (full
-      system) on the overlap.
+    - a Hermitian form z^dag K_m z - unit_m.  For eq4, K_m = diag(S0^T F
+      S0, -S1^T F S1) over the eight `_LOCAL` observables F, then the
+      two norms diag(S0^T S0, 0) and diag(0, S1^T S1), with ``unit`` 1
+      on the norms only: <c0|F|c0> - <c1|F|c1> and both norms minus one.
+      The full system adds the eight cross forms, the off-diagonal
+      blocks S1^T F S0 / 2 and their adjoint, so that z^dag K_m z =
+      Re<c1|F|c0>: at b = |+>, the Frobenius components of both eq3
+      cross matrices;
+    - a hinge max(0, delta' - |z_k|) on each slot;
+    - (full system) a hinge max(0, delta' - |w|) on the overlap
+      w = <c1|c0> = z^dag K z with K = S1^T S0 in its lower-left block,
+      followed in the stack by K^dag.
 
     The Jacobian is closed-form.  Written as one complex number per slot,
-    d/dRe + i d/dIm, a form row has the gradient c Kz + conj(c) K^dag z
-    (2Kz for the Hermitian eq4 forms).  The overlap hinge is the form
-    row of w = z^dag K z with c = -conj(w)/|w| where it is active and 0
-    elsewhere; a slot hinge is -z_k/|z_k| in its own slot, 0 where
-    inactive.  The cross rows add the phi column
-    d/dphi Re(e^{i phi} q) = -Im(e^{i phi} q).  The squared residual
-    norm is rA^2 + rB^2 (+ cross norms) + penalty terms.
+    d/dRe + i d/dIm, a form row has the gradient 2 K_m z; a slot hinge is
+    -z_k/|z_k| in its own slot; the overlap hinge is c Kz + conj(c) K^dag z
+    with c = -conj(w)/|w|.  A hinge row is 0 where inactive.  The squared
+    residual norm is rA^2 + rB^2 (+ cross norms) + penalty terms.
     """
 
     def __init__(self, p0: BasisPattern, p1: BasisPattern,
@@ -269,22 +270,21 @@ class _PairSystem:
         bottom = np.concatenate([-_LOCAL, zero, eye])
         O = np.zeros_like(top)
         forms = [np.block([[top, O], [O, bottom]])]
+        self.unit = np.r_[np.zeros(len(_LOCAL)), 1.0, 1.0]
         if full:
-            cross = np.concatenate([_LOCAL, eye])
-            O = np.zeros_like(cross)
-            forms.append(np.block([[O, O], [cross, O]]))
+            O = np.zeros_like(_LOCAL)
+            forms.append(np.block([[O, _LOCAL], [_LOCAL, O]]) / 2.0)
+            forms.append(np.block([[zero, zero], [eye, zero]]))
+            forms.append(np.block([[zero, eye], [zero, zero]]))
+            self.unit = np.r_[self.unit, np.zeros(len(_LOCAL))]
         S = np.block([[p0.slot_matrix(), np.zeros((4, self.n1))],
                       [np.zeros((4, self.n0)), p1.slot_matrix()]])
-        K = S.T @ np.concatenate(forms) @ S
-        self.n_forms = len(K)
-        self.n_eq4 = len(top)
-        # the eq4 forms are Hermitian; the cross forms also need K^dag z
-        self.K = np.concatenate([K, K[self.n_eq4:].conj().transpose(0, 2, 1)])
-        self.unit = np.r_[np.zeros(len(_LOCAL)), 1.0, 1.0]
+        self.K = S.T @ np.concatenate(forms) @ S
+        self.n_forms = len(self.unit)
         self.full = full
         self.delta = delta
         self.delta_opt = delta * (1.0 + _DELTA_MARGIN)
-        self.n_params = 2 * self.n + (1 if full else 0)
+        self.n_params = 2 * self.n
 
     def _products(self, theta: np.ndarray, forms: int):
         """The slots z and K_m z for the first ``forms`` matrices of K."""
@@ -294,14 +294,15 @@ class _PairSystem:
         return z, np.einsum("mij,...j->...mi", self.K[:forms], z)
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
-        z, Kz = self._products(theta, self.n_forms)
+        f = self.n_forms
+        # every row reads z^dag K_m z; the overlap's K^dag, last in K, is
+        # for the Jacobian only
+        z, Kz = self._products(theta, f + self.full)
         q = np.einsum("...i,...mi->...m", z.conj(), Kz)
-        e = self.n_eq4
-        parts = [q[..., :e].real - self.unit,
+        parts = [q[..., :f].real - self.unit,
                  np.maximum(0.0, self.delta_opt - np.abs(z))]
         if self.full:
-            parts.append((np.exp(1j * theta[..., -1:]) * q[..., e:-1]).real)
-            parts.append(np.maximum(0.0, self.delta_opt - np.abs(q[..., -1:])))
+            parts.append(np.maximum(0.0, self.delta_opt - np.abs(q[..., f:])))
         return np.concatenate(parts, axis=-1)
 
     def _hinge_slope(self, w: np.ndarray) -> np.ndarray:
@@ -312,19 +313,16 @@ class _PairSystem:
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         """d residuals / d theta for (R, p) rows of theta: (R, rows, p)."""
         z, Kz = self._products(theta, len(self.K))
-        R, e, n, nf = len(theta), self.n_eq4, self.n, self.n_forms
-        J = np.zeros((R, n + nf, self.n_params))
+        R, f, n = len(theta), self.n_forms, self.n
+        J = np.zeros((R, f + n + self.full, self.n_params))
         Jz = _complex_slots(J, 0, n)  # d/dRe + i d/dIm of each slot
-        Jz[:, :e] = 2.0 * Kz[:, :e]
+        Jz[:, :f] = 2.0 * Kz[:, :f]
         slots = np.arange(n)
-        Jz[:, e + slots, slots] = -z * self._hinge_slope(z)
+        Jz[:, f + slots, slots] = -z * self._hinge_slope(z)
         if self.full:
-            q = np.einsum("ri,rmi->rm", z.conj(), Kz[:, e:nf])
-            c = np.empty((R, nf - e, 1), dtype=np.complex128)
-            c[:, :-1] = np.exp(1j * theta[:, -1:, None])
-            c[:, -1, 0] = -q[:, -1].conj() * self._hinge_slope(q[:, -1])
-            Jz[:, e + n:] = c * Kz[:, e:nf] + c.conj() * Kz[:, nf:]
-            J[:, e + n:-1, -1] = -(c[:, :-1, 0] * q[:, :-1]).imag
+            w = np.einsum("ri,ri->r", z.conj(), Kz[:, f])
+            c = (-w.conj() * self._hinge_slope(w))[:, None]
+            Jz[:, -1] = c * Kz[:, f] + c.conj() * Kz[:, f + 1]
         return J
 
     def initial_points(self, seed: int, restarts: int) -> np.ndarray:
@@ -335,8 +333,6 @@ class _PairSystem:
             mag = 0.35 + 0.5 * rng.random(self.n)
             phase = 2.0 * math.pi * rng.random(self.n)
             _complex_slots(theta[k], 0, self.n)[:] = mag * np.exp(1j * phase)
-            if self.full:
-                theta[k, -1] = math.pi * rng.random()
         return theta
 
 
@@ -525,7 +521,7 @@ def _verify_candidate(system: _PairSystem, theta: np.ndarray,
         overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
         if overlap < system.delta - _CHECK_SLACK:
             return None
-        b = QubitState.normalized(1.0, complex(np.exp(-1j * theta[-1])))
+        b = _PLUS
         residual = max(conditions.masks_state(b, psi0, psi1).residuals())
     else:
         b = None
@@ -585,14 +581,16 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
                   cfg: FeasibilityConfig) -> FeasibilityOutcome:
     """Decide the full masking system with a non-orthogonality constraint.
 
-    On top of the eq4 search this adds one phase angle phi for the
-    masked qubit b = (|0> + e^{-i phi}|1>)/sqrt(2), the two eq3
-    cross-matrix systems, and |<Psi0|Psi1>| >= delta.  The cross terms
-    are real-linear in z = alpha0 alpha1*, so any qubit with
-    |alpha_i| >= delta > 0 masks iff the b with the same arg z does:
-    |alpha0| and |alpha1| never decide feasibility.  A candidate is
-    accepted by `conditions.masks_state`: Feasible needs every residual
-    of its report <= cfg.tol.
+    On top of the eq4 search this adds the two eq3 cross-matrix
+    systems at the masked qubit b = |+> and |<Psi0|Psi1>| >= delta.  No
+    other qubit is needed.  The cross terms are real-linear in
+    z = alpha0 alpha1*, so for z != 0 the cross matrices of (b; Psi0,
+    Psi1) are 2|z| times those of (|+>; Psi0, e^{-i arg z} Psi1).  That
+    rephasing keeps Psi1's marginals, the overlap magnitude and every
+    |slot|, and Psi1's slot phases already range over it: a pair masks
+    some qubit with |alpha_i| >= delta iff it masks |+>.  A candidate is
+    accepted by `conditions.masks_state` at b = |+>: Feasible needs
+    every residual of its report <= cfg.tol.
     """
     return _decide(p0, p1, cfg, full=True)
 

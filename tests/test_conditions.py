@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from qmask.conditions import (
@@ -142,6 +142,29 @@ def test_cross_matrix_depends_on_qubit_only_through_phase(v, w, q):
         np.testing.assert_allclose(
             cross_term_matrix(s0, s1, b, s),
             2.0 * abs(z) * cross_term_matrix(s0, s1, b_phi, s), atol=ATOL)
+
+
+@seed(16)
+@settings(max_examples=100, deadline=None)
+@given(v=vec4, w=vec4, q=qubits)
+def test_cross_matrix_gauge_moves_qubit_phase_into_psi1(v, w, q):
+    # for z = alpha0 alpha1* != 0, the qubit |+> with Psi1 rephased by
+    # e^{-i arg z} gives the cross matrices up to the factor 2|z|, and the
+    # rephasing keeps the eq4 lines and the overlap magnitude
+    s0, s1, b = _unit(v), _unit(w), _qubit(q)
+    z = b.alpha0 * b.alpha1.conjugate()
+    assume(z != 0)
+    rephased = TwoQubitState.unit(np.exp(-1j * np.angle(z)) * s1.vec)
+    plus = QubitState.normalized(1.0, 1.0)
+    for s in "AB":
+        np.testing.assert_allclose(
+            cross_term_matrix(s0, s1, b, s),
+            2.0 * abs(z) * cross_term_matrix(s0, rephased, plus, s),
+            rtol=0, atol=ATOL)
+    np.testing.assert_allclose(eq4_residuals(s0, rephased),
+                               eq4_residuals(s0, s1), rtol=0, atol=ATOL)
+    assert abs(np.vdot(s0.vec, rephased.vec)) == pytest.approx(
+        abs(np.vdot(s0.vec, s1.vec)), abs=ATOL)
 
 
 def test_cross_matrix_rejects_unknown_subsystem():

@@ -260,20 +260,16 @@ def _unit_slots(p: BasisPattern, values) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 @given(p0=st.sampled_from(SYSTEM_PATTERNS),
        p1=st.sampled_from(SYSTEM_PATTERNS),
-       v0=slot_values, v1=slot_values,
-       phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
-       full=st.booleans())
-def test_search_residuals_match_conditions(p0, p1, v0, v1, phi, full):
+       v0=slot_values, v1=slot_values, full=st.booleans())
+def test_search_residuals_match_conditions(p0, p1, v0, v1, full):
     # at unit norm with every slot above the floor, the squared residual
     # norm is the reference marginal distance (plus, for the full system,
-    # the cross norms and the overlap floor)
+    # the cross norms at b = |+> and the overlap floor)
     system = _PairSystem(p0, p1, DELTA, full)
     z0, z1 = _unit_slots(p0, v0), _unit_slots(p1, v1)
     z = np.concatenate([z0, z1])
     assume(np.abs(z).min() >= system.delta_opt)
     theta = np.stack([z.real, z.imag], axis=-1).ravel()
-    if full:
-        theta = np.append(theta, phi)
     r = system.residuals(theta)
 
     psi0 = TwoQubitState.unit(p0.slot_matrix() @ z0)
@@ -281,7 +277,7 @@ def test_search_residuals_match_conditions(p0, p1, v0, v1, phi, full):
     rA, rB = reduced_pair_residual(psi0, psi1)
     expected = rA ** 2 + rB ** 2
     if full:
-        b = QubitState.normalized(1.0, complex(np.exp(-1j * phi)))
+        b = QubitState.normalized(1.0, 1.0)
         for sub in "AB":
             cross = cross_term_matrix(psi0, psi1, b, sub)
             expected += float(np.linalg.norm(cross)) ** 2
@@ -304,9 +300,7 @@ def _kink_free_point(system, rng, low: int, high: int) -> np.ndarray:
         if system.full and overlap.any() and (
                 w < 1e-3 or abs(w - system.delta_opt) < 1e-3):
             continue
-        theta = np.stack([z.real, z.imag], axis=-1).ravel()
-        return np.append(theta, 2.0 * math.pi * rng.random()) \
-            if system.full else theta
+        return np.stack([z.real, z.imag], axis=-1).ravel()
     raise AssertionError("no kink-free point in 100 draws")
 
 
@@ -332,7 +326,7 @@ def test_pair_system_jacobian_matches_central_differences(full):
         np.testing.assert_array_equal(system.residuals(theta[0]), r[0])
         # the last point has every slot hinge active, and so the overlap
         # hinge wherever the supports meet
-        assert (r[2, system.n_eq4:system.n_eq4 + n] > 0).all()
+        assert (r[2, system.n_forms:system.n_forms + n] > 0).all()
         if full and p0.support & p1.support:
             assert r[2, -1] > 0
 
@@ -522,10 +516,61 @@ def test_full_system_witness_carries_masked_qubit():
     overlap = abs(np.vdot(w.psi0.vec, w.psi1.vec))
     assert overlap >= DELTA - 1e-9
     assert min(abs(a) for a in (w.b.alpha0, w.b.alpha1)) >= DELTA - 1e-9
+    assert w.b.alpha0 == w.b.alpha1 == pytest.approx(math.sqrt(0.5),
+                                                     abs=1e-15)
     # the search accepted the witness by the check that re-verifies it
     report = masks_state(w.b, w.psi0, w.psi1)
     assert report.verdict
     assert max(report.residuals()) <= 1e-8
+
+
+def _partner_supports(s0: frozenset, s1: frozenset) -> bool:
+    """A three-ket support against full support, or two three-ket
+    supports whose missing kets differ in one bit."""
+    missing = sorted((set(KET_LABELS) - s for s in (s0, s1)), key=len)
+    if [len(m) for m in missing] == [0, 1]:
+        return True
+    if [len(m) for m in missing] == [1, 1]:
+        (a,), (b,) = missing
+        return sum(x != y for x, y in zip(a, b)) == 1
+    return False
+
+
+def test_full_system_decides_every_scan_pair():
+    # the support scan's config in the benchmark: Feasible on exactly the
+    # 15 same-support pairs and the 16 partner pairs, each with a
+    # re-verified witness at b = |+>, and Infeasible on the other 194
+    cfg = FeasibilityConfig(restarts=2, seed=42)
+    plus = QubitState.normalized(1.0, 1.0)
+    feasible = set()
+    for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
+        out = feasible_full(p0, p1, cfg)
+        if out.status is FeasibilityStatus.INFEASIBLE:
+            continue
+        assert out.status is FeasibilityStatus.FEASIBLE
+        feasible.add((p0.support, p1.support))
+        w = out.witness
+        assert w.b == plus
+        assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= 1e-8
+        assert abs(np.vdot(w.psi0.vec, w.psi1.vec)) >= DELTA - 1e-9
+    same = {(s0, s1) for s0, s1 in feasible if s0 == s1}
+    assert len(same) == 15
+    assert feasible - same == {
+        (s0, s1) for s0, s1 in itertools.product(
+            (p.support for p in duplicate_free_patterns()), repeat=2)
+        if _partner_supports(s0, s1)}
+    assert len(feasible) == 31
+
+
+def test_full_system_has_one_parameter_per_slot_coordinate():
+    # the masked qubit is fixed at |+>: the parameters are the slots'
+    # re/im alone, and the K stack holds 18 Hermitian forms plus the
+    # overlap matrix and its adjoint
+    p0, p1 = BasisPattern(("00", "01", "10")), BasisPattern(("00", "11"))
+    for full, forms in ((False, 10), (True, 20)):
+        system = _PairSystem(p0, p1, DELTA, full)
+        assert system.n_params == 2 * (len(p0) + len(p1))
+        assert len(system.K) == forms
 
 
 def test_full_system_without_overlap_is_infeasible_without_residual():
