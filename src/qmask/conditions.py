@@ -153,6 +153,13 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
       ``Psi = alpha0 Psi0 + alpha1 Psi1`` and Psi0 (defense in depth:
       implied by the first two groups when <Psi0|Psi1> = 0).
 
+    This is the paper's eq3 system (both cross matrices vanish): exact
+    for orthogonal pairs, sufficient but not necessary otherwise.  As
+    ||Psi||^2 = 1 + 2 Re(z <Psi1|Psi0>), z = alpha0 alpha1*, the
+    normalized superposition keeps Psi0's marginals whenever each cross
+    matrix C_x = Tr(C_x) rho_x: Psi1 = Psi0 at b = |+> gives a False
+    verdict with zero superposition residuals.
+
     A superposition with norm below ``DEGENERATE_NORM`` is reported via
     ``degenerate_superposition`` with infinite superposition residuals.
     Raises ``ValueError`` unless ``0 < tol < inf``.

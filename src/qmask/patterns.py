@@ -6,8 +6,10 @@ position carrying a complex coefficient slot constrained away from zero
 feasibility oracle decides whether a pattern pair admits coefficients
 satisfying the marginal-equality system (and, for the support scan, the
 full masking system with a non-orthogonality constraint).  An eq4 pair
-is first given a certified lower bound on its residual; the pairs that
-bound leaves open, and every full-system pair, go to a seeded
+is first given a certified lower bound on its residual, chiefly the
+widest gap between the two patterns' ranges of four linear functions of
+the squared moduli; the pairs that bound leaves open, and every
+full-system pair, go to a seeded
 random-restart damped least-squares search with an analytic Jacobian.
 
 Outcomes are three-way: Feasible carries an independently re-verified
@@ -407,46 +409,32 @@ def _minimize_batch(system: _PairSystem, theta: np.ndarray, iters: int,
 _OFF_DIAGONAL = (((0, 2), (1, 3)), ((0, 1), (2, 3)))
 
 
-def _diagonal_polygon(counts: list[int], floor: float) -> set:
-    """Points spanning the (X, Y) = (|c00|^2+|c01|^2, |c00|^2+|c10|^2) polygon.
+def _diagonal_distance(counts0: list[int], counts1: list[int],
+                       floor: float) -> float:
+    """L-infinity distance between two patterns' sets of diagonals (X, Y).
 
-    The merged moduli^2 m lie in a box cut by sum(m) = 1: a single ket
-    has m >= floor, a duplicated ket m >= 0, an unlisted ket m = 0.  Each
-    vertex of that slice has every coordinate but one at a box bound.
+    X = m00 + m01 and Y = m00 + m10 for merged moduli^2 m with sum 1,
+    m >= floor on a single ket, m >= 0 on a duplicated ket and m = 0 on
+    an unlisted one; m <= 1 never binds.  That set is the simplex of the
+    points lo + (1 - sum(lo)) e_k over listed kets k, so (X, Y) spans
+    the hull of corners of one square, with edges normal to X, Y, X+Y or
+    X-Y only.  The widest gap between the patterns' ranges of X, Y,
+    (X+Y)/2 and (X-Y)/2 (unit L1 normals) is thus the exact distance.
     """
-    lo = [floor if n == 1 else 0.0 for n in counts]
-    hi = [1.0 if n else 0.0 for n in counts]
-    points = set()
-    for free in (k for k in range(4) if counts[k]):
-        others = [k for k in range(4) if k != free]
-        for bits in range(8):
-            m = [0.0] * 4
-            for j, k in enumerate(others):
-                m[k] = hi[k] if bits >> j & 1 else lo[k]
-            m[free] = 1.0 - sum(m)
-            if lo[free] <= m[free] <= hi[free]:
-                points.add((m[0] + m[1], m[0] + m[2]))
-    return points
-
-
-def _linf_distance(P: set, Q: set) -> float:
-    """L-infinity distance between the convex hulls of two point sets.
-
-    It is the max over |w|_1 = 1 of min_P <w, p> - max_Q <w, q>, or 0.
-    Along each edge of the L1 ball that is a concave piecewise-linear
-    function, so its max sits at a ball vertex or where two points of
-    one set tie, i.e. at w normal to their difference.
-    """
-    dirs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
-    for pts in (P, Q):
-        for x0, y0 in pts:
-            for x1, y1 in pts:
-                s = abs(x1 - x0) + abs(y1 - y0)
-                if s > 0.0:
-                    dirs.append(((y1 - y0) / s, (x0 - x1) / s))
-    return max(0.0, max(min(wx * x + wy * y for x, y in P)
-                        - max(wx * x + wy * y for x, y in Q)
-                        for wx, wy in dirs))
+    ranges = []
+    for counts in (counts0, counts1):
+        lo = [floor if n == 1 else 0.0 for n in counts]
+        rest = 1.0 - sum(lo)
+        x0, y0 = lo[0] + lo[1], lo[0] + lo[2]
+        # e_k adds to X when ket k is 00 or 01, to Y when it is 00 or 10
+        corners = [(x0 + rest * (k < 2), y0 + rest * (k % 2 == 0))
+                   for k in range(4) if counts[k]]
+        axes = zip(*((x, y, (x + y) / 2, (x - y) / 2) for x, y in corners))
+        ranges.append([(min(v), max(v)) for v in axes])
+    gap = 0.0
+    for (lo0, hi0), (lo1, hi1) in zip(*ranges):
+        gap = max(gap, lo0 - hi1, lo1 - hi0)
+    return gap
 
 
 def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
@@ -456,13 +444,13 @@ def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
     _CHECK_SLACK (the witness check), any duplicated-ket merged value,
     unit merged norm.  A marginal difference with diagonal (d, -d) or
     off-diagonal (o, o*) has Frobenius norm >= sqrt(2)|d| or sqrt(2)|o|.
-    (a) |d| is at least the L-infinity distance between the two diagonal
-    polygons.  (b) |o| >= (delta - _CHECK_SLACK)^2 when one side's entry
-    is a single product of two single kets and the other's is 0.
+    (a) |d| >= `_diagonal_distance`, from four axis ranges per pattern.
+    (b) |o| >= (delta - _CHECK_SLACK)^2 when one side's entry is a
+    single product of two single kets and the other's is 0.
     """
     floor = (delta - _CHECK_SLACK) ** 2
     counts = [[p.kets.count(k) for k in KET_LABELS] for p in (p0, p1)]
-    bound = _linf_distance(*(_diagonal_polygon(c, floor) for c in counts))
+    bound = _diagonal_distance(*counts, floor)
     for pairs in _OFF_DIAGONAL:
         # the listed products of each side; [1] is one product of singles
         terms = [[c[i] * c[j] for i, j in pairs if c[i] and c[j]]

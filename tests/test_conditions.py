@@ -210,6 +210,18 @@ def test_masks_state_flags_degenerate_superposition():
     assert report.superposition_residuals == (math.inf, math.inf)
 
 
+def test_masks_state_is_sufficient_not_necessary_for_overlapping_pair():
+    # the verdict is the paper's eq3 system: Psi1 = Psi0 keeps every
+    # superposition's marginals, yet its cross matrices do not vanish
+    psi0, _ = EXAMPLE1_PAIR.states()
+    report = masks_state(QubitState(SQRT_HALF, SQRT_HALF), psi0, psi0)
+    assert not report.verdict
+    assert report.crossA_norm == pytest.approx(SQRT_HALF, abs=1e-12)
+    assert report.crossB_norm == pytest.approx(SQRT_HALF, abs=1e-12)
+    assert max(report.superposition_residuals) <= 1e-15
+    assert max(report.eq4_residuals) == 0.0
+
+
 def test_masks_state_rejects_bad_tol():
     for tol in (0.0, -1e-9, math.nan, math.inf):
         with pytest.raises(ValueError):

@@ -21,9 +21,8 @@ from qmask.patterns import (
     FeasibilityConfig,
     FeasibilityStatus,
     _PairSystem,
-    _diagonal_polygon,
+    _diagonal_distance,
     _eq4_bound,
-    _linf_distance,
     _minimize_batch,
     assemble,
     duplicate_free_patterns,
@@ -441,6 +440,10 @@ def _diagonal_lp(kets0, kets1) -> float:
     return res.fun
 
 
+def _counts(kets) -> list[int]:
+    return [kets.count(k) for k in KET_LABELS]
+
+
 def test_diagonal_bound_matches_linprog():
     pairs = [(r.psi0_kets, r.psi1_kets) for r in load_table_fixture()]
     pats = [p.kets for p in duplicate_free_patterns()]
@@ -448,10 +451,66 @@ def test_diagonal_bound_matches_linprog():
     assert len(pairs) == 106 + 225
     floor = (DELTA - 1e-12) ** 2
     for kets0, kets1 in pairs:
-        polygons = [_diagonal_polygon([kets.count(k) for k in KET_LABELS],
-                                      floor) for kets in (kets0, kets1)]
-        assert _linf_distance(*polygons) == pytest.approx(
-            _diagonal_lp(kets0, kets1), abs=1e-9)
+        assert _diagonal_distance(_counts(kets0), _counts(kets1), floor) \
+            == pytest.approx(_diagonal_lp(kets0, kets1), abs=1e-9)
+
+
+def _vertex_polygon(counts: list[int], floor: float) -> set:
+    """(X, Y) at every vertex of the moduli^2 box cut by sum(m) = 1: all
+    coordinates but one at a box bound."""
+    lo = [floor if n == 1 else 0.0 for n in counts]
+    hi = [1.0 if n else 0.0 for n in counts]
+    points = set()
+    for free in (k for k in range(4) if counts[k]):
+        others = [k for k in range(4) if k != free]
+        for bits in range(8):
+            m = [0.0] * 4
+            for j, k in enumerate(others):
+                m[k] = hi[k] if bits >> j & 1 else lo[k]
+            m[free] = 1.0 - sum(m)
+            if lo[free] <= m[free] <= hi[free]:
+                points.add((m[0] + m[1], m[0] + m[2]))
+    return points
+
+
+def _pairwise_linf_distance(P: set, Q: set) -> float:
+    """max over |w|_1 = 1 of min_P <w, p> - max_Q <w, q>, or 0: tried at
+    the L1 ball's vertices and at every normal to a difference of two
+    points of one set, where the concave maximand can turn."""
+    dirs = [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)]
+    for pts in (P, Q):
+        for x0, y0 in pts:
+            for x1, y1 in pts:
+                s = abs(x1 - x0) + abs(y1 - y0)
+                if s > 0.0:
+                    dirs.append(((y1 - y0) / s, (x0 - x1) / s))
+    return max(0.0, max(min(wx * x + wy * y for x, y in P)
+                        - max(wx * x + wy * y for x, y in Q)
+                        for wx, wy in dirs))
+
+
+def test_diagonal_bound_matches_vertex_enumeration():
+    # the 69 sorted multisets of 1-4 kets, plus some in another ket order
+    multisets = [kets for n in range(1, 5) for kets in
+                 itertools.combinations_with_replacement(KET_LABELS, n)]
+    assert len(multisets) == 69
+    permuted = [("01", "00"), ("10", "00", "01"), ("11", "00"),
+                ("10", "01", "00"), ("00", "11", "00"),
+                ("01", "10", "01", "00")]
+    floor = (DELTA - 1e-12) ** 2
+    for kets0, kets1 in itertools.product(multisets + permuted, repeat=2):
+        counts = [_counts(kets0), _counts(kets1)]
+        oracle = _pairwise_linf_distance(*(_vertex_polygon(c, floor)
+                                           for c in counts))
+        assert _diagonal_distance(*counts, floor) == pytest.approx(
+            oracle, abs=1e-15)
+        # the off-diagonal floor (b) is unchanged: the diagonal part
+        # decides the bound whenever it is the larger term
+        bound = _eq4_bound(BasisPattern(kets0), BasisPattern(kets1), DELTA)
+        assert bound >= math.sqrt(2.0) * oracle - 1e-15
+        if bound > math.sqrt(2.0) * floor:
+            assert bound == pytest.approx(math.sqrt(2.0) * oracle,
+                                          abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
