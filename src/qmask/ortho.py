@@ -79,9 +79,9 @@ class Example1Point:
     def __post_init__(self):
         if self.branch not in BRANCHES:
             raise ValueError(f"branch must be one of {BRANCHES}")
-        if self.radius2() > 1.0:
+        if not self.radius2() <= 1.0:  # also rejects nan
             raise ValueError(
-                f"x0^2 + y0^2 + x1^2 = {self.radius2()!r} > 1: "
+                f"x0^2 + y0^2 + x1^2 = {self.radius2()!r} is not <= 1: "
                 "outside the square-root domain")
 
     def radius2(self) -> float:

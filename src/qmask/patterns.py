@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -100,10 +101,11 @@ class FeasibilityConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= low):
+                raise ValueError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class FeasibilityStatus(str, Enum):

@@ -314,11 +314,12 @@ def _seeded_triples(rng, n):
 
 
 def _reference(b, psi0, psi1, tol=1e-9):
-    """Every masks_state residual, eq7/eq8 and both cross matrices from
-    4x4 outer products and partial traces."""
+    """Every masks_state residual, eq7/eq8, both cross matrices and both
+    marginal distances from 4x4 outer products and partial traces."""
     z = b.alpha0 * np.conj(b.alpha1)
     r0, r1, x = outer(psi0, psi0), outer(psi1, psi1), outer(psi0, psi1)
     dA, dB = ptrace_A(r0) - ptrace_A(r1), ptrace_B(r0) - ptrace_B(r1)
+    marginal = (np.linalg.norm(dA), np.linalg.norm(dB))
     lines = (abs(dB[0, 0]), abs(dA[0, 0]), abs(dA[1, 1]), abs(dB[1, 1]),
              abs(dA[0, 1]), abs(dB[0, 1]))
     Ts = (ptrace_A(x), ptrace_B(x))
@@ -335,16 +336,17 @@ def _reference(b, psi0, psi1, tol=1e-9):
         sup = (frob_dist(ptrace_A(rho), ptrace_A(r0)),
                frob_dist(ptrace_B(rho), ptrace_B(r0)))
     residuals = (*lines, *map(np.linalg.norm, cross), *sup)
-    every = max(np.linalg.norm(T) for T in Ts) <= tol \
-        and max(map(np.linalg.norm, (dA, dB))) <= tol
-    return residuals, eq78, cross, all(r <= tol for r in residuals), every
+    every = max(np.linalg.norm(T) for T in Ts) <= tol and max(marginal) <= tol
+    return (residuals, eq78, cross, marginal,
+            all(r <= tol for r in residuals), every)
 
 
 def test_block_kernel_matches_outer_product_reference():
     triples = list(_seeded_triples(np.random.default_rng(2024), 2000))
     degenerate = 0
     for b, psi0, psi1, masks in triples:
-        residuals, eq78, cross, verdict, every = _reference(b, psi0, psi1)
+        residuals, eq78, cross, marginal, verdict, every = _reference(
+            b, psi0, psi1)
         report = masks_state(b, psi0, psi1)
         assert report.verdict == verdict == masks
         assert masks_all_superpositions(psi0, psi1) == every
@@ -356,6 +358,8 @@ def test_block_kernel_matches_outer_product_reference():
         assert np.max(abs(np.subtract(eq7_eq8_residuals(psi0, psi1, b),
                                       eq78))) <= 1e-15
         assert max(abs(eq4_residuals(psi0, psi1) - want[:6])) <= 1e-15
+        assert max(map(abs, np.subtract(reduced_pair_residual(psi0, psi1),
+                                        marginal))) <= 1e-15
         for s, ref in zip("AB", cross):
             m = cross_term_matrix(psi0, psi1, b, s)
             assert m.shape == (2, 2) and m.dtype == np.complex128

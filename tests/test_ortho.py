@@ -78,6 +78,8 @@ def test_example1_point_validation():
         ortho.Example1Point(0.1, 0.1, 0.1, "down")   # unknown branch
     with pytest.raises(ValueError):
         ortho.Example1Point(1e200, 0.0, 0.0, "plus")  # radius overflows
+    with pytest.raises(ValueError):
+        ortho.Example1Point(math.nan, 0.0, 0.0, "plus")  # radius is nan
 
 
 def test_example1_point_qubit_is_unit():

@@ -91,6 +91,11 @@ def test_config_validation():
         FeasibilityConfig(restarts=0)
     with pytest.raises(ValueError, match="seed"):
         FeasibilityConfig(seed=-1)
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        FeasibilityConfig(restarts=2.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        FeasibilityConfig(seed=42.0)
+    assert FeasibilityConfig(restarts=np.int64(3)).restarts == 3
     with pytest.raises(TypeError):  # the floor is fixed
         FeasibilityConfig(delta=0.2)
     assert FeasibilityConfig().delta == 0.1
@@ -417,6 +422,35 @@ def test_eq4_bound_separates_table_verdicts(tables_run):
             assert bound >= 0.0141
             assert out.decided_by == "bound"
             assert out.best_residual == bound
+
+
+_MAXIMALLY_ENTANGLED = {frozenset({"00", "11"}), frozenset({"01", "10"}),
+                        frozenset(KET_LABELS)}
+
+
+def _related(s0: frozenset, s1: frozenset) -> bool:
+    """Supports that two pure states with equal marginals can have: equal,
+    both of a maximally entangled state, or partners (three kets whose
+    missing kets differ in one bit, or three kets against all four)."""
+    if s0 == s1 or {s0, s1} <= _MAXIMALLY_ENTANGLED:
+        return True
+    if {len(s0), len(s1)} == {3, 4}:
+        return True
+    if len(s0) == len(s1) == 3:
+        (m0,), (m1,) = set(KET_LABELS) - s0, set(KET_LABELS) - s1
+        return sum(a != b for a, b in zip(m0, m1)) == 1
+    return False
+
+
+def test_eq4_bound_certifies_exactly_the_unrelated_support_pairs():
+    pats = duplicate_free_patterns()
+    related = 0
+    for p0, p1 in itertools.product(pats, repeat=2):
+        r = _related(p0.support, p1.support)
+        certified = _eq4_bound(p0, p1, DELTA) >= _INFEASIBLE_FLOOR
+        assert certified is not r, (p0.kets, p1.kets)
+        related += r
+    assert related == 37
 
 
 def _diagonal_lp(kets0, kets1) -> float:
