@@ -11,6 +11,8 @@ widest gap between the two patterns' ranges of four linear functions of
 the squared moduli; the pairs that bound leaves open, and every
 full-system pair, go to a seeded
 random-restart damped least-squares search with an analytic Jacobian.
+The support scan searches one pair per orbit of its 16 symmetries (X_A,
+X_B, the qubit swap, exchanging the states) and relabels that witness.
 
 Outcomes are three-way: Feasible carries an independently re-verified
 witness; Infeasible means either that the certified eq4 bound is at or
@@ -22,9 +24,10 @@ outcomes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from importlib import resources
 from numbers import Integral
@@ -51,6 +54,13 @@ _INFEASIBLE_FLOOR = 1e-6
 
 #: the masked qubit of the full-system search, (|0> + |1>)/sqrt(2)
 _PLUS = QubitState.normalized(1.0, 1.0)
+
+#: the eight relabelings of the basis by X_A, X_B and the qubit swap, each
+#: as the image index of 00, 01, 10, 11; the identity first
+_KET_MAPS = tuple(
+    tuple(2 * (bits[swap] ^ flip_a) + (bits[1 - swap] ^ flip_b)
+          for bits in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    for swap in (0, 1) for flip_a in (0, 1) for flip_b in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -639,6 +649,27 @@ def reproduce_tables(tables, cfg: FeasibilityConfig) -> list[TableRowResult]:
             for row in load_table_fixture() if row.table in tables]
 
 
+def _relabel(witness: Witness, p0: BasisPattern, p1: BasisPattern,
+             ket_map: tuple[int, ...], exchange: bool) -> Witness:
+    """The witness of (p0, p1) moved to the image pair under ``ket_map``.
+
+    Ket i becomes ket ket_map[i] in both states, each slot coefficient
+    follows its ket into the image pattern's basis order, and the states
+    change places when ``exchange`` is set.  b is kept.
+    """
+    sides = []
+    for psi, coeffs, p in ((witness.psi0, witness.coeffs0, p0),
+                           (witness.psi1, witness.coeffs1, p1)):
+        vec = np.empty(4, dtype=np.complex128)
+        vec[list(ket_map)] = psi.vec
+        order = sorted(range(len(p)), key=lambda j: ket_map[p.indices[j]])
+        sides.append((TwoQubitState(vec), tuple(coeffs[j] for j in order)))
+    if exchange:
+        sides.reverse()
+    (psi0, coeffs0), (psi1, coeffs1) = sides
+    return Witness(psi0, psi1, coeffs0, coeffs1, witness.b)
+
+
 def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     """Scan all ordered duplicate-free pattern pairs for counterexamples.
 
@@ -646,14 +677,35 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     the full masking system under the non-orthogonality constraint
     |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
     (see `feasible_full`).
+
+    At b = |+> the system keeps its form under 16 maps: a relabeling of
+    the basis by X_A, X_B or the qubit swap (`_KET_MAPS`), times
+    exchanging Psi0 and Psi1.  A local unitary or the swap conjugates
+    (or exchanges) both marginals and both eq3 cross matrices; exchanging
+    the states takes each cross matrix z T + z* T^dagger to z* T + z
+    T^dagger, the same matrix as z = 1/2 is real.  Neither moves
+    |<Psi0|Psi1>|, a slot modulus or b.  Of the 28 orbits of the 225
+    pairs, only the first pair in scan order is decided by
+    `feasible_full`; every other pair gets its representative's outcome,
+    and a violation among them the witness relabelled by `_relabel`.
     """
     violations = []
-    pats = duplicate_free_patterns()
-    for p0 in pats:
-        for p1 in pats:
+    # (index sets of p0, p1) -> (representative p0, p1, outcome, map,
+    # exchange) for every pair of an orbit already decided
+    orbit = {}
+    for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
+        key = (frozenset(p0.indices), frozenset(p1.indices))
+        if key not in orbit:
             outcome = feasible_full(p0, p1, cfg)
-            if (outcome.status is FeasibilityStatus.FEASIBLE
-                    and p0.support != p1.support):
-                violations.append(ScanViolation(
-                    psi0_kets=p0.kets, psi1_kets=p1.kets, outcome=outcome))
+            for g in _KET_MAPS:
+                s0, s1 = (frozenset(g[i] for i in s) for s in key)
+                orbit.setdefault((s0, s1), (p0, p1, outcome, g, False))
+                orbit.setdefault((s1, s0), (p0, p1, outcome, g, True))
+        r0, r1, outcome, g, exchange = orbit[key]
+        if (outcome.status is FeasibilityStatus.FEASIBLE
+                and p0.support != p1.support):
+            witness = _relabel(outcome.witness, r0, r1, g, exchange)
+            violations.append(ScanViolation(
+                psi0_kets=p0.kets, psi1_kets=p1.kets,
+                outcome=replace(outcome, witness=witness)))
     return violations

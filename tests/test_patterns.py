@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from qmask import patterns
 from qmask.conditions import (
     cross_term_matrix,
     masks_state,
@@ -16,6 +17,7 @@ from qmask.conditions import (
 )
 from qmask.patterns import (
     _INFEASIBLE_FLOOR,
+    _KET_MAPS,
     KET_LABELS,
     BasisPattern,
     FeasibilityConfig,
@@ -30,6 +32,7 @@ from qmask.patterns import (
     feasible_full,
     load_table_fixture,
     reproduce_tables,
+    support_theorem_scan,
 )
 from qmask.qlinalg import QubitState, TwoQubitState
 
@@ -636,12 +639,15 @@ def test_full_system_decides_every_scan_pair():
     cfg = FeasibilityConfig(restarts=2, seed=42)
     plus = QubitState.normalized(1.0, 1.0)
     feasible = set()
+    differing = []  # Feasible pairs with differing supports, scan order
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
         out = feasible_full(p0, p1, cfg)
         if out.status is FeasibilityStatus.INFEASIBLE:
             continue
         assert out.status is FeasibilityStatus.FEASIBLE
         feasible.add((p0.support, p1.support))
+        if p0.support != p1.support:
+            differing.append((p0.kets, p1.kets))
         w = out.witness
         assert w.b == plus
         assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= 1e-8
@@ -653,6 +659,121 @@ def test_full_system_decides_every_scan_pair():
             (p.support for p in duplicate_free_patterns()), repeat=2)
         if _partner_supports(s0, s1)}
     assert len(feasible) == 31
+
+    # the scan decides one pair per orbit and relabels the rest: it must
+    # find the same violations in scan order, each witness re-verified
+    # and re-assembled from its relabelled coefficients
+    violations = support_theorem_scan(cfg)
+    assert [(v.psi0_kets, v.psi1_kets) for v in violations] == differing
+    for v in violations:
+        assert v.outcome.status is FeasibilityStatus.FEASIBLE
+        w = v.outcome.witness
+        assert w.b == plus
+        assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= 1e-8
+        assert abs(np.vdot(w.psi0.vec, w.psi1.vec)) >= DELTA - 1e-9
+        for kets, coeffs, psi in ((v.psi0_kets, w.coeffs0, w.psi0),
+                                  (v.psi1_kets, w.coeffs1, w.psi1)):
+            state, _ = assemble(BasisPattern(kets), coeffs)
+            np.testing.assert_allclose(state.vec, psi.vec, rtol=0, atol=1e-12)
+            assert min(map(abs, coeffs)) >= DELTA - 1e-12
+
+
+def _scan_orbits() -> list[set]:
+    """The duplicate-free pattern pairs, as index sets, split into orbits
+    under the ket maps and exchanging the two patterns."""
+    supports = [frozenset(p.indices) for p in duplicate_free_patterns()]
+    orbits, seen = [], set()
+    for pair in itertools.product(supports, repeat=2):
+        if pair in seen:
+            continue
+        orbit = set()
+        for g in _KET_MAPS:
+            s0, s1 = (frozenset(g[i] for i in s) for s in pair)
+            orbit |= {(s0, s1), (s1, s0)}
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
+def test_ket_maps_are_a_group_of_basis_permutations():
+    # X_A, X_B and the swap generate the eight symmetries of the square
+    # 00-01-11-10, listed identity first
+    assert _KET_MAPS[0] == (0, 1, 2, 3)
+    assert len(set(_KET_MAPS)) == 8
+    for g in _KET_MAPS:
+        assert sorted(KET_LABELS[i] for i in g) == list(KET_LABELS)
+    for g, h in itertools.product(_KET_MAPS, repeat=2):
+        assert tuple(g[h[i]] for i in range(4)) in _KET_MAPS
+
+
+def test_scan_pairs_form_28_orbits():
+    orbits = _scan_orbits()
+    assert len(orbits) == 28
+    assert sum(map(len, orbits)) == 225
+
+
+def test_scan_decides_one_pair_per_orbit(monkeypatch):
+    # counted through the name the benchmark's tracer patches
+    decided = []
+    search = patterns.feasible_full
+
+    def counting(p0, p1, cfg):
+        decided.append((frozenset(p0.indices), frozenset(p1.indices)))
+        return search(p0, p1, cfg)
+
+    monkeypatch.setattr(patterns, "feasible_full", counting)
+    support_theorem_scan(FeasibilityConfig(restarts=1, seed=42))
+    assert len(decided) == 28
+    assert all(sum(pair in orbit for pair in decided) == 1
+               for orbit in _scan_orbits())
+
+
+unit_vectors = st.lists(
+    st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0,
+                       allow_nan=False, allow_infinity=False),
+    min_size=4, max_size=4).map(TwoQubitState.unit)
+
+
+def _invariants(psi0, psi1):
+    """What the scan's symmetries keep: the sorted eq4 lines and cross
+    norms of `masks_state` at |+>, its sorted superposition residuals,
+    the sorted marginal distances and |<Psi0|Psi1>|."""
+    r = masks_state(QubitState.normalized(1.0, 1.0), psi0, psi1).residuals()
+    return (sorted(r[:8]), sorted(r[8:]),
+            sorted(reduced_pair_residual(psi0, psi1)),
+            [abs(np.vdot(psi0.vec, psi1.vec))])
+
+
+@seed(17)
+@settings(max_examples=100, deadline=None)
+@given(psi0=unit_vectors, psi1=unit_vectors,
+       phases=st.tuples(st.floats(0.0, 2 * math.pi),
+                        st.floats(0.0, 2 * math.pi)))
+def test_scan_symmetries_keep_the_masking_residuals(psi0, psi1, phases):
+    # Psi0 with its Schmidt terms rephased shares both marginals with it,
+    # as the two states of every Feasible witness do
+    U, s, Vh = np.linalg.svd(psi0.mat)
+    same_marginals = TwoQubitState(
+        (U @ np.diag(s * np.exp(1j * np.array(phases))) @ Vh).reshape(4))
+    for pair in ((psi0, psi1), (psi0, same_marginals)):
+        expected = _invariants(*pair)
+        for g, exchange in itertools.product(_KET_MAPS, (False, True)):
+            images = []
+            for psi in pair:
+                vec = np.empty(4, dtype=complex)
+                vec[list(g)] = psi.vec
+                images.append(TwoQubitState(vec))
+            if exchange:
+                images.reverse()
+            got = _invariants(*images)
+            # the superposition residuals compare the superposition with
+            # Psi0, so exchanging the states keeps them only when the
+            # two states share their marginals
+            for k in range(4):
+                if k == 1 and exchange and pair[1] is psi1:
+                    continue
+                np.testing.assert_allclose(got[k], expected[k],
+                                           rtol=0, atol=1e-15)
 
 
 def test_full_system_has_one_parameter_per_slot_coordinate():
