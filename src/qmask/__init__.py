@@ -9,16 +9,7 @@ samples the solution surfaces of the two orthogonal-pair families it
 ships as built-in examples.
 """
 
-from .qlinalg import (
-    QubitState,
-    TwoQubitState,
-    basis_ket,
-    frob_dist,
-    is_unitary,
-    outer,
-    ptrace_A,
-    ptrace_B,
-)
+from .qlinalg import QubitState, TwoQubitState
 from .conditions import (
     MaskingReport,
     cross_term_matrix,
@@ -67,8 +58,7 @@ from .ortho import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QubitState", "TwoQubitState", "basis_ket",
-    "frob_dist", "is_unitary", "outer", "ptrace_A", "ptrace_B",
+    "QubitState", "TwoQubitState",
     "MaskingReport", "cross_term_matrix", "eq4_residuals",
     "eq7_eq8_residuals",
     "masks_all_superpositions", "masks_state", "reduced_pair_residual",

@@ -29,10 +29,10 @@ import numpy as np
 
 from .qlinalg import (
     DEFAULT_TOL,
-    Mat2,
     QubitState,
     TwoQubitState,
-    # unused here: the benchmark's tracer patches conditions.ptrace_A/B
+    # not called here: the benchmark patches conditions.ptrace_A/B by name
+    # until its partial-trace probe goes
     ptrace_A,
     ptrace_B,
 )
@@ -91,6 +91,12 @@ def _pair(psi0: TwoQubitState, psi1: TwoQubitState):
     return u, v, _blocks(u, u), _blocks(v, v)
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ``ValueError`` unless a residual tolerance is finite and > 0."""
+    if not 0 < tol < math.inf:  # also rejects nan
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _crosses(b: QubitState, u, v):
     """The A- and B-side cross matrices z T + z* T^dagger, row-major."""
     z = b.alpha0 * b.alpha1.conjugate()
@@ -124,7 +130,7 @@ def reduced_pair_residual(psi0: TwoQubitState, psi1: TwoQubitState,
 
 
 def cross_term_matrix(psi0: TwoQubitState, psi1: TwoQubitState,
-                      b: QubitState, subsystem: str) -> Mat2:
+                      b: QubitState, subsystem: str) -> np.ndarray:
     """The eq3 cross matrix for one subsystem.
 
     Returns ``alpha0 alpha1* Tr_x(|Psi0><Psi1|) +
@@ -161,8 +167,7 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
     Raises ``ValueError`` unless ``0 < tol < inf``.
     """
     u, v, m0, m1 = _pair(psi0, psi1)
-    if not 0 < tol < math.inf:  # also rejects nan
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     lines = tuple(abs(m0[i] - m1[i]) for i in _EQ4_ENTRIES)
     crossA, crossB = map(_frob, _crosses(b, u, v))
     psi = [b.alpha0 * x + b.alpha1 * y for x, y in zip(u, v)]

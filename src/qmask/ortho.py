@@ -22,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qlinalg import (
-    Mat4,
-    NORM_TOL,
-    QubitState,
-    TwoQubitState,
-    is_unitary,
-)
+from .conditions import _check_tol
+from .qlinalg import NORM_TOL, QubitState, TwoQubitState
 
 #: branch labels for the eliminated sign in the example-1 parameterization
 BRANCHES = ("plus", "minus")
@@ -156,7 +151,8 @@ def sample_example1(grid_n: int, branch: str, tol: float,
     """Scan the (x0, y0, x1) cube [-1,1]^3 on a grid_n^3 lattice.
 
     Keeps domain-valid points whose example-1 residual is <= tol, in
-    lattice order (x0 outermost, x1 innermost).
+    lattice order (x0 outermost, x1 innermost).  Raises ``ValueError``
+    unless ``0 < tol < inf``, as ``masks_state`` does.
     """
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}")
@@ -227,7 +223,10 @@ def example2_residual(lam, x0, y0):
 
 
 def sample_example2(grid_n: int, tol: float) -> list[SurfacePoint]:
-    """Scan (lam, x0, y0) over [-1,1]^3, keeping eq17 residuals <= tol."""
+    """Scan (lam, x0, y0) over [-1,1]^3, keeping eq17 residuals <= tol.
+
+    Raises ``ValueError`` unless ``0 < tol < inf``.
+    """
     return _lattice_points(grid_n, example2_residual, tol, "na")
 
 
@@ -249,6 +248,7 @@ def _lattice_points(grid_n: int, residual, tol: float,
     (n, n) residuals.  One slab at a time keeps memory at grid_n^2
     floats, with the same elementwise arithmetic as the whole cube.
     """
+    _check_tol(tol)
     axis = _axis(grid_n)
     v, w = np.ix_(axis, axis)
     points = []
@@ -267,15 +267,15 @@ def _lattice_points(grid_n: int, residual, tol: float,
 # ---------------------------------------------------------------------------
 
 def complete_masker_unitary(psi0: TwoQubitState, psi1: TwoQubitState,
-                            ) -> Mat4:
+                            ) -> np.ndarray:
     """A 4x4 unitary F with F e0 = Psi0 and F e2 = Psi1.
 
     e0 = |0>|0> and e2 = |1>|0> are the input-side product states; the
     remaining two columns are filled by Gram-Schmidt over the canonical
     basis vectors in fixed order (rejection threshold 1e-8), making the
-    completion deterministic.  Raises ``ValueError`` unless F passes
-    ``is_unitary``; as ||F^dagger F - I||_F is about sqrt(2)
-    |<Psi0|Psi1>|, that needs |<Psi0|Psi1>| below about 7e-13.
+    completion deterministic.  Raises ``ValueError`` unless
+    ||F^dagger F - I||_F <= NORM_TOL; as that norm is about sqrt(2)
+    |<Psi0|Psi1>|, this needs |<Psi0|Psi1>| below about 7e-13.
     """
     cols = [psi0.vec, psi1.vec]
     for k in range(4):
@@ -289,7 +289,7 @@ def complete_masker_unitary(psi0: TwoQubitState, psi1: TwoQubitState,
         if len(cols) == 4:  # e0..e3 span C^4, so the loop always gets here
             break
     F = np.column_stack([cols[0], cols[2], cols[1], cols[3]])
-    if not is_unitary(F):
+    if not np.linalg.norm(F.conj().T @ F - np.eye(4)) <= NORM_TOL:
         ov = complex(np.vdot(psi0.vec, psi1.vec))
         raise ValueError(f"no unitary completion: <Psi0|Psi1> = {ov!r}")
     return F

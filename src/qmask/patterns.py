@@ -113,7 +113,9 @@ class FeasibilityConfig:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= low):
+            # bool is an Integral, and would print as true/false in JSON
+            if (not isinstance(value, Integral) or isinstance(value, bool)
+                    or value < low):
                 raise ValueError(
                     f"{name} must be an integer >= {low}, got {value!r}")
 

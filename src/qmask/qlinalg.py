@@ -4,8 +4,7 @@ Fixes the conventions used by every other module:
 
 * two-qubit basis order |00>, |01>, |10>, |11>, index = 2*bitA + bitB,
   first bit = subsystem A;
-* partial traces as linear maps on 4x4 operators, with
-  Tr_B acting on the A side and Tr_A acting on the B side;
+* partial traces of 4x4 operators: Tr_A leaves the B side, Tr_B the A side;
 * absolute Frobenius tolerances (amplitudes here are O(1)).
 
 States are unit vectors: normalization is validated, never silently
@@ -19,13 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Mat2 / Mat4: row-major complex ndarrays of shape (2, 2) / (4, 4).
-Mat2 = np.ndarray
-Mat4 = np.ndarray
-
 #: tolerance for unit-norm validation of constructed states
 NORM_TOL = 1e-12
-
 #: default tolerance for residual comparisons
 DEFAULT_TOL = 1e-9
 
@@ -89,54 +83,17 @@ class TwoQubitState:
             raise ValueError(f"cannot normalize {v!r}: norm {n!r}")
         return cls(v / n)
 
-    @property
-    def mat(self) -> np.ndarray:
-        """2x2 amplitude matrix M with M[i, j] = amplitude of |i>_A |j>_B."""
-        return self.vec.reshape(2, 2)
 
-
-# ---------------------------------------------------------------------------
-# Operations
-# ---------------------------------------------------------------------------
-
-def outer(u: TwoQubitState, v: TwoQubitState) -> Mat4:
-    """|u><v| as a 4x4 matrix: entry (i, j) = u_i * conj(v_j)."""
-    return np.outer(u.vec, v.vec.conj())
-
-
-def ptrace_A(M: Mat4) -> Mat2:
+def ptrace_A(M: np.ndarray) -> np.ndarray:
     """Trace out subsystem A (first bit), leaving a B-side 2x2 operator.
 
-    Linear extension of Tr_A(|i1 i2><j1 j2|) = delta_{i1 j1} |i2><j2|;
-    the (0,0) entry of Tr_A(|Psi0><Psi1|) is a0*conj(b0) + a2*conj(b2).
+    Linear extension of Tr_A(|i1 i2><j1 j2|) = delta_{i1 j1} |i2><j2|.
     """
     R = np.asarray(M, dtype=np.complex128).reshape(2, 2, 2, 2)
     return np.einsum("abad->bd", R)
 
 
-def ptrace_B(M: Mat4) -> Mat2:
+def ptrace_B(M: np.ndarray) -> np.ndarray:
     """Trace out subsystem B (second bit), leaving an A-side 2x2 operator."""
     R = np.asarray(M, dtype=np.complex128).reshape(2, 2, 2, 2)
     return np.einsum("abcb->ac", R)
-
-
-def frob_dist(M1, M2) -> float:
-    """Frobenius norm of M1 - M2."""
-    return float(np.linalg.norm(np.asarray(M1) - np.asarray(M2)))
-
-
-def is_unitary(M: Mat4) -> bool:
-    """True iff ||M^dagger M - I||_F <= NORM_TOL."""
-    M = np.asarray(M, dtype=np.complex128)
-    eye = np.eye(M.shape[0], dtype=np.complex128)
-    return frob_dist(M.conj().T @ M, eye) <= NORM_TOL
-
-
-# Convenience kets in the fixed basis order.
-def basis_ket(label: str) -> TwoQubitState:
-    """The computational ket for a two-bit label, e.g. ``basis_ket("01")``."""
-    if label not in ("00", "01", "10", "11"):
-        raise ValueError(f"unknown basis label {label!r}")
-    v = np.zeros(4, dtype=np.complex128)
-    v[2 * int(label[0]) + int(label[1])] = 1.0
-    return TwoQubitState.from_vec(v)

@@ -23,7 +23,9 @@ from qmask.conditions import (
     reduced_pair_residual,
 )
 from qmask.patterns import FeasibilityStatus, assemble, BasisPattern
-from qmask.qlinalg import QubitState, TwoQubitState, frob_dist, outer, ptrace_A, ptrace_B
+from qmask.qlinalg import QubitState, TwoQubitState
+
+from oracle import frob_dist, outer, ptrace_A, ptrace_B
 
 SQRT_HALF = math.sqrt(0.5)
 HALF_I = np.eye(2) / 2.0

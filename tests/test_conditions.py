@@ -16,16 +16,16 @@ from qmask.conditions import (
     masks_state,
     reduced_pair_residual,
 )
-from qmask.ortho import EXAMPLE1_PAIR, build_example2_states, example2_qubit
-from qmask.qlinalg import (
-    QubitState,
-    TwoQubitState,
-    basis_ket,
-    frob_dist,
-    outer,
-    ptrace_A,
-    ptrace_B,
+from qmask.ortho import (
+    EXAMPLE1_PAIR,
+    build_example2_states,
+    example2_qubit,
+    sample_example1,
+    sample_example2,
 )
+from qmask.qlinalg import QubitState, TwoQubitState
+
+from oracle import basis_ket, frob_dist, outer, ptrace_A, ptrace_B
 
 ATOL = 1e-12
 SQRT_HALF = math.sqrt(0.5)
@@ -223,9 +223,14 @@ def test_masks_state_is_sufficient_not_necessary_for_overlapping_pair():
 
 
 def test_masks_state_rejects_bad_tol():
+    # the surface samplers share the check
     for tol in (0.0, -1e-9, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tol must be positive"):
             masks_state(GOOD_B, PSI0, PSI1, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            sample_example1(21, "plus", tol)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            sample_example2(21, tol)
 
 
 def test_masks_all_superpositions_false_for_masking_families():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed must be an integer"):
         FeasibilityConfig(seed=42.0)
     assert FeasibilityConfig(restarts=np.int64(3)).restarts == 3
+    assert FeasibilityConfig(seed=np.int64(0)).seed == 0
+    # bool is an int subclass, but not a count or a seed
+    for kw in ({"restarts": True}, {"seed": False}, {"seed": True}):
+        with pytest.raises(ValueError, match="must be an integer"):
+            FeasibilityConfig(**kw)
     with pytest.raises(TypeError):  # the floor is fixed
         FeasibilityConfig(delta=0.2)
     assert FeasibilityConfig().delta == 0.1
@@ -445,15 +451,36 @@ def _related(s0: frozenset, s1: frozenset) -> bool:
     return False
 
 
+#: the 69 sorted multisets of 1-4 kets
+_MULTISETS = [kets for n in range(1, 5) for kets in
+              itertools.combinations_with_replacement(KET_LABELS, n)]
+
+
+def _fitting_supports(kets) -> list[frozenset]:
+    """The nonempty supports S with single kets <= S <= listed kets: a
+    ket listed twice or more can merge to any value, 0 included."""
+    singles = {k for k in kets if kets.count(k) == 1}
+    optional = sorted(set(kets) - singles)
+    return [frozenset(singles.union(extra))
+            for n in range(len(optional) + 1)
+            for extra in itertools.combinations(optional, n)
+            if singles or extra]
+
+
 def test_eq4_bound_certifies_exactly_the_unrelated_support_pairs():
-    pats = duplicate_free_patterns()
-    related = 0
-    for p0, p1 in itertools.product(pats, repeat=2):
-        r = _related(p0.support, p1.support)
-        certified = _eq4_bound(p0, p1, DELTA) >= _INFEASIBLE_FLOOR
-        assert certified is not r, (p0.kets, p1.kets)
+    assert len(_MULTISETS) == 69
+    related, duplicate_free = 0, []
+    for kets0, kets1 in itertools.product(_MULTISETS, repeat=2):
+        r = any(_related(s0, s1) for s0 in _fitting_supports(kets0)
+                for s1 in _fitting_supports(kets1))
+        certified = _eq4_bound(BasisPattern(kets0), BasisPattern(kets1),
+                               DELTA) >= _INFEASIBLE_FLOOR
+        assert certified is not r, (kets0, kets1)
         related += r
-    assert related == 37
+        if len(set(kets0)) == len(kets0) and len(set(kets1)) == len(kets1):
+            duplicate_free.append(r)
+    assert related == 1301
+    assert (len(duplicate_free), sum(duplicate_free)) == (225, 37)
 
 
 def _diagonal_lp(kets0, kets1) -> float:
@@ -526,16 +553,55 @@ def _pairwise_linf_distance(P: set, Q: set) -> float:
                         for wx, wy in dirs))
 
 
+def _exact_diagonal_distance(counts0, counts1, floor: Fraction) -> Fraction:
+    """`_diagonal_distance` in rational arithmetic, from its definition:
+    the moduli^2 sets are simplices with vertices lo + (1 - sum(lo)) e_k
+    over listed kets k, mapped to (X, Y) = (m00 + m01, m00 + m10), and
+    the gap is the widest over the unit-L1 normals of their hulls."""
+    normals = [(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2)),
+               (Fraction(1, 2), Fraction(-1, 2))]
+    extents = []
+    for counts in (counts0, counts1):
+        lo = [floor if n == 1 else Fraction(0) for n in counts]
+        corners = []
+        for k in (k for k in range(4) if counts[k]):
+            m = list(lo)
+            m[k] += 1 - sum(lo)
+            corners.append((m[0] + m[1], m[0] + m[2]))
+        extents.append([[wx * x + wy * y for x, y in corners]
+                        for wx, wy in normals])
+    return max([Fraction(0)] + [max(min(a) - max(b), min(b) - max(a))
+                                for a, b in zip(*extents)])
+
+
+def test_diagonal_bound_sides_with_its_exact_value():
+    # the float bound sqrt(2) d falls on the same side of the Infeasible
+    # floor as sqrt(2) times the exact d, on all 4761 multiset pairs
+    floor = (DELTA - 1e-12) ** 2
+    exact_floor = (Fraction(DELTA) - Fraction(1e-12)) ** 2
+    limit = Fraction(_INFEASIBLE_FLOOR) ** 2
+    smallest = Fraction(1)
+    for kets0, kets1 in itertools.product(_MULTISETS, repeat=2):
+        counts = _counts(kets0), _counts(kets1)
+        d = _diagonal_distance(*counts, floor)
+        exact = _exact_diagonal_distance(*counts, exact_floor)
+        assert abs(d - exact) <= 1e-15
+        assert (math.sqrt(2.0) * d >= _INFEASIBLE_FLOOR) \
+            is (2 * exact * exact >= limit), (kets0, kets1)
+        if exact:
+            smallest = min(smallest, exact)
+    # the closest positive gap is half the single-ket floor, about
+    # 0.005: no rounding could move a pair across the Infeasible floor
+    assert smallest == exact_floor / 2
+
+
 def test_diagonal_bound_matches_vertex_enumeration():
-    # the 69 sorted multisets of 1-4 kets, plus some in another ket order
-    multisets = [kets for n in range(1, 5) for kets in
-                 itertools.combinations_with_replacement(KET_LABELS, n)]
-    assert len(multisets) == 69
+    # the 69 sorted multisets, plus some in another ket order
     permuted = [("01", "00"), ("10", "00", "01"), ("11", "00"),
                 ("10", "01", "00"), ("00", "11", "00"),
                 ("01", "10", "01", "00")]
     floor = (DELTA - 1e-12) ** 2
-    for kets0, kets1 in itertools.product(multisets + permuted, repeat=2):
+    for kets0, kets1 in itertools.product(_MULTISETS + permuted, repeat=2):
         counts = [_counts(kets0), _counts(kets1)]
         oracle = _pairwise_linf_distance(*(_vertex_polygon(c, floor)
                                            for c in counts))
@@ -752,7 +818,7 @@ def _invariants(psi0, psi1):
 def test_scan_symmetries_keep_the_masking_residuals(psi0, psi1, phases):
     # Psi0 with its Schmidt terms rephased shares both marginals with it,
     # as the two states of every Feasible witness do
-    U, s, Vh = np.linalg.svd(psi0.mat)
+    U, s, Vh = np.linalg.svd(psi0.vec.reshape(2, 2))
     same_marginals = TwoQubitState(
         (U @ np.diag(s * np.exp(1j * np.array(phases))) @ Vh).reshape(4))
     for pair in ((psi0, psi1), (psi0, same_marginals)):

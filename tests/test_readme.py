@@ -3,9 +3,10 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qmask import FeasibilityStatus, is_unitary
+from qmask import FeasibilityStatus
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,7 +31,7 @@ def test_readme_library_tour_values():
     assert out.decided_by == "bound"
     assert out.best_residual == pytest.approx(0.01414, abs=1e-5)
     assert len(points) == 191
-    assert is_unitary(F)
+    assert np.linalg.norm(F.conj().T @ F - np.eye(4)) <= 1e-12
 
     # the comments quote these values
     assert re.search(r"report\.verdict\s+# True", block)
