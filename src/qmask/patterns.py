@@ -8,18 +8,20 @@ satisfying the marginal-equality system (and, for the support scan, the
 full masking system with a non-orthogonality constraint).  An eq4 pair
 is first given a certified lower bound on its residual, chiefly the
 widest gap between the two patterns' ranges of four linear functions of
-the squared moduli; the pairs that bound leaves open, and every
-full-system pair, go to a seeded
-random-restart damped least-squares search with an analytic Jacobian.
-The support scan searches one pair per orbit of its 16 symmetries (X_A,
-X_B, the qubit swap, exchanging the states) and relabels that witness.
+the squared moduli.  A full-system pair with disjoint supports is
+certified Infeasible, as its states are orthogonal.  The pairs left
+open go to a seeded random-restart damped least-squares search with an
+analytic Jacobian.  The support scan skips same-support pairs, and an
+Infeasible verdict holds on its whole orbit under the scan's 16
+symmetries (X_A, X_B, the qubit swap, exchanging the states); every
+other pair is decided, each violation with its own witness.
 
 Outcomes are three-way: Feasible carries an independently re-verified
-witness; Infeasible means either that the certified eq4 bound is at or
-above a floor (a proof) or that the best constrained residual of the
-search stayed above that floor over all restarts (evidence); anything
-else is Inconclusive.  Identical config seeds give bit-identical
-outcomes.
+witness; Infeasible means either a certificate (the eq4 bound at or
+above a floor, or disjoint supports under the overlap floor) or that
+the best constrained residual of the search stayed above that floor
+over all restarts (evidence); anything else is Inconclusive.  Identical
+config seeds give bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from numbers import Integral
@@ -99,6 +101,12 @@ class BasisPattern:
         return self._slots
 
 
+def _is_integer(value) -> bool:
+    """An Integral other than a bool, which would print as true/false in
+    JSON and pass as 0 or 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FeasibilityConfig:
     """Search configuration for the pattern feasibility oracle."""
@@ -113,9 +121,7 @@ class FeasibilityConfig:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("seed", 0)):
             value = getattr(self, name)
-            # bool is an Integral, and would print as true/false in JSON
-            if (not isinstance(value, Integral) or isinstance(value, bool)
-                    or value < low):
+            if not _is_integer(value) or value < low:
                 raise ValueError(
                     f"{name} must be an integer >= {low}, got {value!r}")
 
@@ -142,10 +148,12 @@ class Witness:
 class FeasibilityOutcome:
     """A decision and how it was reached.
 
-    ``decided_by`` is ``"bound"`` when the certified eq4 lower bound
-    alone proved the pair Infeasible: ``best_residual`` is then that
-    bound, a number no admissible coefficient choice gets below, and
-    ``restarts_used`` and ``iterations`` are 0.  It is ``"search"``
+    ``decided_by`` is ``"bound"`` when a certificate alone proved the
+    pair Infeasible, and ``restarts_used`` and ``iterations`` are then 0.
+    For eq4 ``best_residual`` is the certified lower bound, a number no
+    admissible coefficient choice gets below.  For the full system it is
+    delta, by which the overlap of two disjoint supports, always 0,
+    falls short of the floor |<Psi0|Psi1>| >= delta.  It is ``"search"``
     otherwise: ``best_residual`` is the smallest re-verified residual
     over all restarts, the largest marginal distance
     (`conditions.reduced_pair_residual`) for eq4 and the largest
@@ -592,8 +600,14 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     |slot|, and Psi1's slot phases already range over it: a pair masks
     some qubit with |alpha_i| >= delta iff it masks |+>.  A candidate is
     accepted by `conditions.masks_state` at b = |+>: Feasible needs
-    every residual of its report <= cfg.tol.
+    every residual of its report <= cfg.tol.  Disjoint supports give
+    <Psi0|Psi1> = 0 for every coefficient choice, so such a pair is
+    Infeasible without a search, with best_residual = delta.
     """
+    if not p0.support & p1.support:
+        return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, cfg.delta,
+                                  restarts_used=0, iterations=0,
+                                  decided_by="bound")
     return _decide(p0, p1, cfg, full=True)
 
 
@@ -643,33 +657,12 @@ def reproduce_tables(tables, cfg: FeasibilityConfig) -> list[TableRowResult]:
     disagreement always ships evidence (a witness for rows we find
     feasible, the best residual for rows we find infeasible).
     """
-    tables = set(tables)
-    if not tables <= {1, 2, 3, 4}:
-        raise ValueError(f"tables must be 1-4, got {sorted(tables)}")
+    tables = list(tables)
+    if not all(_is_integer(n) and 1 <= n <= 4 for n in tables):
+        raise ValueError(f"tables must be integers 1-4, got {tables!r}")
     return [TableRowResult(row=row, outcome=feasible_eq4(
                 BasisPattern(row.psi0_kets), BasisPattern(row.psi1_kets), cfg))
             for row in load_table_fixture() if row.table in tables]
-
-
-def _relabel(witness: Witness, p0: BasisPattern, p1: BasisPattern,
-             ket_map: tuple[int, ...], exchange: bool) -> Witness:
-    """The witness of (p0, p1) moved to the image pair under ``ket_map``.
-
-    Ket i becomes ket ket_map[i] in both states, each slot coefficient
-    follows its ket into the image pattern's basis order, and the states
-    change places when ``exchange`` is set.  b is kept.
-    """
-    sides = []
-    for psi, coeffs, p in ((witness.psi0, witness.coeffs0, p0),
-                           (witness.psi1, witness.coeffs1, p1)):
-        vec = np.empty(4, dtype=np.complex128)
-        vec[list(ket_map)] = psi.vec
-        order = sorted(range(len(p)), key=lambda j: ket_map[p.indices[j]])
-        sides.append((TwoQubitState(vec), tuple(coeffs[j] for j in order)))
-    if exchange:
-        sides.reverse()
-    (psi0, coeffs0), (psi1, coeffs1) = sides
-    return Witness(psi0, psi1, coeffs0, coeffs1, witness.b)
 
 
 def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
@@ -678,7 +671,8 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     A violation is a pair with differing ket-sets that is Feasible for
     the full masking system under the non-orthogonality constraint
     |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
-    (see `feasible_full`).
+    (see `feasible_full`).  Same-support pairs cannot be violations and
+    are not decided.
 
     At b = |+> the system keeps its form under 16 maps: a relabeling of
     the basis by X_A, X_B or the qubit swap (`_KET_MAPS`), times
@@ -686,28 +680,24 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     (or exchanges) both marginals and both eq3 cross matrices; exchanging
     the states takes each cross matrix z T + z* T^dagger to z* T + z
     T^dagger, the same matrix as z = 1/2 is real.  Neither moves
-    |<Psi0|Psi1>|, a slot modulus or b.  Of the 28 orbits of the 225
-    pairs, only the first pair in scan order is decided by
-    `feasible_full`; every other pair gets its representative's outcome,
-    and a violation among them the witness relabelled by `_relabel`.
+    |<Psi0|Psi1>|, a slot modulus or b.  So an Infeasible verdict, which
+    needs no witness, holds on the pair's whole orbit, and no other pair
+    of it is decided.  Every other differing-support pair is decided by
+    `feasible_full`, so each violation carries a witness found and
+    re-verified on its own pair.
     """
     violations = []
-    # (index sets of p0, p1) -> (representative p0, p1, outcome, map,
-    # exchange) for every pair of an orbit already decided
-    orbit = {}
+    # index sets of (p0, p1) for every pair of an Infeasible orbit
+    infeasible = set()
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
         key = (frozenset(p0.indices), frozenset(p1.indices))
-        if key not in orbit:
-            outcome = feasible_full(p0, p1, cfg)
+        if p0.support == p1.support or key in infeasible:
+            continue
+        outcome = feasible_full(p0, p1, cfg)
+        if outcome.status is FeasibilityStatus.INFEASIBLE:
             for g in _KET_MAPS:
                 s0, s1 = (frozenset(g[i] for i in s) for s in key)
-                orbit.setdefault((s0, s1), (p0, p1, outcome, g, False))
-                orbit.setdefault((s1, s0), (p0, p1, outcome, g, True))
-        r0, r1, outcome, g, exchange = orbit[key]
-        if (outcome.status is FeasibilityStatus.FEASIBLE
-                and p0.support != p1.support):
-            witness = _relabel(outcome.witness, r0, r1, g, exchange)
-            violations.append(ScanViolation(
-                psi0_kets=p0.kets, psi1_kets=p1.kets,
-                outcome=replace(outcome, witness=witness)))
+                infeasible |= {(s0, s1), (s1, s0)}
+        elif outcome.status is FeasibilityStatus.FEASIBLE:
+            violations.append(ScanViolation(p0.kets, p1.kets, outcome))
     return violations

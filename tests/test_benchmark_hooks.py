@@ -49,7 +49,12 @@ def test_one_gated_pass_of_each_workload(workloads, tmp_path):
     # gate; this reaches the names the workloads call without patching
     from measure import Tracer
 
-    assert set(workloads.WORKLOADS) == {"tables", "scan", "verdicts"}
+    # The harness keeps every decision interval of every pass, so this
+    # count times the pass rate drives peak_rss_mb: a change to it should
+    # be deliberate.  The scan decides 21 Infeasible orbits once each and
+    # each of its 16 violations.
+    decisions = {"tables": 106, "scan": 37, "verdicts": 4000}
+    assert set(workloads.WORKLOADS) == set(decisions)
     for name, cls in workloads.WORKLOADS.items():
         workload = cls(1, tmp_path)
         tracer = Tracer()
@@ -61,3 +66,4 @@ def test_one_gated_pass_of_each_workload(workloads, tmp_path):
         workload.check(result)
         assert result.attempted > 0, name
         assert result.failures == [], name
+        assert len(result.decisions) == decisions[name], name

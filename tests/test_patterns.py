@@ -22,6 +22,7 @@ from qmask.patterns import (
     KET_LABELS,
     BasisPattern,
     FeasibilityConfig,
+    FeasibilityOutcome,
     FeasibilityStatus,
     _PairSystem,
     _diagonal_distance,
@@ -153,7 +154,8 @@ def test_fixture_loader_keeps_missing_file_error(tmp_path, monkeypatch):
 
 
 def test_reproduce_table_rejects_bad_index():
-    for tables in ([5], [1, 0]):
+    # True == 1 and 1.0 == 1, but neither names a table
+    for tables in ([5], [1, 0], [True], [2, False], [1.0], ["1"]):
         with pytest.raises(ValueError):
             reproduce_tables(tables, FAST_CFG)
 
@@ -437,18 +439,22 @@ _MAXIMALLY_ENTANGLED = {frozenset({"00", "11"}), frozenset({"01", "10"}),
                         frozenset(KET_LABELS)}
 
 
-def _related(s0: frozenset, s1: frozenset) -> bool:
-    """Supports that two pure states with equal marginals can have: equal,
-    both of a maximally entangled state, or partners (three kets whose
-    missing kets differ in one bit, or three kets against all four)."""
-    if s0 == s1 or {s0, s1} <= _MAXIMALLY_ENTANGLED:
-        return True
+def _partners(s0: frozenset, s1: frozenset) -> bool:
+    """A three-ket support against full support, or two three-ket
+    supports whose missing kets differ in one bit."""
     if {len(s0), len(s1)} == {3, 4}:
         return True
     if len(s0) == len(s1) == 3:
         (m0,), (m1,) = set(KET_LABELS) - s0, set(KET_LABELS) - s1
         return sum(a != b for a, b in zip(m0, m1)) == 1
     return False
+
+
+def _related(s0: frozenset, s1: frozenset) -> bool:
+    """Supports that two pure states with equal marginals can have: equal,
+    both of a maximally entangled state, or `_partners`."""
+    return (s0 == s1 or {s0, s1} <= _MAXIMALLY_ENTANGLED
+            or _partners(s0, s1))
 
 
 #: the 69 sorted multisets of 1-4 kets
@@ -686,28 +692,21 @@ def test_full_system_witness_carries_masked_qubit():
     assert max(report.residuals()) <= 1e-8
 
 
-def _partner_supports(s0: frozenset, s1: frozenset) -> bool:
-    """A three-ket support against full support, or two three-ket
-    supports whose missing kets differ in one bit."""
-    missing = sorted((set(KET_LABELS) - s for s in (s0, s1)), key=len)
-    if [len(m) for m in missing] == [0, 1]:
-        return True
-    if [len(m) for m in missing] == [1, 1]:
-        (a,), (b,) = missing
-        return sum(x != y for x, y in zip(a, b)) == 1
-    return False
-
-
 def test_full_system_decides_every_scan_pair():
     # the support scan's config in the benchmark: Feasible on exactly the
     # 15 same-support pairs and the 16 partner pairs, each with a
-    # re-verified witness at b = |+>, and Infeasible on the other 194
+    # re-verified witness at b = |+>, and Infeasible on the other 194,
+    # certified without a search on exactly the 50 disjoint-support pairs
     cfg = FeasibilityConfig(restarts=2, seed=42)
     plus = QubitState.normalized(1.0, 1.0)
     feasible = set()
     differing = []  # Feasible pairs with differing supports, scan order
+    certified = 0
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
         out = feasible_full(p0, p1, cfg)
+        disjoint = not p0.support & p1.support
+        assert out.decided_by == ("bound" if disjoint else "search")
+        certified += disjoint
         if out.status is FeasibilityStatus.INFEASIBLE:
             continue
         assert out.status is FeasibilityStatus.FEASIBLE
@@ -723,12 +722,12 @@ def test_full_system_decides_every_scan_pair():
     assert feasible - same == {
         (s0, s1) for s0, s1 in itertools.product(
             (p.support for p in duplicate_free_patterns()), repeat=2)
-        if _partner_supports(s0, s1)}
+        if _partners(s0, s1)}
     assert len(feasible) == 31
+    assert certified == 50
 
-    # the scan decides one pair per orbit and relabels the rest: it must
-    # find the same violations in scan order, each witness re-verified
-    # and re-assembled from its relabelled coefficients
+    # the scan must find the same violations in scan order, each witness
+    # re-verified and re-assembled from its coefficients
     violations = support_theorem_scan(cfg)
     assert [(v.psi0_kets, v.psi1_kets) for v in violations] == differing
     for v in violations:
@@ -778,20 +777,37 @@ def test_scan_pairs_form_28_orbits():
     assert sum(map(len, orbits)) == 225
 
 
-def test_scan_decides_one_pair_per_orbit(monkeypatch):
-    # counted through the name the benchmark's tracer patches
+def test_scan_decides_infeasible_orbits_once_and_each_violation(monkeypatch):
+    # counted through the name the benchmark's tracer patches, at the
+    # benchmark's config: no same-support pair is decided, an Infeasible
+    # verdict covers its orbit, and every violation is its own decision
     decided = []
     search = patterns.feasible_full
 
     def counting(p0, p1, cfg):
-        decided.append((frozenset(p0.indices), frozenset(p1.indices)))
-        return search(p0, p1, cfg)
+        out = search(p0, p1, cfg)
+        decided.append(((p0.kets, p1.kets), out))
+        return out
 
     monkeypatch.setattr(patterns, "feasible_full", counting)
-    support_theorem_scan(FeasibilityConfig(restarts=1, seed=42))
-    assert len(decided) == 28
-    assert all(sum(pair in orbit for pair in decided) == 1
-               for orbit in _scan_orbits())
+    violations = support_theorem_scan(FeasibilityConfig(restarts=2, seed=42))
+    assert len(decided) == 37
+    assert all(set(k0) != set(k1) for (k0, k1), _ in decided)
+
+    infeasible = [tuple(frozenset(BasisPattern(k).indices) for k in pair)
+                  for pair, out in decided
+                  if out.status is FeasibilityStatus.INFEASIBLE]
+    counts = [sum(pair in orbit for pair in infeasible)
+              for orbit in _scan_orbits()]
+    assert len(infeasible) == 21
+    assert sorted(counts) == [0] * 7 + [1] * 21
+
+    feasible = [(pair, out) for pair, out in decided
+                if out.status is FeasibilityStatus.FEASIBLE]
+    assert len(feasible) == len(violations) == 16
+    for v, (pair, out) in zip(violations, feasible):
+        assert (v.psi0_kets, v.psi1_kets) == pair
+        assert v.outcome is out
 
 
 unit_vectors = st.lists(
@@ -853,12 +869,23 @@ def test_full_system_has_one_parameter_per_slot_coordinate():
         assert len(system.K) == forms
 
 
-def test_full_system_without_overlap_is_infeasible_without_residual():
-    # distinct single kets are orthogonal, so no restart meets the
-    # overlap floor and none yields a candidate
-    out = feasible_full(BasisPattern(("00",)), BasisPattern(("01",)),
-                        FeasibilityConfig(restarts=20, seed=42))
+def test_full_system_certifies_disjoint_supports():
+    # disjoint supports are orthogonal for every coefficient choice, so
+    # the overlap misses its floor by delta and no search runs, also
+    # when a duplicated ket could merge to 0
+    cfg = FeasibilityConfig(restarts=20, seed=42)
+    for kets0, kets1 in ((("00",), ("01",)), (("00", "00", "11"), ("01",))):
+        out = feasible_full(BasisPattern(kets0), BasisPattern(kets1), cfg)
+        assert out == FeasibilityOutcome(
+            FeasibilityStatus.INFEASIBLE, DELTA, restarts_used=0,
+            iterations=0, decided_by="bound")
+    # a shared ket leaves it to the search, which may end with no
+    # candidate that meets the overlap floor
+    out = feasible_full(BasisPattern(("00", "11")),
+                        BasisPattern(("01", "10", "11")),
+                        FeasibilityConfig(restarts=2, seed=42))
     assert out.status is FeasibilityStatus.INFEASIBLE
+    assert out.decided_by == "search"
     assert out.best_residual == math.inf
     assert out.witness is None
 
