@@ -5,23 +5,20 @@ position carrying a complex coefficient slot constrained away from zero
 (duplicate kets are allowed and are summed after assignment).  The
 feasibility oracle decides whether a pattern pair admits coefficients
 satisfying the marginal-equality system (and, for the support scan, the
-full masking system with a non-orthogonality constraint).  An eq4 pair
-is first given a certified lower bound on its residual, chiefly the
+full masking system with a non-orthogonality constraint).  Both systems
+decide a pair the same way: a certified lower bound first, chiefly the
 widest gap between the two patterns' ranges of four linear functions of
-the squared moduli.  A full-system pair with disjoint supports is
-certified Infeasible, as its states are orthogonal.  The pairs left
-open go to a seeded random-restart damped least-squares search with an
-analytic Jacobian.  The support scan skips same-support pairs, and an
-Infeasible verdict holds on its whole orbit under the scan's 16
-symmetries (X_A, X_B, the qubit swap, exchanging the states); every
-other pair is decided, each violation with its own witness.
+the squared moduli (for the full system, disjoint supports are certified
+by their orthogonality).  The pairs the bound leaves open go to a seeded
+random-restart damped least-squares search with an analytic Jacobian.
+The support scan decides only the differing-support pairs the bound
+leaves open, each violation with its own witness.
 
 Outcomes are three-way: Feasible carries an independently re-verified
-witness; Infeasible means either a certificate (the eq4 bound at or
-above a floor, or disjoint supports under the overlap floor) or that
-the best constrained residual of the search stayed above that floor
-over all restarts (evidence); anything else is Inconclusive.  Identical
-config seeds give bit-identical outcomes.
+witness; Infeasible means either a certificate (a bound at or above a
+floor) or that the best constrained residual of the search stayed above
+that floor over all restarts (evidence); anything else is Inconclusive.
+Identical config seeds give bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -56,13 +53,6 @@ _INFEASIBLE_FLOOR = 1e-6
 
 #: the masked qubit of the full-system search, (|0> + |1>)/sqrt(2)
 _PLUS = QubitState.normalized(1.0, 1.0)
-
-#: the eight relabelings of the basis by X_A, X_B and the qubit swap, each
-#: as the image index of 00, 01, 10, 11; the identity first
-_KET_MAPS = tuple(
-    tuple(2 * (bits[swap] ^ flip_a) + (bits[1 - swap] ^ flip_b)
-          for bits in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    for swap in (0, 1) for flip_a in (0, 1) for flip_b in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -152,8 +142,10 @@ class FeasibilityOutcome:
     pair Infeasible, and ``restarts_used`` and ``iterations`` are then 0.
     For eq4 ``best_residual`` is the certified lower bound, a number no
     admissible coefficient choice gets below.  For the full system it is
-    delta, by which the overlap of two disjoint supports, always 0,
-    falls short of the floor |<Psi0|Psi1>| >= delta.  It is ``"search"``
+    delta for disjoint supports, by which their overlap, always 0, falls
+    short of the floor |<Psi0|Psi1>| >= delta; otherwise it is the eq4
+    bound over sqrt(2), a lower bound on the largest eq4 line of
+    `conditions.masks_state`.  It is ``"search"``
     otherwise: ``best_residual`` is the smallest re-verified residual
     over all restarts, the largest marginal distance
     (`conditions.reduced_pair_residual`) for eq4 and the largest
@@ -423,7 +415,7 @@ def _minimize_batch(system: _PairSystem, theta: np.ndarray, iters: int,
 
 
 # ---------------------------------------------------------------------------
-# certified lower bound for eq4
+# certified lower bounds
 # ---------------------------------------------------------------------------
 
 #: Tr_B and Tr_A off-diagonal entries: the ket pairs (i, j) of their
@@ -480,6 +472,21 @@ def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
         if [] in terms and [1] in terms:
             bound = max(bound, floor)
     return math.sqrt(2.0) * bound
+
+
+def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
+    """Certified bound for the full system at b = |+>.
+
+    Disjoint supports give <Psi0|Psi1> = 0 for every coefficient choice,
+    which misses the floor |<Psi0|Psi1>| >= delta by delta: the bound is
+    delta.  Otherwise it is `_eq4_bound` / sqrt(2), a lower bound on the
+    largest eq4 line of `conditions.masks_state`: those lines are the
+    entrywise |d| and |o| of the marginal difference, and `_eq4_bound`
+    is sqrt(2) times a lower bound on max(|d|, |o|).
+    """
+    if not p0.support & p1.support:
+        return delta
+    return _eq4_bound(p0, p1, delta) / math.sqrt(2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +549,13 @@ def _verify_candidate(system: _PairSystem, theta: np.ndarray,
 
 def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
             full: bool) -> FeasibilityOutcome:
+    """A certified bound first (`_full_bound` or `_eq4_bound`): at or
+    above the Infeasible floor it decides alone.  Otherwise the search."""
+    bound = (_full_bound if full else _eq4_bound)(p0, p1, cfg.delta)
+    if bound >= _INFEASIBLE_FLOOR:
+        return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound,
+                                  restarts_used=0, iterations=0,
+                                  decided_by="bound")
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
     steps = np.zeros(cfg.restarts, dtype=np.int64)
@@ -579,11 +593,6 @@ def feasible_eq4(p0: BasisPattern, p1: BasisPattern,
     Feasible outcomes carry a witness whose residual was re-verified
     through `conditions` (never the optimizer state).
     """
-    bound = _eq4_bound(p0, p1, cfg.delta)
-    if bound >= _INFEASIBLE_FLOOR:
-        return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound,
-                                  restarts_used=0, iterations=0,
-                                  decided_by="bound")
     return _decide(p0, p1, cfg, full=False)
 
 
@@ -600,14 +609,11 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     |slot|, and Psi1's slot phases already range over it: a pair masks
     some qubit with |alpha_i| >= delta iff it masks |+>.  A candidate is
     accepted by `conditions.masks_state` at b = |+>: Feasible needs
-    every residual of its report <= cfg.tol.  Disjoint supports give
-    <Psi0|Psi1> = 0 for every coefficient choice, so such a pair is
-    Infeasible without a search, with best_residual = delta.
+    every residual of its report <= cfg.tol.  A pair whose certified
+    bound (`_full_bound`: delta for disjoint supports, else the eq4 bound
+    over sqrt(2)) is at or above the Infeasible floor is Infeasible
+    without a search, with that bound as ``best_residual``.
     """
-    if not p0.support & p1.support:
-        return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, cfg.delta,
-                                  restarts_used=0, iterations=0,
-                                  decided_by="bound")
     return _decide(p0, p1, cfg, full=True)
 
 
@@ -671,33 +677,18 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     A violation is a pair with differing ket-sets that is Feasible for
     the full masking system under the non-orthogonality constraint
     |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
-    (see `feasible_full`).  Same-support pairs cannot be violations and
-    are not decided.
-
-    At b = |+> the system keeps its form under 16 maps: a relabeling of
-    the basis by X_A, X_B or the qubit swap (`_KET_MAPS`), times
-    exchanging Psi0 and Psi1.  A local unitary or the swap conjugates
-    (or exchanges) both marginals and both eq3 cross matrices; exchanging
-    the states takes each cross matrix z T + z* T^dagger to z* T + z
-    T^dagger, the same matrix as z = 1/2 is real.  Neither moves
-    |<Psi0|Psi1>|, a slot modulus or b.  So an Infeasible verdict, which
-    needs no witness, holds on the pair's whole orbit, and no other pair
-    of it is decided.  Every other differing-support pair is decided by
+    (see `feasible_full`).  Same-support pairs cannot be violations, nor
+    can pairs whose certified bound (`_full_bound`) is at or above the
+    Infeasible floor; neither is decided.  Every other pair is decided by
     `feasible_full`, so each violation carries a witness found and
     re-verified on its own pair.
     """
     violations = []
-    # index sets of (p0, p1) for every pair of an Infeasible orbit
-    infeasible = set()
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
-        key = (frozenset(p0.indices), frozenset(p1.indices))
-        if p0.support == p1.support or key in infeasible:
+        if (p0.support == p1.support
+                or _full_bound(p0, p1, cfg.delta) >= _INFEASIBLE_FLOOR):
             continue
         outcome = feasible_full(p0, p1, cfg)
-        if outcome.status is FeasibilityStatus.INFEASIBLE:
-            for g in _KET_MAPS:
-                s0, s1 = (frozenset(g[i] for i in s) for s in key)
-                infeasible |= {(s0, s1), (s1, s0)}
-        elif outcome.status is FeasibilityStatus.FEASIBLE:
+        if outcome.status is FeasibilityStatus.FEASIBLE:
             violations.append(ScanViolation(p0.kets, p1.kets, outcome))
     return violations

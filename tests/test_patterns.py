@@ -18,7 +18,6 @@ from qmask.conditions import (
 )
 from qmask.patterns import (
     _INFEASIBLE_FLOOR,
-    _KET_MAPS,
     KET_LABELS,
     BasisPattern,
     FeasibilityConfig,
@@ -27,6 +26,7 @@ from qmask.patterns import (
     _PairSystem,
     _diagonal_distance,
     _eq4_bound,
+    _full_bound,
     _minimize_batch,
     assemble,
     duplicate_free_patterns,
@@ -406,8 +406,13 @@ def test_eq4_bound_is_below_every_admissible_residual(kets0, kets1, v0, v1,
     p0, p1 = BasisPattern(tuple(kets0)), BasisPattern(tuple(kets1))
     states = [assemble(p, _admissible_slots(p, v, pin))[0]
               for p, v, pin in ((p0, v0, pin0), (p1, v1, pin1))]
-    assert max(reduced_pair_residual(*states)) >= \
-        _eq4_bound(p0, p1, DELTA) - 1e-12
+    bound = _eq4_bound(p0, p1, DELTA)
+    assert max(reduced_pair_residual(*states)) >= bound - 1e-12
+    # the eq4 lines of masks_state are entrywise, so the full system's
+    # bound drops the factor sqrt(2)
+    plus = QubitState.normalized(1.0, 1.0)
+    assert max(masks_state(plus, *states).eq4_residuals) >= \
+        bound / math.sqrt(2.0) - 1e-12
 
 
 def test_eq4_bound_uses_the_witness_check_floor():
@@ -696,7 +701,8 @@ def test_full_system_decides_every_scan_pair():
     # the support scan's config in the benchmark: Feasible on exactly the
     # 15 same-support pairs and the 16 partner pairs, each with a
     # re-verified witness at b = |+>, and Infeasible on the other 194,
-    # certified without a search on exactly the 50 disjoint-support pairs
+    # certified without a search on exactly 190: the pairs R does not
+    # relate, and {00,11} against {01,10}, disjoint, in either order
     cfg = FeasibilityConfig(restarts=2, seed=42)
     plus = QubitState.normalized(1.0, 1.0)
     feasible = set()
@@ -704,9 +710,13 @@ def test_full_system_decides_every_scan_pair():
     certified = 0
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
         out = feasible_full(p0, p1, cfg)
-        disjoint = not p0.support & p1.support
-        assert out.decided_by == ("bound" if disjoint else "search")
-        certified += disjoint
+        bounded = (not _related(p0.support, p1.support)
+                   or {p0.support, p1.support} == {frozenset({"00", "11"}),
+                                                   frozenset({"01", "10"})})
+        assert out.decided_by == ("bound" if bounded else "search")
+        certified += bounded
+        if bounded:
+            assert out.best_residual == _full_bound(p0, p1, DELTA)
         if out.status is FeasibilityStatus.INFEASIBLE:
             continue
         assert out.status is FeasibilityStatus.FEASIBLE
@@ -724,7 +734,7 @@ def test_full_system_decides_every_scan_pair():
             (p.support for p in duplicate_free_patterns()), repeat=2)
         if _partners(s0, s1)}
     assert len(feasible) == 31
-    assert certified == 50
+    assert certified == 190
 
     # the scan must find the same violations in scan order, each witness
     # re-verified and re-assembled from its coefficients
@@ -743,44 +753,11 @@ def test_full_system_decides_every_scan_pair():
             assert min(map(abs, coeffs)) >= DELTA - 1e-12
 
 
-def _scan_orbits() -> list[set]:
-    """The duplicate-free pattern pairs, as index sets, split into orbits
-    under the ket maps and exchanging the two patterns."""
-    supports = [frozenset(p.indices) for p in duplicate_free_patterns()]
-    orbits, seen = [], set()
-    for pair in itertools.product(supports, repeat=2):
-        if pair in seen:
-            continue
-        orbit = set()
-        for g in _KET_MAPS:
-            s0, s1 = (frozenset(g[i] for i in s) for s in pair)
-            orbit |= {(s0, s1), (s1, s0)}
-        seen |= orbit
-        orbits.append(orbit)
-    return orbits
-
-
-def test_ket_maps_are_a_group_of_basis_permutations():
-    # X_A, X_B and the swap generate the eight symmetries of the square
-    # 00-01-11-10, listed identity first
-    assert _KET_MAPS[0] == (0, 1, 2, 3)
-    assert len(set(_KET_MAPS)) == 8
-    for g in _KET_MAPS:
-        assert sorted(KET_LABELS[i] for i in g) == list(KET_LABELS)
-    for g, h in itertools.product(_KET_MAPS, repeat=2):
-        assert tuple(g[h[i]] for i in range(4)) in _KET_MAPS
-
-
-def test_scan_pairs_form_28_orbits():
-    orbits = _scan_orbits()
-    assert len(orbits) == 28
-    assert sum(map(len, orbits)) == 225
-
-
-def test_scan_decides_infeasible_orbits_once_and_each_violation(monkeypatch):
+def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
     # counted through the name the benchmark's tracer patches, at the
-    # benchmark's config: no same-support pair is decided, an Infeasible
-    # verdict covers its orbit, and every violation is its own decision
+    # benchmark's config: no same-support or bound-certified pair is
+    # decided; what is left is the 16 violations and the 4 pairs of
+    # {00,11} or {01,10} against full support, which stay Infeasible
     decided = []
     search = patterns.feasible_full
 
@@ -791,16 +768,18 @@ def test_scan_decides_infeasible_orbits_once_and_each_violation(monkeypatch):
 
     monkeypatch.setattr(patterns, "feasible_full", counting)
     violations = support_theorem_scan(FeasibilityConfig(restarts=2, seed=42))
-    assert len(decided) == 37
-    assert all(set(k0) != set(k1) for (k0, k1), _ in decided)
+    assert len(decided) == 20
+    for (k0, k1), out in decided:
+        assert set(k0) != set(k1)
+        assert out.decided_by == "search"
 
-    infeasible = [tuple(frozenset(BasisPattern(k).indices) for k in pair)
-                  for pair, out in decided
+    infeasible = [tuple(map(frozenset, pair)) for pair, out in decided
                   if out.status is FeasibilityStatus.INFEASIBLE]
-    counts = [sum(pair in orbit for pair in infeasible)
-              for orbit in _scan_orbits()]
-    assert len(infeasible) == 21
-    assert sorted(counts) == [0] * 7 + [1] * 21
+    full = frozenset(KET_LABELS)
+    entangled = (frozenset({"00", "11"}), frozenset({"01", "10"}))
+    assert len(infeasible) == 4
+    assert set(infeasible) == {(s, full) for s in entangled} | {
+        (full, s) for s in entangled}
 
     feasible = [(pair, out) for pair, out in decided
                 if out.status is FeasibilityStatus.FEASIBLE]
@@ -810,6 +789,14 @@ def test_scan_decides_infeasible_orbits_once_and_each_violation(monkeypatch):
         assert v.outcome is out
 
 
+#: the eight relabelings of the basis by X_A, X_B and the qubit swap, each
+#: as the image index of 00, 01, 10, 11
+_KET_MAPS = tuple(
+    tuple(2 * (bits[swap] ^ flip_a) + (bits[1 - swap] ^ flip_b)
+          for bits in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    for swap in (0, 1) for flip_a in (0, 1) for flip_b in (0, 1))
+
+
 unit_vectors = st.lists(
     st.complex_numbers(min_magnitude=0.05, max_magnitude=1.0,
                        allow_nan=False, allow_infinity=False),
@@ -817,9 +804,10 @@ unit_vectors = st.lists(
 
 
 def _invariants(psi0, psi1):
-    """What the scan's symmetries keep: the sorted eq4 lines and cross
-    norms of `masks_state` at |+>, its sorted superposition residuals,
-    the sorted marginal distances and |<Psi0|Psi1>|."""
+    """What the ket maps and exchanging the states keep: the sorted eq4
+    lines and cross norms of `masks_state` at |+>, its sorted
+    superposition residuals, the sorted marginal distances and
+    |<Psi0|Psi1>|."""
     r = masks_state(QubitState.normalized(1.0, 1.0), psi0, psi1).residuals()
     return (sorted(r[:8]), sorted(r[8:]),
             sorted(reduced_pair_residual(psi0, psi1)),
@@ -879,10 +867,16 @@ def test_full_system_certifies_disjoint_supports():
         assert out == FeasibilityOutcome(
             FeasibilityStatus.INFEASIBLE, DELTA, restarts_used=0,
             iterations=0, decided_by="bound")
-    # a shared ket leaves it to the search, which may end with no
-    # candidate that meets the overlap floor
+    # a shared ket leaves it to the eq4 bound: the Tr_A off-diagonal of
+    # {00,11} is 0, that of {01,10,11} one product of single kets
     out = feasible_full(BasisPattern(("00", "11")),
-                        BasisPattern(("01", "10", "11")),
+                        BasisPattern(("01", "10", "11")), cfg)
+    assert out == FeasibilityOutcome(
+        FeasibilityStatus.INFEASIBLE, (DELTA - 1e-12) ** 2, restarts_used=0,
+        iterations=0, decided_by="bound")
+    # a pair the bound leaves open goes to the search, which may end with
+    # no candidate that meets the overlap floor
+    out = feasible_full(BasisPattern(KET_LABELS), BasisPattern(("00", "11")),
                         FeasibilityConfig(restarts=2, seed=42))
     assert out.status is FeasibilityStatus.INFEASIBLE
     assert out.decided_by == "search"
