@@ -4,8 +4,8 @@ A single qubit b = alpha0|0> + alpha1|1> is *masked* by a pair of
 two-qubit carrier states when Psi = alpha0|Psi0> + alpha1|Psi1> has
 reduced states (on both subsystems) independent of the alphas.  This
 package evaluates the masking conditions as numerical residuals,
-decides feasibility of basis patterns by a certified bound, then
-constrained search, and samples the solution surfaces of the two
+decides feasibility of basis patterns by a certified bound, then a
+search for a witness, and samples the solution surfaces of the two
 orthogonal-pair families it ships as built-in examples.
 """
 

@@ -8,16 +8,16 @@ satisfying the marginal-equality system (and, for the support scan, the
 full masking system with a non-orthogonality constraint).  Both systems
 decide a pair the same way: a certified lower bound first, chiefly the
 widest gap between the two patterns' ranges of four linear functions of
-the squared moduli (for the full system, disjoint supports are certified
-by their orthogonality).  The pairs the bound leaves open go to a seeded
-random-restart damped least-squares search with an analytic Jacobian.
-The support scan decides only the differing-support pairs the bound
-leaves open, each violation with its own witness.
+the squared moduli (for the full system, also the overlap of disjoint
+or entangled supports).  The pairs the bound leaves open go to a seeded
+random-restart damped least-squares search with an analytic Jacobian,
+which looks for a witness.  The support scan decides only the
+differing-support pairs the bound leaves open, each violation with its
+own witness.
 
 Outcomes are three-way: Feasible carries an independently re-verified
-witness; Infeasible means either a certificate (a bound at or above a
-floor) or that the best constrained residual of the search stayed above
-that floor over all restarts (evidence); anything else is Inconclusive.
+witness; Infeasible is always a certificate, a bound at or above a
+floor; a search that finds no witness is Inconclusive.
 Identical config seeds give bit-identical outcomes.
 """
 
@@ -48,7 +48,7 @@ _CHECK_SLACK = 1e-12
 #: damped least-squares iterations per restart
 _ITERS = 2000
 
-#: best residuals at or above this are Infeasible
+#: a certified bound at or above this decides Infeasible
 _INFEASIBLE_FLOOR = 1e-6
 
 #: the masked qubit of the full-system search, (|0> + |1>)/sqrt(2)
@@ -140,19 +140,15 @@ class FeasibilityOutcome:
 
     ``decided_by`` is ``"bound"`` when a certificate alone proved the
     pair Infeasible, and ``restarts_used`` and ``iterations`` are then 0.
-    For eq4 ``best_residual`` is the certified lower bound, a number no
-    admissible coefficient choice gets below.  For the full system it is
-    delta for disjoint supports, by which their overlap, always 0, falls
-    short of the floor |<Psi0|Psi1>| >= delta; otherwise it is the eq4
-    bound over sqrt(2), a lower bound on the largest eq4 line of
-    `conditions.masks_state`.  It is ``"search"``
-    otherwise: ``best_residual`` is the smallest re-verified residual
-    over all restarts, the largest marginal distance
-    (`conditions.reduced_pair_residual`) for eq4 and the largest
-    `conditions.masks_state` residual for the full system, or ``inf``
-    when no restart gave a candidate, e.g. none met the overlap floor.
-    ``iterations`` counts the damped least-squares steps, accepted or
-    not, summed over all restarts.
+    ``best_residual`` is then the bound, a number no admissible
+    coefficient choice gets below: the largest marginal distance for eq4,
+    the largest `conditions.masks_state` residual for the full system
+    (see `_full_bound`).  Every other outcome is ``"search"``, Feasible
+    or Inconclusive: ``best_residual`` is the smallest re-verified
+    residual over all restarts (`conditions.reduced_pair_residual` or
+    `conditions.masks_state`, largest entry), or ``inf`` when no restart
+    gave a candidate that meets the floors.  ``iterations`` counts the
+    damped least-squares steps, accepted or not, summed over all restarts.
     """
 
     status: FeasibilityStatus
@@ -251,28 +247,28 @@ class _PairSystem:
     Parameters are the interleaved re/im of the pre-merge slots
     z = (z0, z1) of both patterns.  The full system fixes the masked
     qubit at b = |+> (see `feasible_full` for why that loses nothing).
-    Over one stack of complex matrices K_m, built once from the slot
-    matrices S0, S1, every residual row is one of three kinds, in this
+    Over one stack of Hermitian matrices K_m, built once from the slot
+    matrices S0, S1, every residual row is one of two kinds, in this
     order:
 
-    - a Hermitian form z^dag K_m z - unit_m.  For eq4, K_m = diag(S0^T F
-      S0, -S1^T F S1) over the eight `_LOCAL` observables F, then the
-      two norms diag(S0^T S0, 0) and diag(0, S1^T S1), with ``unit`` 1
-      on the norms only: <c0|F|c0> - <c1|F|c1> and both norms minus one.
+    - a form z^dag K_m z - unit_m.  For eq4, K_m = diag(S0^T F S0,
+      -S1^T F S1) over the eight `_LOCAL` observables F, then the two
+      norms diag(S0^T S0, 0) and diag(0, S1^T S1), with ``unit`` 1 on
+      the norms only: <c0|F|c0> - <c1|F|c1> and both norms minus one.
       The full system adds the eight cross forms, the off-diagonal
       blocks S1^T F S0 / 2 and their adjoint, so that z^dag K_m z =
       Re<c1|F|c0>: at b = |+>, the Frobenius components of both eq3
       cross matrices;
-    - a hinge max(0, delta' - |z_k|) on each slot;
-    - (full system) a hinge max(0, delta' - |w|) on the overlap
-      w = <c1|c0> = z^dag K z with K = S1^T S0 in its lower-left block,
-      followed in the stack by K^dag.
+    - a hinge max(0, delta' - |z_k|) on each slot.
+
+    The overlap floor |<Psi0|Psi1>| >= delta has no row: every pair it
+    could rule out is certified by `_full_bound` before a search, and
+    `_verify_candidate` checks it on each candidate.
 
     The Jacobian is closed-form.  Written as one complex number per slot,
-    d/dRe + i d/dIm, a form row has the gradient 2 K_m z; a slot hinge is
-    -z_k/|z_k| in its own slot; the overlap hinge is c Kz + conj(c) K^dag z
-    with c = -conj(w)/|w|.  A hinge row is 0 where inactive.  The squared
-    residual norm is rA^2 + rB^2 (+ cross norms) + penalty terms.
+    d/dRe + i d/dIm, a form row has the gradient 2 K_m z and a slot hinge
+    -z_k/|z_k| in its own slot, 0 where inactive.  The squared residual
+    norm is rA^2 + rB^2 (+ cross norms) + slot penalties.
     """
 
     def __init__(self, p0: BasisPattern, p1: BasisPattern,
@@ -290,55 +286,42 @@ class _PairSystem:
         if full:
             O = np.zeros_like(_LOCAL)
             forms.append(np.block([[O, _LOCAL], [_LOCAL, O]]) / 2.0)
-            forms.append(np.block([[zero, zero], [eye, zero]]))
-            forms.append(np.block([[zero, eye], [zero, zero]]))
             self.unit = np.r_[self.unit, np.zeros(len(_LOCAL))]
         S = np.block([[p0.slot_matrix(), np.zeros((4, self.n1))],
                       [np.zeros((4, self.n0)), p1.slot_matrix()]])
         self.K = S.T @ np.concatenate(forms) @ S
-        self.n_forms = len(self.unit)
+        self.n_forms = len(self.K)
         self.full = full
         self.delta = delta
         self.delta_opt = delta * (1.0 + _DELTA_MARGIN)
         self.n_params = 2 * self.n
 
-    def _products(self, theta: np.ndarray, forms: int):
-        """The slots z and K_m z for the first ``forms`` matrices of K."""
+    def _products(self, theta: np.ndarray):
+        """The slots z and K_m z for every matrix of K."""
         z = np.ascontiguousarray(_complex_slots(theta, 0, self.n))
         # einsum, not a BLAS matmul: threaded BLAS on these thin products ran
         # the search several times slower on a loaded 2-core host
-        return z, np.einsum("mij,...j->...mi", self.K[:forms], z)
+        return z, np.einsum("mij,...j->...mi", self.K, z)
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
-        f = self.n_forms
-        # every row reads z^dag K_m z; the overlap's K^dag, last in K, is
-        # for the Jacobian only
-        z, Kz = self._products(theta, f + self.full)
-        q = np.einsum("...i,...mi->...m", z.conj(), Kz)
-        parts = [q[..., :f].real - self.unit,
-                 np.maximum(0.0, self.delta_opt - np.abs(z))]
-        if self.full:
-            parts.append(np.maximum(0.0, self.delta_opt - np.abs(q[..., f:])))
-        return np.concatenate(parts, axis=-1)
-
-    def _hinge_slope(self, w: np.ndarray) -> np.ndarray:
-        """1/|w| where max(0, delta' - |w|) is active, else 0; finite at 0."""
-        mag = np.abs(w)
-        return (mag < self.delta_opt) / np.maximum(mag, 1e-300)
+        z, Kz = self._products(theta)
+        q = np.einsum("...i,...mi->...m", z.conj(), Kz).real
+        return np.concatenate(
+            [q - self.unit, np.maximum(0.0, self.delta_opt - np.abs(z))],
+            axis=-1)
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
         """d residuals / d theta for (R, p) rows of theta: (R, rows, p)."""
-        z, Kz = self._products(theta, len(self.K))
+        z, Kz = self._products(theta)
         R, f, n = len(theta), self.n_forms, self.n
-        J = np.zeros((R, f + n + self.full, self.n_params))
+        J = np.zeros((R, f + n, self.n_params))
         Jz = _complex_slots(J, 0, n)  # d/dRe + i d/dIm of each slot
-        Jz[:, :f] = 2.0 * Kz[:, :f]
+        Jz[:, :f] = 2.0 * Kz
+        # the hinge slope 1/|z_k| where it is active, else 0; finite at 0
+        mag = np.abs(z)
         slots = np.arange(n)
-        Jz[:, f + slots, slots] = -z * self._hinge_slope(z)
-        if self.full:
-            w = np.einsum("ri,ri->r", z.conj(), Kz[:, f])
-            c = (-w.conj() * self._hinge_slope(w))[:, None]
-            Jz[:, -1] = c * Kz[:, f] + c.conj() * Kz[:, f + 1]
+        Jz[:, f + slots, slots] = -z * (
+            (mag < self.delta_opt) / np.maximum(mag, 1e-300))
         return J
 
     def initial_points(self, seed: int, restarts: int) -> np.ndarray:
@@ -474,65 +457,68 @@ def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
     return math.sqrt(2.0) * bound
 
 
-def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
-    """Certified bound for the full system at b = |+>.
+#: the two-ket supports of a maximally entangled state
+_ENTANGLED = (frozenset({"00", "11"}), frozenset({"01", "10"}))
 
-    Disjoint supports give <Psi0|Psi1> = 0 for every coefficient choice,
-    which misses the floor |<Psi0|Psi1>| >= delta by delta: the bound is
-    delta.  Otherwise it is `_eq4_bound` / sqrt(2), a lower bound on the
-    largest eq4 line of `conditions.masks_state`: those lines are the
-    entrywise |d| and |o| of the marginal difference, and `_eq4_bound`
-    is sqrt(2) times a lower bound on max(|d|, |o|).
+
+def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
+    """Certified lower bound on max(`conditions.masks_state` residuals)
+    at b = |+> when |<Psi0|Psi1>| and every |slot| are >= f = delta -
+    _CHECK_SLACK, the floors of the witness check.
+
+    Disjoint supports give <Psi0|Psi1> = 0, which misses the overlap
+    floor by delta: the bound is delta.  Otherwise it is the larger of
+
+    - `_eq4_bound` / sqrt(2): the eq4 lines of `masks_state` are the
+      entrywise |d| and |o| that `_eq4_bound` bounds times sqrt(2);
+    - f^2 / (2f + 1 + sqrt(2)) when one pattern lists only kets of a
+      two-ket entangled support and the other lists a ket outside it
+      exactly once.  With Psi0 = (a, 0, 0, d), Psi1 = (p, q, r, s), q
+      single and eps the largest residual: conj(w) = 2 Re(d s*) +
+      (a p* - d* s) for w = <Psi0|Psi1>, where Re(d s*) is an entry of
+      cross matrix A, and q (a p* - d* s) = a F* - E s, where F =
+      p q* + r s* is an eq4 line and E/2 = (a r* + d* q)/2 an
+      off-diagonal entry of the Hermitian cross matrix B.  So |w| <=
+      eps (2 + (1 + sqrt(2)) / |q|), and |w|, |q| >= f give the bound.
+      X_B, the qubit swap and exchanging the states keep every residual
+      and |w|, which covers {01,10}, a single 10 and either order.
     """
     if not p0.support & p1.support:
         return delta
-    return _eq4_bound(p0, p1, delta) / math.sqrt(2.0)
+    bound = _eq4_bound(p0, p1, delta) / math.sqrt(2.0)
+    if any(a.support <= pair and any(b.kets.count(k) == 1
+                                     for k in set(KET_LABELS) - pair)
+           for a, b in ((p0, p1), (p1, p0)) for pair in _ENTANGLED):
+        f = delta - _CHECK_SLACK
+        bound = max(bound, f * f / (2.0 * f + 1.0 + math.sqrt(2.0)))
+    return bound
 
 
 # ---------------------------------------------------------------------------
 # feasibility oracle
 # ---------------------------------------------------------------------------
 
-def _project_slots(z: np.ndarray, S: np.ndarray,
-                   delta: float) -> np.ndarray | None:
-    """Nearest point with unit merged norm and every |slot| >= delta.
-
-    Alternates clipping low slots up to the floor (phase preserved)
-    with merged-state renormalization; converges geometrically.  Gives
-    every restart a *constrained* candidate, so a searched pair that
-    fails reports a finite best residual (the search's evidence, not the
-    certified eq4 bound) instead of rejecting everything.
-    """
-    z = np.array(z, dtype=np.complex128)
-    target = delta * (1.0 + 1e-12)
-    for _ in range(100):
-        norm = float(np.linalg.norm(S @ z))
-        if norm < 1e-12:
-            return None  # hopeless duplicate-ket cancellation
-        z = z / norm
-        mag = np.abs(z)
-        if (mag >= delta - _CHECK_SLACK).all():
-            return z
-        unit = np.where(mag > 1e-300, z / np.where(mag > 0, mag, 1.0), 1.0)
-        z = np.where(mag < target, target * unit, z)
-    return None
-
-
 def _verify_candidate(system: _PairSystem, theta: np.ndarray,
                       ) -> tuple[float, Witness] | None:
     """Re-check one restart's candidate through `assemble` and `conditions`.
 
-    Returns (residual, witness) when the floor/normalization
-    constraints (and, for the full system, the overlap floor) hold,
-    else None.  The residual is the largest marginal distance for eq4
-    and the largest `masks_state` residual for the full system.
+    Both patterns' slots are rescaled to unit merged norm.  Returns
+    (residual, witness) when every |slot| is then >= delta (up to
+    _CHECK_SLACK) and, for the full system, the overlap meets the same
+    floor; else None.  The residual is the largest marginal distance for
+    eq4 and the largest `masks_state` residual for the full system.
     """
-    z0 = _project_slots(_complex_slots(theta, 0, system.n0),
-                        system.p0.slot_matrix(), system.delta)
-    z1 = _project_slots(_complex_slots(theta, 2 * system.n0, system.n1),
-                        system.p1.slot_matrix(), system.delta)
-    if z0 is None or z1 is None:
-        return None
+    slots = []
+    for p, start in ((system.p0, 0), (system.p1, 2 * system.n0)):
+        z = _complex_slots(theta, start, len(p))
+        norm = float(np.linalg.norm(p.slot_matrix() @ z))
+        if norm < 1e-12:
+            return None  # the duplicated kets cancel
+        z = z / norm
+        if not (np.abs(z) >= system.delta - _CHECK_SLACK).all():
+            return None
+        slots.append(z)
+    z0, z1 = slots
     (psi0, _), (psi1, _) = assemble(system.p0, z0), assemble(system.p1, z1)
     if system.full:
         overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
@@ -550,7 +536,8 @@ def _verify_candidate(system: _PairSystem, theta: np.ndarray,
 def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
             full: bool) -> FeasibilityOutcome:
     """A certified bound first (`_full_bound` or `_eq4_bound`): at or
-    above the Infeasible floor it decides alone.  Otherwise the search."""
+    above the Infeasible floor it decides alone.  Otherwise the search,
+    which finds a witness (Feasible) or reports Inconclusive."""
     bound = (_full_bound if full else _eq4_bound)(p0, p1, cfg.delta)
     if bound >= _INFEASIBLE_FLOOR:
         return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound,
@@ -564,20 +551,15 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
     checked = filter(None, (_verify_candidate(system, th) for th in theta))
     best_residual, best_witness = min(checked, key=lambda c: c[0],
                                       default=(math.inf, None))
-
-    if best_residual <= cfg.tol:
-        status = FeasibilityStatus.FEASIBLE
-    elif best_residual >= _INFEASIBLE_FLOOR:
-        status = FeasibilityStatus.INFEASIBLE
-    else:
-        status = FeasibilityStatus.INCONCLUSIVE
+    feasible = best_residual <= cfg.tol
     return FeasibilityOutcome(
-        status=status,
+        status=(FeasibilityStatus.FEASIBLE if feasible
+                else FeasibilityStatus.INCONCLUSIVE),
         best_residual=best_residual,
         restarts_used=cfg.restarts,
         iterations=int(steps.sum()),
         decided_by="search",
-        witness=best_witness if status is FeasibilityStatus.FEASIBLE else None,
+        witness=best_witness if feasible else None,
     )
 
 
@@ -589,9 +571,9 @@ def feasible_eq4(p0: BasisPattern, p1: BasisPattern,
     both merged states unit norm such that the marginals of the two
     states coincide.  A pair whose certified lower bound (`_eq4_bound`)
     is at or above the Infeasible floor is Infeasible without a search,
-    with that bound as ``best_residual``.  Any other pair is searched;
-    Feasible outcomes carry a witness whose residual was re-verified
-    through `conditions` (never the optimizer state).
+    with that bound as ``best_residual``.  Any other pair is searched
+    for a witness, re-verified through `conditions` (never the optimizer
+    state); a search that finds none is Inconclusive.
     """
     return _decide(p0, p1, cfg, full=False)
 
@@ -600,19 +582,22 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
                   cfg: FeasibilityConfig) -> FeasibilityOutcome:
     """Decide the full masking system with a non-orthogonality constraint.
 
-    On top of the eq4 search this adds the two eq3 cross-matrix
-    systems at the masked qubit b = |+> and |<Psi0|Psi1>| >= delta.  No
-    other qubit is needed.  The cross terms are real-linear in
-    z = alpha0 alpha1*, so for z != 0 the cross matrices of (b; Psi0,
-    Psi1) are 2|z| times those of (|+>; Psi0, e^{-i arg z} Psi1).  That
-    rephasing keeps Psi1's marginals, the overlap magnitude and every
-    |slot|, and Psi1's slot phases already range over it: a pair masks
-    some qubit with |alpha_i| >= delta iff it masks |+>.  A candidate is
+    On top of eq4 this adds the two eq3 cross-matrix systems at the
+    masked qubit b = |+> and the floor |<Psi0|Psi1>| >= delta, which
+    the bound and the witness check enforce.  No other qubit is needed.
+    The cross terms are real-linear in z = alpha0 alpha1*, so for z != 0
+    the cross matrices of (b; Psi0, Psi1) are 2|z| times those of (|+>;
+    Psi0, e^{-i arg z} Psi1).  That rephasing keeps Psi1's marginals,
+    the overlap magnitude and every |slot|, and Psi1's slot phases
+    already range over it: a pair masks some qubit with |alpha_i| >=
+    delta iff it masks |+>.  A candidate is
     accepted by `conditions.masks_state` at b = |+>: Feasible needs
     every residual of its report <= cfg.tol.  A pair whose certified
-    bound (`_full_bound`: delta for disjoint supports, else the eq4 bound
-    over sqrt(2)) is at or above the Infeasible floor is Infeasible
-    without a search, with that bound as ``best_residual``.
+    bound (`_full_bound`) is at or above the Infeasible floor is
+    Infeasible without a search, with that bound as ``best_residual``.
+    Of the 225 duplicate-free pairs that leaves 31 to the search, which
+    only looks for a witness: the 15 same-support pairs and the 16
+    violations of `support_theorem_scan`.
     """
     return _decide(p0, p1, cfg, full=True)
 
@@ -660,8 +645,8 @@ def reproduce_tables(tables, cfg: FeasibilityConfig) -> list[TableRowResult]:
     """Run the eq4 oracle on every bundled row of the given tables.
 
     Results keep fixture order; each carries the computed outcome so a
-    disagreement always ships evidence (a witness for rows we find
-    feasible, the best residual for rows we find infeasible).
+    disagreement always ships evidence (a witness for rows found
+    Feasible, the certified bound for rows found Infeasible).
     """
     tables = list(tables)
     if not all(_is_integer(n) and 1 <= n <= 4 for n in tables):

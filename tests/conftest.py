@@ -4,9 +4,9 @@ The verdict-table reproduction and the support scan are the two
 expensive seeded searches at the default 200 restarts: the tables take
 seconds (the certified eq4 bound decides the 76 Infeasible rows without
 a search, so only the 30 Feasible rows are searched) and the scan a few
-seconds (it skips same-support pairs and the 190 pairs a certified bound
-proves Infeasible, and searches the other 20: its 16 violations, each on
-its own pair, and 4 pairs no bound certifies).
+seconds (it skips same-support pairs and the 194 pairs a certified bound
+proves Infeasible, and searches the other 16, its violations, each on
+its own pair).
 Both are deterministic, so they run once per session here and every
 test that needs them reads the cached result.
 """

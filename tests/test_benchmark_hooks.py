@@ -51,9 +51,9 @@ def test_one_gated_pass_of_each_workload(workloads, tmp_path):
 
     # The harness keeps every decision interval of every pass, so this
     # count times the pass rate drives peak_rss_mb: a change to it should
-    # be deliberate.  The scan decides its 16 violations and the 4 pairs
-    # no bound certifies Infeasible.
-    decisions = {"tables": 106, "scan": 20, "verdicts": 4000}
+    # be deliberate.  The scan decides its 16 violations alone: a bound
+    # certifies every Infeasible pair.
+    decisions = {"tables": 106, "scan": 16, "verdicts": 4000}
     assert set(workloads.WORKLOADS) == set(decisions)
     for name, cls in workloads.WORKLOADS.items():
         workload = cls(1, tmp_path)

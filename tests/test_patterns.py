@@ -279,7 +279,7 @@ def _unit_slots(p: BasisPattern, values) -> np.ndarray:
 def test_search_residuals_match_conditions(p0, p1, v0, v1, full):
     # at unit norm with every slot above the floor, the squared residual
     # norm is the reference marginal distance (plus, for the full system,
-    # the cross norms at b = |+> and the overlap floor)
+    # the cross norms at b = |+>); the overlap floor has no row
     system = _PairSystem(p0, p1, DELTA, full)
     z0, z1 = _unit_slots(p0, v0), _unit_slots(p1, v1)
     z = np.concatenate([z0, z1])
@@ -296,41 +296,30 @@ def test_search_residuals_match_conditions(p0, p1, v0, v1, full):
         for sub in "AB":
             cross = cross_term_matrix(psi0, psi1, b, sub)
             expected += float(np.linalg.norm(cross)) ** 2
-        overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
-        expected += max(0.0, system.delta_opt - overlap) ** 2
+    assert len(r) == system.n_forms + system.n
     assert float(r @ r) == pytest.approx(expected, abs=1e-12)
 
 
-def _kink_free_point(system, rng, low: int, high: int) -> np.ndarray:
-    """Random theta with ``low`` slots below the floor and ``high`` above.
-
-    Every |slot|, and the overlap unless it vanishes identically, stays
-    at least 1e-3 from the floor delta_opt and from zero.
-    """
-    overlap = system.p1.slot_matrix().T @ system.p0.slot_matrix()
-    for _ in range(100):
-        mag = np.r_[rng.uniform(0.02, 0.09, low), rng.uniform(0.3, 1.0, high)]
-        z = rng.permutation(mag) * np.exp(2j * math.pi * rng.random(len(mag)))
-        w = abs(z[system.n0:].conj() @ overlap @ z[:system.n0])
-        if system.full and overlap.any() and (
-                w < 1e-3 or abs(w - system.delta_opt) < 1e-3):
-            continue
-        return np.stack([z.real, z.imag], axis=-1).ravel()
-    raise AssertionError("no kink-free point in 100 draws")
+def _kink_free_point(rng, low: int, high: int) -> np.ndarray:
+    """Random theta with ``low`` slots below the floor and ``high`` above,
+    every |slot| at least 1e-2 from the floor delta_opt and from zero."""
+    mag = np.r_[rng.uniform(0.02, 0.09, low), rng.uniform(0.3, 1.0, high)]
+    z = rng.permutation(mag) * np.exp(2j * math.pi * rng.random(len(mag)))
+    return np.stack([z.real, z.imag], axis=-1).ravel()
 
 
 @pytest.mark.parametrize("full", [False, True])
 def test_pair_system_jacobian_matches_central_differences(full):
     # slots clear of the floor, some slots on the active side of their
-    # hinge, and (every slot small) an overlap below its floor
+    # hinge, and every slot below the floor
     rng = np.random.default_rng(11)
     h = 1e-6
     for p0, p1 in itertools.product(SYSTEM_PATTERNS, repeat=2):
         system = _PairSystem(p0, p1, DELTA, full)
         n = system.n
-        theta = np.stack([_kink_free_point(system, rng, 0, n),
-                          _kink_free_point(system, rng, n // 2, n - n // 2),
-                          _kink_free_point(system, rng, n, 0)])
+        theta = np.stack([_kink_free_point(rng, 0, n),
+                          _kink_free_point(rng, n // 2, n - n // 2),
+                          _kink_free_point(rng, n, 0)])
         J = system.jacobian(theta)
         step = h * np.eye(system.n_params)[:, None, :]
         fd = (system.residuals(theta + step)
@@ -339,11 +328,8 @@ def test_pair_system_jacobian_matches_central_differences(full):
                                    atol=1e-7)
         r = system.residuals(theta)
         np.testing.assert_array_equal(system.residuals(theta[0]), r[0])
-        # the last point has every slot hinge active, and so the overlap
-        # hinge wherever the supports meet
-        assert (r[2, system.n_forms:system.n_forms + n] > 0).all()
-        if full and p0.support & p1.support:
-            assert r[2, -1] > 0
+        # the last point has every slot hinge active
+        assert (r[2, system.n_forms:] > 0).all()
 
 
 @pytest.mark.parametrize("kets0, kets1, full", [
@@ -492,6 +478,89 @@ def test_eq4_bound_certifies_exactly_the_unrelated_support_pairs():
             duplicate_free.append(r)
     assert related == 1301
     assert (len(duplicate_free), sum(duplicate_free)) == (225, 37)
+
+
+def test_full_bound_certifies_exactly_the_pairs_no_witness_can_fit():
+    # for the full system the maximally entangled supports do not count:
+    # a pair is open iff two fitting supports are equal or partners
+    open_pairs = 0
+    for kets0, kets1 in itertools.product(_MULTISETS, repeat=2):
+        fits = any(s0 == s1 or _partners(s0, s1)
+                   for s0 in _fitting_supports(kets0)
+                   for s1 in _fitting_supports(kets1))
+        certified = _full_bound(BasisPattern(kets0), BasisPattern(kets1),
+                                DELTA) >= _INFEASIBLE_FLOOR
+        assert certified is not fits, (kets0, kets1)
+        open_pairs += fits
+    assert open_pairs == 1157
+
+
+def test_entangled_support_identities_hold_exactly():
+    # with Psi0 = (a, 0, 0, d) and Psi1 = (p, q, r, s): conj(w) for
+    # w = <Psi0|Psi1> is 2 Re(d s*) + (a p* - d* s), and
+    # q (a p* - d* s) = a F* - E s with F = p q* + r s*, E = a r* + d* q
+    import sympy as sp
+
+    a, d, p, q, r, s = (sp.Symbol(f"{n}r", real=True)
+                        + sp.I * sp.Symbol(f"{n}i", real=True)
+                        for n in "adpqrs")
+    c = sp.conjugate
+    w = c(a) * p + c(d) * s
+    F = p * c(q) + r * c(s)
+    E = a * c(r) + c(d) * q
+    assert sp.expand(c(w) - (2 * sp.re(d * c(s)) + a * c(p) - c(d) * s)) == 0
+    assert sp.expand(q * (a * c(p) - c(d) * s) - (a * c(F) - E * s)) == 0
+
+
+def test_entangled_support_bound_holds_on_random_states():
+    # the clause's inequality |w| <= eps (2 + (1 + sqrt(2)) / |q|), eps the
+    # largest masks_state residual at |+>, for Psi0 on {00,11} or {01,10}
+    # and q any amplitude of Psi1 outside that support, in either order
+    rng = np.random.default_rng(29)
+    plus = QubitState.normalized(1.0, 1.0)
+    for support in ((0, 3), (1, 2)):
+        for _ in range(500):
+            v0 = np.zeros(4, dtype=complex)
+            v0[list(support)] = rng.normal(size=2) + 1j * rng.normal(size=2)
+            psi0 = TwoQubitState.unit(v0)
+            psi1 = TwoQubitState.unit(rng.normal(size=4)
+                                      + 1j * rng.normal(size=4))
+            w = abs(np.vdot(psi0.vec, psi1.vec))
+            if support == (0, 3):
+                # the identities' terms are entries of the residuals
+                (a, _, _, d), (p, q, r, s) = psi0.vec, psi1.vec
+                A = cross_term_matrix(psi0, psi1, plus, "A")
+                B = cross_term_matrix(psi0, psi1, plus, "B")
+                assert A[1, 1] == pytest.approx((d * s.conjugate()).real,
+                                                abs=1e-15)
+                assert B[0, 1] == pytest.approx(
+                    (a * r.conjugate() + d.conjugate() * q) / 2, abs=1e-15)
+            for pair in ((psi0, psi1), (psi1, psi0)):
+                eps = max(masks_state(plus, *pair).residuals())
+                for k in set(range(4)) - set(support):
+                    floored = abs(psi1.vec[k])
+                    assert w <= eps * (
+                        2.0 + (1.0 + math.sqrt(2.0)) / floored) + 1e-12
+
+
+def test_entangled_support_bound_decides_the_last_scan_pairs():
+    # {00,11} or {01,10} against full support, in either order: no eq4
+    # bound applies (both supports can be maximally entangled), the
+    # clause gives f^2 / (2f + 1 + sqrt(2)) ~ 3.83e-3 exactly, below the
+    # smallest residual the search reaches there, 0.1000000000000527
+    f = DELTA - 1e-12  # the witness check's floor on |slot| and overlap
+    bound = f * f / (2.0 * f + 1.0 + math.sqrt(2.0))
+    assert 3.82e-3 < bound < 3.83e-3
+    assert bound < 0.099  # not tight, but below what the search reaches
+    full = BasisPattern(KET_LABELS)
+    for kets in (("00", "11"), ("01", "10")):
+        for p0, p1 in ((BasisPattern(kets), full), (full, BasisPattern(kets))):
+            assert _eq4_bound(p0, p1, DELTA) < _INFEASIBLE_FLOOR
+            assert _full_bound(p0, p1, DELTA) == bound
+            out = feasible_full(p0, p1, FeasibilityConfig(restarts=2))
+            assert out == FeasibilityOutcome(
+                FeasibilityStatus.INFEASIBLE, bound, restarts_used=0,
+                iterations=0, decided_by="bound")
 
 
 def _diagonal_lp(kets0, kets1) -> float:
@@ -700,41 +769,32 @@ def test_full_system_witness_carries_masked_qubit():
 def test_full_system_decides_every_scan_pair():
     # the support scan's config in the benchmark: Feasible on exactly the
     # 15 same-support pairs and the 16 partner pairs, each with a
-    # re-verified witness at b = |+>, and Infeasible on the other 194,
-    # certified without a search on exactly 190: the pairs R does not
-    # relate, and {00,11} against {01,10}, disjoint, in either order
+    # re-verified witness at b = |+> found by the search, and Infeasible
+    # on the other 194, each certified without a search
     cfg = FeasibilityConfig(restarts=2, seed=42)
     plus = QubitState.normalized(1.0, 1.0)
-    feasible = set()
     differing = []  # Feasible pairs with differing supports, scan order
     certified = 0
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
         out = feasible_full(p0, p1, cfg)
-        bounded = (not _related(p0.support, p1.support)
-                   or {p0.support, p1.support} == {frozenset({"00", "11"}),
-                                                   frozenset({"01", "10"})})
-        assert out.decided_by == ("bound" if bounded else "search")
+        bounded = not (p0.support == p1.support
+                       or _partners(p0.support, p1.support))
         certified += bounded
+        assert (out.status is FeasibilityStatus.INFEASIBLE) is bounded
         if bounded:
+            assert out.decided_by == "bound"
             assert out.best_residual == _full_bound(p0, p1, DELTA)
-        if out.status is FeasibilityStatus.INFEASIBLE:
             continue
         assert out.status is FeasibilityStatus.FEASIBLE
-        feasible.add((p0.support, p1.support))
+        assert out.decided_by == "search"
         if p0.support != p1.support:
             differing.append((p0.kets, p1.kets))
         w = out.witness
         assert w.b == plus
         assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= 1e-8
         assert abs(np.vdot(w.psi0.vec, w.psi1.vec)) >= DELTA - 1e-9
-    same = {(s0, s1) for s0, s1 in feasible if s0 == s1}
-    assert len(same) == 15
-    assert feasible - same == {
-        (s0, s1) for s0, s1 in itertools.product(
-            (p.support for p in duplicate_free_patterns()), repeat=2)
-        if _partners(s0, s1)}
-    assert len(feasible) == 31
-    assert certified == 190
+    assert certified == 194
+    assert len(differing) == 16
 
     # the scan must find the same violations in scan order, each witness
     # re-verified and re-assembled from its coefficients
@@ -756,8 +816,7 @@ def test_full_system_decides_every_scan_pair():
 def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
     # counted through the name the benchmark's tracer patches, at the
     # benchmark's config: no same-support or bound-certified pair is
-    # decided; what is left is the 16 violations and the 4 pairs of
-    # {00,11} or {01,10} against full support, which stay Infeasible
+    # decided, so what is left is the 16 violations, each found by search
     decided = []
     search = patterns.feasible_full
 
@@ -768,24 +827,12 @@ def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
 
     monkeypatch.setattr(patterns, "feasible_full", counting)
     violations = support_theorem_scan(FeasibilityConfig(restarts=2, seed=42))
-    assert len(decided) == 20
-    for (k0, k1), out in decided:
+    assert len(decided) == len(violations) == 16
+    for v, ((k0, k1), out) in zip(violations, decided):
         assert set(k0) != set(k1)
+        assert out.status is FeasibilityStatus.FEASIBLE
         assert out.decided_by == "search"
-
-    infeasible = [tuple(map(frozenset, pair)) for pair, out in decided
-                  if out.status is FeasibilityStatus.INFEASIBLE]
-    full = frozenset(KET_LABELS)
-    entangled = (frozenset({"00", "11"}), frozenset({"01", "10"}))
-    assert len(infeasible) == 4
-    assert set(infeasible) == {(s, full) for s in entangled} | {
-        (full, s) for s in entangled}
-
-    feasible = [(pair, out) for pair, out in decided
-                if out.status is FeasibilityStatus.FEASIBLE]
-    assert len(feasible) == len(violations) == 16
-    for v, (pair, out) in zip(violations, feasible):
-        assert (v.psi0_kets, v.psi1_kets) == pair
+        assert (v.psi0_kets, v.psi1_kets) == (k0, k1)
         assert v.outcome is out
 
 
@@ -848,10 +895,10 @@ def test_scan_symmetries_keep_the_masking_residuals(psi0, psi1, phases):
 
 def test_full_system_has_one_parameter_per_slot_coordinate():
     # the masked qubit is fixed at |+>: the parameters are the slots'
-    # re/im alone, and the K stack holds 18 Hermitian forms plus the
-    # overlap matrix and its adjoint
+    # re/im alone, and the K stack holds 18 Hermitian forms, with no
+    # overlap matrix
     p0, p1 = BasisPattern(("00", "01", "10")), BasisPattern(("00", "11"))
-    for full, forms in ((False, 10), (True, 20)):
+    for full, forms in ((False, 10), (True, 18)):
         system = _PairSystem(p0, p1, DELTA, full)
         assert system.n_params == 2 * (len(p0) + len(p1))
         assert len(system.K) == forms
@@ -874,14 +921,25 @@ def test_full_system_certifies_disjoint_supports():
     assert out == FeasibilityOutcome(
         FeasibilityStatus.INFEASIBLE, (DELTA - 1e-12) ** 2, restarts_used=0,
         iterations=0, decided_by="bound")
-    # a pair the bound leaves open goes to the search, which may end with
-    # no candidate that meets the overlap floor
-    out = feasible_full(BasisPattern(KET_LABELS), BasisPattern(("00", "11")),
-                        FeasibilityConfig(restarts=2, seed=42))
-    assert out.status is FeasibilityStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("decide, kets0, kets1", [
+    (feasible_eq4, ("00", "11"), ("01", "10")),
+    (feasible_full, ("00", "01", "10"), ("00", "01", "10", "11")),
+])
+def test_search_without_a_witness_is_inconclusive(monkeypatch, decide,
+                                                  kets0, kets1):
+    # every Infeasible verdict is a certificate, so a search that finds no
+    # witness, here one that takes no step from its random starts, can
+    # only say Inconclusive
+    monkeypatch.setattr(patterns, "_ITERS", 0)
+    out = decide(BasisPattern(kets0), BasisPattern(kets1),
+                 FeasibilityConfig(restarts=3, seed=42))
+    assert out.status is FeasibilityStatus.INCONCLUSIVE
     assert out.decided_by == "search"
-    assert out.best_residual == math.inf
     assert out.witness is None
+    assert out.best_residual > FeasibilityConfig().tol
+    assert (out.restarts_used, out.iterations) == (3, 0)
 
 
 def test_search_is_deterministic():
