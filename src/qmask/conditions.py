@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import sub
+from math import hypot
 
 import numpy as np
 
@@ -40,9 +40,6 @@ from .qlinalg import (
 #: below this norm the superposition alpha0 Psi0 + alpha1 Psi1 is reported
 #: as degenerate instead of being renormalized
 DEGENERATE_NORM = 1e-6
-
-#: kernel entries whose Psi0 - Psi1 differences are the six eq4 lines
-_EQ4_ENTRIES = (4, 0, 3, 7, 1, 5)
 
 
 @dataclass(frozen=True)
@@ -74,21 +71,12 @@ class MaskingReport:
 def _blocks(u, v) -> tuple[complex, ...]:
     """Entries of Tr_A|u><v| then Tr_B|u><v|, row-major (module docstring)."""
     u0, u1, u2, u3 = u
-    v0, v1, v2, v3 = (c.conjugate() for c in v)
+    v0, v1, v2, v3 = v
+    v0, v1, v2, v3 = (v0.conjugate(), v1.conjugate(), v2.conjugate(),
+                      v3.conjugate())
     p00, p11, p22, p33 = u0 * v0, u1 * v1, u2 * v2, u3 * v3
     return (p00 + p22, u0 * v1 + u2 * v3, u1 * v0 + u3 * v2, p11 + p33,
             p00 + p11, u0 * v2 + u1 * v3, u2 * v0 + u3 * v1, p22 + p33)
-
-
-def _frob(entries) -> float:
-    """Frobenius (Euclidean) norm of an iterable of complex entries."""
-    return math.hypot(*map(abs, entries))
-
-
-def _pair(psi0: TwoQubitState, psi1: TwoQubitState):
-    """Both states' amplitude lists and marginal blocks."""
-    u, v = psi0.vec.tolist(), psi1.vec.tolist()
-    return u, v, _blocks(u, u), _blocks(v, v)
 
 
 def _check_tol(tol: float) -> None:
@@ -97,13 +85,15 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _crosses(b: QubitState, u, v):
-    """The A- and B-side cross matrices z T + z* T^dagger, row-major."""
+def _crosses(b: QubitState, u, v) -> tuple[complex, ...]:
+    """``_blocks(u, v)`` times z = alpha0 alpha1*.
+
+    With these t, the x-side cross matrix z T + z* T^dagger is
+    ``[[2 Re t0, t1 + t2*], [t2 + t1*, 2 Re t3]]`` (A: t0..t3, B: t4..t7).
+    """
     z = b.alpha0 * b.alpha1.conjugate()
-    t = [z * c for c in _blocks(u, v)]
-    return [(2.0 * t[k].real, t[k + 1] + t[k + 2].conjugate(),
-             t[k + 2] + t[k + 1].conjugate(), 2.0 * t[k + 3].real)
-            for k in (0, 4)]
+    t0, t1, t2, t3, t4, t5, t6, t7 = _blocks(u, v)
+    return (z * t0, z * t1, z * t2, z * t3, z * t4, z * t5, z * t6, z * t7)
 
 
 def eq4_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -113,8 +103,11 @@ def eq4_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
     Lines 1-4 are the diagonal marginal differences, lines 5-6 the
     magnitudes of the off-diagonal (complex) differences.
     """
-    _, _, m0, m1 = _pair(psi0, psi1)
-    return tuple(abs(m0[i] - m1[i]) for i in _EQ4_ENTRIES)
+    u, v = psi0.vec.tolist(), psi1.vec.tolist()
+    a0, a1, _, a3, a4, a5, _, a7 = _blocks(u, u)
+    b0, b1, _, b3, b4, b5, _, b7 = _blocks(v, v)
+    return (abs(a4 - b4), abs(a0 - b0), abs(a3 - b3), abs(a7 - b7),
+            abs(a1 - b1), abs(a5 - b5))
 
 
 def reduced_pair_residual(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -124,9 +117,11 @@ def reduced_pair_residual(psi0: TwoQubitState, psi1: TwoQubitState,
     Returns ``(rA, rB)`` with ``rA = ||Tr_A(P0) - Tr_A(P1)||_F`` and
     ``rB`` the same for Tr_B; both vanish iff eq4 holds.
     """
-    _, _, m0, m1 = _pair(psi0, psi1)
-    d = list(map(sub, m0, m1))
-    return _frob(d[:4]), _frob(d[4:])
+    u, v = psi0.vec.tolist(), psi1.vec.tolist()
+    a0, a1, a2, a3, a4, a5, a6, a7 = _blocks(u, u)
+    b0, b1, b2, b3, b4, b5, b6, b7 = _blocks(v, v)
+    return (hypot(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3)),
+            hypot(abs(a4 - b4), abs(a5 - b5), abs(a6 - b6), abs(a7 - b7)))
 
 
 def cross_term_matrix(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -139,8 +134,11 @@ def cross_term_matrix(psi0: TwoQubitState, psi1: TwoQubitState,
     """
     if subsystem not in ("A", "B"):
         raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    c = _crosses(b, psi0.vec.tolist(), psi1.vec.tolist())[subsystem == "B"]
-    return np.array(c, dtype=np.complex128).reshape(2, 2)
+    t = _crosses(b, psi0.vec.tolist(), psi1.vec.tolist())
+    t0, t1, t2, t3 = t[4:] if subsystem == "B" else t[:4]
+    return np.array((2.0 * t0.real, t1 + t2.conjugate(),
+                     t2 + t1.conjugate(), 2.0 * t3.real),
+                    dtype=np.complex128).reshape(2, 2)
 
 
 def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
@@ -166,21 +164,38 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
     ``degenerate_superposition`` with infinite superposition residuals.
     Raises ``ValueError`` unless ``0 < tol < inf``.
     """
-    u, v, m0, m1 = _pair(psi0, psi1)
     _check_tol(tol)
-    lines = tuple(abs(m0[i] - m1[i]) for i in _EQ4_ENTRIES)
-    crossA, crossB = map(_frob, _crosses(b, u, v))
-    psi = [b.alpha0 * x + b.alpha1 * y for x, y in zip(u, v)]
-    norm = _frob(psi)
+    u, v = psi0.vec.tolist(), psi1.vec.tolist()
+    a0, a1, a2, a3, a4, a5, a6, a7 = _blocks(u, u)
+    b0, b1, b2, b3, b4, b5, b6, b7 = _blocks(v, v)
+    e0, e1, e2, e3, e4, e5 = lines = (
+        abs(a4 - b4), abs(a0 - b0), abs(a3 - b3), abs(a7 - b7),
+        abs(a1 - b1), abs(a5 - b5))
+    # hypot takes the absolute value of each real entry itself
+    t0, t1, t2, t3, t4, t5, t6, t7 = _crosses(b, u, v)
+    crossA = hypot(2.0 * t0.real, abs(t1 + t2.conjugate()),
+                   abs(t2 + t1.conjugate()), 2.0 * t3.real)
+    crossB = hypot(2.0 * t4.real, abs(t5 + t6.conjugate()),
+                   abs(t6 + t5.conjugate()), 2.0 * t7.real)
+    x0, x1 = b.alpha0, b.alpha1
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    s0, s1 = x0 * u0 + x1 * v0, x0 * u1 + x1 * v1
+    s2, s3 = x0 * u2 + x1 * v2, x0 * u3 + x1 * v3
+    norm = hypot(abs(s0), abs(s1), abs(s2), abs(s3))
     degenerate = norm < DEGENERATE_NORM
-    sup = (math.inf, math.inf)
+    supA = supB = math.inf
     if not degenerate:
-        psi = [c / norm for c in psi]
-        d = list(map(sub, _blocks(psi, psi), m0))
-        sup = (_frob(d[:4]), _frob(d[4:]))
+        psi = (s0 / norm, s1 / norm, s2 / norm, s3 / norm)
+        c0, c1, c2, c3, c4, c5, c6, c7 = _blocks(psi, psi)
+        supA = hypot(abs(c0 - a0), abs(c1 - a1), abs(c2 - a2), abs(c3 - a3))
+        supB = hypot(abs(c4 - a4), abs(c5 - a5), abs(c6 - a6), abs(c7 - a7))
 
-    verdict = all(r <= tol for r in (*lines, crossA, crossB, *sup))
-    return MaskingReport(lines, crossA, crossB, sup, verdict, tol, degenerate)
+    verdict = (e0 <= tol and e1 <= tol and e2 <= tol and e3 <= tol
+               and e4 <= tol and e5 <= tol and crossA <= tol
+               and crossB <= tol and supA <= tol and supB <= tol)
+    return MaskingReport(lines, crossA, crossB, (supA, supB), verdict, tol,
+                         degenerate)
 
 
 def masks_all_superpositions(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -191,9 +206,15 @@ def masks_all_superpositions(psi0: TwoQubitState, psi1: TwoQubitState,
     traces to vanish: requires both marginal distances of the pair and
     ``||Tr_x(|Psi0><Psi1|)||_F`` for both subsystems to be <= DEFAULT_TOL.
     """
-    u, v, m0, m1 = _pair(psi0, psi1)
-    d, t = list(map(sub, m0, m1)), _blocks(u, v)
-    return max(map(_frob, (d[:4], d[4:], t[:4], t[4:]))) <= DEFAULT_TOL
+    u, v = psi0.vec.tolist(), psi1.vec.tolist()
+    a0, a1, a2, a3, a4, a5, a6, a7 = _blocks(u, u)
+    b0, b1, b2, b3, b4, b5, b6, b7 = _blocks(v, v)
+    t0, t1, t2, t3, t4, t5, t6, t7 = _blocks(u, v)
+    return max(
+        hypot(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3)),
+        hypot(abs(a4 - b4), abs(a5 - b5), abs(a6 - b6), abs(a7 - b7)),
+        hypot(abs(t0), abs(t1), abs(t2), abs(t3)),
+        hypot(abs(t4), abs(t5), abs(t6), abs(t7))) <= DEFAULT_TOL
 
 
 def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -210,6 +231,9 @@ def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
     six <= tol coincides with both cross matrices vanishing at tol (up
     to the bounded factor between entrywise and Frobenius norms).
     """
-    crosses = _crosses(b, psi0.vec.tolist(), psi1.vec.tolist())
-    return tuple(r for c00, c01, _, c11 in crosses
-                 for r in (abs(c00) / 2.0, abs(c11) / 2.0, abs(c01)))
+    t0, t1, t2, t3, t4, t5, t6, t7 = _crosses(
+        b, psi0.vec.tolist(), psi1.vec.tolist())
+    return (abs(2.0 * t0.real) / 2.0, abs(2.0 * t3.real) / 2.0,
+            abs(t1 + t2.conjugate()),
+            abs(2.0 * t4.real) / 2.0, abs(2.0 * t7.real) / 2.0,
+            abs(t5 + t6.conjugate()))

@@ -91,9 +91,12 @@ class Example1Point:
                           complex(self.x1, self.y1()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfacePoint:
-    """One kept lattice point of a sampled residual zero set."""
+    """One kept lattice point of a sampled residual zero set.
+
+    Slotted (no ``__dict__``): a grid-201 sample keeps 10^5 of them.
+    """
 
     coordinates: tuple[float, float, float]
     residual: float
@@ -250,14 +253,14 @@ def _lattice_points(grid_n: int, residual, tol: float,
     """
     _check_tol(tol)
     axis = _axis(grid_n)
+    coords = axis.tolist()  # one float object per axis value, shared
     v, w = np.ix_(axis, axis)
     points = []
-    for i in range(grid_n):
-        u = axis[i:i + 1]
-        val = residual(u, v, w)
+    for i, x in enumerate(coords):
+        val = residual(axis[i:i + 1], v, w)
         j, k = np.nonzero(val <= tol)
-        points += [SurfacePoint((float(u[0]), y, z), r, branch)
-                   for y, z, r in zip(axis[j].tolist(), axis[k].tolist(),
+        points += [SurfacePoint((x, coords[y], coords[z]), r, branch)
+                   for y, z, r in zip(j.tolist(), k.tolist(),
                                       val[j, k].tolist())]
     return points
 

@@ -14,6 +14,7 @@ re-imposed; use ``normalized``/``unit`` when a vector needs rescaling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,11 @@ import numpy as np
 NORM_TOL = 1e-12
 #: default tolerance for residual comparisons
 DEFAULT_TOL = 1e-9
+
+#: smallest positive normal float
+_NORMAL_MIN = sys.float_info.min
+#: moduli within which a 4-vector's squared norm is a normal float
+_MODULUS_MIN, _MODULUS_MAX = 2.0 ** -511, 2.0 ** 510
 
 
 @dataclass(frozen=True)
@@ -45,7 +51,14 @@ class QubitState:
         if not 0.0 < n < math.inf:  # also rejects nan
             raise ValueError(
                 f"cannot normalize {(alpha0, alpha1)!r}: norm {n!r}")
-        return cls(complex(alpha0) / n, complex(alpha1) / n)
+        a0, a1 = complex(alpha0) / n, complex(alpha1) / n
+        if n < _NORMAL_MIN:  # a subnormal norm is coarse: check the result
+            return cls(a0, a1)
+        # dividing by a normal norm leaves a unit pair to a few ulp
+        state = object.__new__(cls)
+        object.__setattr__(state, "alpha0", a0)
+        object.__setattr__(state, "alpha1", a1)
+        return state
 
     @property
     def vec(self) -> np.ndarray:
@@ -76,12 +89,43 @@ class TwoQubitState:
 
     @classmethod
     def unit(cls, vec) -> "TwoQubitState":
-        """Rescale ``vec`` to unit norm and construct."""
-        v = np.asarray(vec, dtype=np.complex128).reshape(4)
+        """Rescale ``vec`` to unit norm and construct.
+
+        Divides by the norm that ``np.linalg.norm`` computes, bit for bit.
+        When a modulus lies outside [2^-511, 2^510], where the squared norm
+        could leave the normal float range, ``vec`` is first divided by its
+        largest real or imaginary part, so every finite nonzero vector
+        normalizes.
+        """
+        v = w = np.asarray(vec, dtype=np.complex128).reshape(4)
+        c0, c1, c2, c3 = v.tolist()
+        try:
+            big = max(abs(c0), abs(c1), abs(c2), abs(c3))
+        except OverflowError:  # a finite modulus above the float range
+            big = math.inf
+        if not _MODULUS_MIN <= big <= _MODULUS_MAX:
+            big = max(np.abs(v.real).max(), np.abs(v.imag).max())
+            if not 0.0 < big < math.inf:  # zero, inf or nan
+                raise _cannot_normalize(v)
+            # part by part: NumPy's complex division takes 1 / big first
+            w = np.empty(4, dtype=np.complex128)
+            w.real, w.imag = v.real / big, v.imag / big
+        re, im = w.real, w.imag
+        n = math.sqrt(re.dot(re) + im.dot(im))
+        if not n < math.inf:  # a nan that max() passed over
+            raise _cannot_normalize(v)
+        # a fresh array, unit to a few ulp: no copy or second check needed
+        w = w / n
+        w.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "vec", w)
+        return state
+
+
+def _cannot_normalize(v: np.ndarray) -> ValueError:
+    with np.errstate(over="ignore"):  # finite parts beside an inf
         n = float(np.linalg.norm(v))
-        if not 0.0 < n < math.inf:  # also rejects nan
-            raise ValueError(f"cannot normalize {v!r}: norm {n!r}")
-        return cls(v / n)
+    return ValueError(f"cannot normalize {v!r}: norm {n!r}")
 
 
 def ptrace_A(M: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: exit codes, reports, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -112,6 +113,70 @@ def test_check_missing_file_exits_two(triple, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# golden output, recorded before the triple path was unrolled: the
+# report's floats must keep every bit
+MASKING_REPORT = """\
+{
+ "crossA_norm": 0.0,
+ "crossB_norm": 0.0,
+ "degenerate_superposition": false,
+ "eq4_residuals": [
+  0.0,
+  0.0,
+  0.0,
+  0.0,
+  0.0,
+  0.0
+ ],
+ "superposition_residuals": [
+  1.5700924586837752e-16,
+  1.5700924586837752e-16
+ ],
+ "tol": 1e-09,
+ "verdict": true
+}
+"""
+# a generic triple, each state rounded to 9 digits, so the constructors
+# rescale a drifted norm
+GENERIC_TRIPLE = (
+    {"re": [0.220415508, -0.808190194], "im": [0.514302851, 0.18367959]},
+    {"re": [0.636284763, 0.127256953, -0.254513905, 0.190885429],
+     "im": [0.063628476, -0.381770858, 0.0, 0.572656287]},
+    {"re": [-0.405553553, 0.0, 0.648885685, 0.162221421],
+     "im": [0.243332132, 0.567774974, -0.081110711, 0.0]},
+)
+NON_MASKING_REPORT = """\
+{
+ "crossA_norm": 0.1756551319885123,
+ "crossB_norm": 0.2096691869858074,
+ "degenerate_superposition": false,
+ "eq4_residuals": [
+  0.024797570983867367,
+  0.1776315796596914,
+  0.17763157965969145,
+  0.0247975709838672,
+  0.29606344458608275,
+  0.3860861766761071
+ ],
+ "superposition_residuals": [
+  0.3710554642560115,
+  0.4271724922610332
+ ],
+ "tol": 1e-09,
+ "verdict": false
+}
+"""
+
+
+def test_check_stdout_is_golden(triple, tmp_path, capsys):
+    assert main(["check", *triple]) == 0
+    assert capsys.readouterr().out == MASKING_REPORT
+    files = [_write(tmp_path, f"{name}.json", payload)
+             for name, payload in zip(("b", "psi0", "psi1"), GENERIC_TRIPLE)]
+    assert main(["check", *files]) == 1
+    assert capsys.readouterr().out == NON_MASKING_REPORT
+
+
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -189,6 +254,20 @@ def test_surface_example2_stdout(capsys):
     assert len(lines) - 1 == 21 * 21 + 12 * 21 - 12
     assert f"kept {len(lines) - 1} of {21 ** 3} grid points" in captured.err
     assert all(line.endswith(",na") for line in lines[1:])
+
+
+@pytest.mark.parametrize("args, sha256", [
+    (["1", "--branch", "plus"],
+     "0dbd0ee0b11395abb609625658eade107a600072f1bbf270c429d601284eb976"),
+    (["1", "--branch", "minus"],
+     "c9100f7bfca55c1ee2366f01949b059625f50de4fb998214e649d91d318bd2f2"),
+    (["2"],
+     "609156aad05981d7e724312a2ff62e88097c6d10f24bfd0b8294e3f090bab10f"),
+])
+def test_surface_csv_at_grid_201_is_golden(args, sha256, tmp_path, capsys):
+    out = tmp_path / "surf.csv"
+    assert main(["surface", *args, "--grid", "201", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
 
 def test_surface_unwritable_path_exits_two(capsys):

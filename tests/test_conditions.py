@@ -346,6 +346,20 @@ def _reference(b, psi0, psi1, tol=1e-9):
             all(r <= tol for r in residuals), every)
 
 
+def test_triple_results_do_not_depend_on_call_order():
+    triples = list(_seeded_triples(np.random.default_rng(2025), 200))
+
+    def results(order):
+        return {k: (masks_state(*triples[k][:3]),
+                    eq7_eq8_residuals(*triples[k][1:3], triples[k][0]),
+                    *(cross_term_matrix(*triples[k][1:3], triples[k][0], s)
+                      .tobytes() for s in "AB"))
+                for k in order}
+
+    forward = results(range(len(triples)))
+    assert results(reversed(range(len(triples)))) == forward
+
+
 def test_block_kernel_matches_outer_product_reference():
     triples = list(_seeded_triples(np.random.default_rng(2024), 2000))
     degenerate = 0

@@ -153,6 +153,14 @@ def test_sample_example2_matches_full_cube(tol):
     assert _sampled(ortho.sample_example2(41, tol)) == expected
 
 
+def test_sampled_points_are_slotted_and_share_axis_floats():
+    pts = ortho.sample_example2(41, 1e-10)
+    assert not hasattr(pts[0], "__dict__")
+    # every point holds the axis's own float objects, not copies
+    axis = {id(c) for p in pts for c in p.coordinates}
+    assert len(axis) <= 41
+
+
 def test_sample_example1_rejects_bad_branch():
     with pytest.raises(ValueError):
         ortho.sample_example1(11, "sideways", 1e-9)

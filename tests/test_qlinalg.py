@@ -9,9 +9,17 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmask.qlinalg import QubitState, TwoQubitState
+from qmask.qlinalg import NORM_TOL, QubitState, TwoQubitState
 
-from oracle import basis_ket, frob_dist, outer, ptrace_A, ptrace_B
+from oracle import (
+    basis_ket,
+    frob_dist,
+    normalized_reference,
+    outer,
+    ptrace_A,
+    ptrace_B,
+    unit_reference,
+)
 
 ATOL = 1e-12
 HALF_I = np.eye(2) / 2.0
@@ -84,6 +92,105 @@ class TestContainers(unittest.TestCase):
                 TwoQubitState([bad, 1.0, 0.0, 0.0])
             with self.assertRaises(ValueError):
                 TwoQubitState.unit([bad, 0.0, 0.0, 0.0])
+
+
+# ---------------------------------------------------------------------------
+# the rescaling constructors
+# ---------------------------------------------------------------------------
+
+def _seeded_vectors(rng, n: int) -> np.ndarray:
+    """Gaussian 4-vectors over six decades, some kets zeroed."""
+    vecs = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    vecs *= 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    vecs[rng.uniform(size=(n, 4)) < 0.25] = 0.0
+    return vecs[np.abs(vecs).max(axis=1) > 0.0]
+
+
+def test_unit_divides_by_the_numpy_norm_bit_for_bit():
+    vecs = _seeded_vectors(np.random.default_rng(2020), 12_000)
+    assert len(vecs) >= 10_000
+    for k, v in enumerate(vecs):
+        vec = v if k % 3 else v.tolist()  # arrays and lists of complex
+        assert (TwoQubitState.unit(vec).vec.tobytes()
+                == unit_reference(v).tobytes())
+
+
+def test_normalized_divides_by_the_hypot_norm_bit_for_bit():
+    rng = np.random.default_rng(2021)
+    for a0, a1 in _seeded_vectors(rng, 4000)[:, :2]:
+        if a0 == 0.0 and a1 == 0.0:
+            continue
+        b = QubitState.normalized(a0, a1)
+        assert (b.alpha0, b.alpha1) == normalized_reference(a0, a1)
+        assert type(b.alpha0) is type(b.alpha1) is complex
+
+
+def test_unit_vec_is_read_only_and_its_own():
+    v = np.array([1.0, 2.0j, 0.0, -2.0])
+    s = TwoQubitState.unit(v)
+    before = s.vec.tobytes()
+    v[:] = 7.0
+    assert s.vec.tobytes() == before
+    assert not s.vec.flags.writeable
+    with pytest.raises(ValueError):
+        s.vec[0] = 0
+    w = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    s = TwoQubitState.unit(w)  # already unit: still a copy
+    w[0] = 0.0
+    assert s.vec[0] == 1.0
+
+
+@pytest.mark.parametrize("vec, expected", [
+    ([1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),  # |c|^2 overflows
+    ([1e-200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),  # |c|^2 underflows
+    ([1e-160, 1e-160, 0.0, 0.0],                       # |c|^2 is subnormal
+     [math.sqrt(0.5), math.sqrt(0.5), 0.0, 0.0]),
+    ([complex(1.5e308, 1.5e308), 0.0, 0.0, 0.0],        # |c| overflows
+     [complex(math.sqrt(0.5), math.sqrt(0.5)), 0.0, 0.0, 0.0]),
+    ([5e-324, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]),  # 1 / c overflows
+])
+def test_unit_normalizes_finite_vectors_of_any_magnitude(vec, expected):
+    # the suite turns NumPy's overflow warning into an error
+    np.testing.assert_allclose(TwoQubitState.unit(vec).vec, expected,
+                               rtol=1e-15, atol=0.0)
+
+
+def test_unit_is_unit_across_the_float_range():
+    rng = np.random.default_rng(2022)
+    parts = rng.standard_normal((2000, 8)) * 10.0 ** rng.integers(
+        -320, 308, (2000, 8))
+    for p in parts:
+        v = p[:4] + 1j * p[4:]
+        if not v.any():
+            continue
+        s = TwoQubitState.unit(v)
+        assert abs(float(np.vdot(s.vec, s.vec).real) - 1.0) <= NORM_TOL
+
+
+@pytest.mark.parametrize("vec, norm", [
+    ([0.0, 0.0, 0.0, 0.0], "0.0"),
+    ([math.nan, 0.0, 0.0, 0.0], "nan"),
+    ([math.inf, 0.0, 0.0, 0.0], "inf"),
+    ([complex(math.inf, math.nan), 0.0, 0.0, 0.0], "nan"),
+    ([1.0, math.nan, 1e200, 0.0], "nan"),
+    ([1.0, math.inf, 1e200, 0.0], "inf"),
+])
+def test_unit_rejects_zero_and_non_finite_with_the_numpy_norm(vec, norm):
+    v = np.array(vec, dtype=np.complex128)
+    with pytest.raises(ValueError) as err:
+        TwoQubitState.unit(vec)
+    assert str(err.value) == f"cannot normalize {v!r}: norm {norm}"
+
+
+@pytest.mark.parametrize("alpha", [
+    (5e-324, 0.0), (1e-320, 1e-320j), (3e-310, -4e-310), (1e-300, 1e-320)])
+def test_normalized_never_returns_a_non_unit_pair(alpha):
+    try:  # a subnormal norm keeps as few as 11 significant bits
+        b = QubitState.normalized(*alpha)
+    except ValueError as err:
+        assert "not normalized" in str(err)
+    else:
+        assert abs(abs(b.alpha0) ** 2 + abs(b.alpha1) ** 2 - 1.0) <= NORM_TOL
 
 
 # ---------------------------------------------------------------------------
