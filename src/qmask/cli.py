@@ -153,7 +153,6 @@ def _row_dict(res: patterns.TableRowResult) -> dict:
         "expected": res.row.expected,
         "status": res.outcome.status.value,
         "best_residual": _jsonable(res.outcome.best_residual),
-        "restarts_used": res.outcome.restarts_used,
         "decided_by": res.outcome.decided_by,
         "agree": res.agree,
     }
@@ -211,10 +210,12 @@ def _verify_checks(args):
     yield ("example1-fixed-point", report.verdict,
            f"max residual {max(report.residuals()):.3e}")
 
-    # orthogonal-family spot checks
+    # orthogonal-family spot checks; eq9 at the phase-corrected qubit
+    b = QubitState.normalized(complex(0.2, -0.2),
+                              complex(0.0, -math.sqrt(23.0) / 5.0))
     r9 = ortho.eq9_residuals(ortho.EXAMPLE1_PAIR, b)
     tol = DEFAULT_TOL
-    yield ("eq9-spot-check", max(r9) <= 0.5 + tol and r9[0] <= tol,
+    yield ("eq9-spot-check", max(r9) <= tol,
            f"line residuals {tuple(f'{v:.3e}' for v in r9)}")
     on = ortho.example2_residual(0.6, 0.5, 0.5)
     off = ortho.example2_residual(0.6, 0.6, 0.6)

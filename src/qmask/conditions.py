@@ -96,6 +96,15 @@ def _crosses(b: QubitState, u, v) -> tuple[complex, ...]:
     return (z * t0, z * t1, z * t2, z * t3, z * t4, z * t5, z * t6, z * t7)
 
 
+def _marginal_gaps(psi0, psi1) -> tuple[complex, ...]:
+    """Entries of Tr_A(P0) - Tr_A(P1) then Tr_B(P0) - Tr_B(P1), row-major."""
+    u, v = psi0.vec.tolist(), psi1.vec.tolist()
+    a0, a1, a2, a3, a4, a5, a6, a7 = _blocks(u, u)
+    b0, b1, b2, b3, b4, b5, b6, b7 = _blocks(v, v)
+    return (a0 - b0, a1 - b1, a2 - b2, a3 - b3,
+            a4 - b4, a5 - b5, a6 - b6, a7 - b7)
+
+
 def eq4_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
                   ) -> tuple[float, float, float, float, float, float]:
     """The six eq4 marginal-equality lines as absolute residuals.
@@ -103,11 +112,8 @@ def eq4_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
     Lines 1-4 are the diagonal marginal differences, lines 5-6 the
     magnitudes of the off-diagonal (complex) differences.
     """
-    u, v = psi0.vec.tolist(), psi1.vec.tolist()
-    a0, a1, _, a3, a4, a5, _, a7 = _blocks(u, u)
-    b0, b1, _, b3, b4, b5, _, b7 = _blocks(v, v)
-    return (abs(a4 - b4), abs(a0 - b0), abs(a3 - b3), abs(a7 - b7),
-            abs(a1 - b1), abs(a5 - b5))
+    d0, d1, _, d3, d4, d5, _, d7 = _marginal_gaps(psi0, psi1)
+    return abs(d4), abs(d0), abs(d3), abs(d7), abs(d1), abs(d5)
 
 
 def reduced_pair_residual(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -117,11 +123,9 @@ def reduced_pair_residual(psi0: TwoQubitState, psi1: TwoQubitState,
     Returns ``(rA, rB)`` with ``rA = ||Tr_A(P0) - Tr_A(P1)||_F`` and
     ``rB`` the same for Tr_B; both vanish iff eq4 holds.
     """
-    u, v = psi0.vec.tolist(), psi1.vec.tolist()
-    a0, a1, a2, a3, a4, a5, a6, a7 = _blocks(u, u)
-    b0, b1, b2, b3, b4, b5, b6, b7 = _blocks(v, v)
-    return (hypot(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3)),
-            hypot(abs(a4 - b4), abs(a5 - b5), abs(a6 - b6), abs(a7 - b7)))
+    d0, d1, d2, d3, d4, d5, d6, d7 = _marginal_gaps(psi0, psi1)
+    return (hypot(abs(d0), abs(d1), abs(d2), abs(d3)),
+            hypot(abs(d4), abs(d5), abs(d6), abs(d7)))
 
 
 def cross_term_matrix(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -151,7 +155,8 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
     * both eq3 cross-matrix Frobenius norms,
     * the marginal distances between the *renormalized* superposition
       ``Psi = alpha0 Psi0 + alpha1 Psi1`` and Psi0 (defense in depth:
-      implied by the first two groups when <Psi0|Psi1> = 0).
+      implied by the first two groups for every pair, as a vanishing
+      cross matrix has trace 2 Re(z <Psi1|Psi0>) = 0, so ||Psi|| = 1).
 
     This is the paper's eq3 system (both cross matrices vanish): exact
     for orthogonal pairs, sufficient but not necessary otherwise.  As
@@ -166,6 +171,8 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
     """
     _check_tol(tol)
     u, v = psi0.vec.tolist(), psi1.vec.tolist()
+    # _marginal_gaps inlined: this runs once per triple, and the
+    # superposition residuals below reuse Psi0's blocks a0..a7
     a0, a1, a2, a3, a4, a5, a6, a7 = _blocks(u, u)
     b0, b1, b2, b3, b4, b5, b6, b7 = _blocks(v, v)
     e0, e1, e2, e3, e4, e5 = lines = (
@@ -207,14 +214,10 @@ def masks_all_superpositions(psi0: TwoQubitState, psi1: TwoQubitState,
     ``||Tr_x(|Psi0><Psi1|)||_F`` for both subsystems to be <= DEFAULT_TOL.
     """
     u, v = psi0.vec.tolist(), psi1.vec.tolist()
-    a0, a1, a2, a3, a4, a5, a6, a7 = _blocks(u, u)
-    b0, b1, b2, b3, b4, b5, b6, b7 = _blocks(v, v)
     t0, t1, t2, t3, t4, t5, t6, t7 = _blocks(u, v)
-    return max(
-        hypot(abs(a0 - b0), abs(a1 - b1), abs(a2 - b2), abs(a3 - b3)),
-        hypot(abs(a4 - b4), abs(a5 - b5), abs(a6 - b6), abs(a7 - b7)),
-        hypot(abs(t0), abs(t1), abs(t2), abs(t3)),
-        hypot(abs(t4), abs(t5), abs(t6), abs(t7))) <= DEFAULT_TOL
+    return max(*reduced_pair_residual(psi0, psi1),
+               hypot(abs(t0), abs(t1), abs(t2), abs(t3)),
+               hypot(abs(t4), abs(t5), abs(t6), abs(t7))) <= DEFAULT_TOL
 
 
 def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
@@ -233,7 +236,5 @@ def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,
     """
     t0, t1, t2, t3, t4, t5, t6, t7 = _crosses(
         b, psi0.vec.tolist(), psi1.vec.tolist())
-    return (abs(2.0 * t0.real) / 2.0, abs(2.0 * t3.real) / 2.0,
-            abs(t1 + t2.conjugate()),
-            abs(2.0 * t4.real) / 2.0, abs(2.0 * t7.real) / 2.0,
-            abs(t5 + t6.conjugate()))
+    return (abs(t0.real), abs(t3.real), abs(t1 + t2.conjugate()),
+            abs(t4.real), abs(t7.real), abs(t5 + t6.conjugate()))

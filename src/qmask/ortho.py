@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import _check_tol
-from .qlinalg import NORM_TOL, QubitState, TwoQubitState
+from .qlinalg import NORM_TOL, QubitState, TwoQubitState, _check_unit
 
 #: branch labels for the eliminated sign in the example-1 parameterization
 BRANCHES = ("plus", "minus")
@@ -44,13 +44,10 @@ class OrthoPairParams:
     b1: complex
 
     def __post_init__(self):
-        for (u, v), what in (((self.a0, self.a1), "a"),
-                             ((self.b0, self.b1), "b")):
+        for (u, v), what in (((self.a0, self.a1), "(a0, a1)"),
+                             ((self.b0, self.b1), "(b0, b1)")):
             # x * x, not x ** 2: a huge amplitude gives inf, not OverflowError
-            n2 = abs(u) * abs(u) + abs(v) * abs(v)
-            if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
-                raise ValueError(
-                    f"|{what}0|^2 + |{what}1|^2 = {n2!r}, expected 1")
+            _check_unit(abs(u) * abs(u) + abs(v) * abs(v), what)
 
     def states(self) -> tuple[TwoQubitState, TwoQubitState]:
         psi0 = TwoQubitState([self.a0, 0.0, 0.0, self.a1])
@@ -176,8 +173,7 @@ def sample_example1(grid_n: int, branch: str, tol: float,
 
 def example2_qubit(lam: float) -> QubitState:
     """The masked qubit of the example-2 family for parameter lam."""
-    d = math.sqrt(1.0 + lam * lam)
-    return QubitState(1.0 / d, complex(0.0, lam / d))
+    return QubitState.normalized(1.0, complex(0.0, lam))
 
 
 def eq13_residuals(a0: complex, a1: complex, b0: complex, b1: complex,

@@ -139,7 +139,7 @@ class FeasibilityOutcome:
     """A decision and how it was reached.
 
     ``decided_by`` is ``"bound"`` when a certificate alone proved the
-    pair Infeasible, and ``restarts_used`` and ``iterations`` are then 0.
+    pair Infeasible, and ``iterations`` is then 0.
     ``best_residual`` is then the bound, a number no admissible
     coefficient choice gets below: the largest marginal distance for eq4,
     the largest `conditions.masks_state` residual for the full system
@@ -148,12 +148,12 @@ class FeasibilityOutcome:
     residual over all restarts (`conditions.reduced_pair_residual` or
     `conditions.masks_state`, largest entry), or ``inf`` when no restart
     gave a candidate that meets the floors.  ``iterations`` counts the
-    damped least-squares steps, accepted or not, summed over all restarts.
+    damped least-squares steps, accepted or not, summed over all
+    ``FeasibilityConfig.restarts`` restarts.
     """
 
     status: FeasibilityStatus
     best_residual: float
-    restarts_used: int
     iterations: int
     decided_by: str
     witness: Witness | None = None
@@ -541,8 +541,7 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
     bound = (_full_bound if full else _eq4_bound)(p0, p1, cfg.delta)
     if bound >= _INFEASIBLE_FLOOR:
         return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound,
-                                  restarts_used=0, iterations=0,
-                                  decided_by="bound")
+                                  iterations=0, decided_by="bound")
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
     steps = np.zeros(cfg.restarts, dtype=np.int64)
@@ -556,7 +555,6 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
         status=(FeasibilityStatus.FEASIBLE if feasible
                 else FeasibilityStatus.INCONCLUSIVE),
         best_residual=best_residual,
-        restarts_used=cfg.restarts,
         iterations=int(steps.sum()),
         decided_by="search",
         witness=best_witness if feasible else None,

@@ -26,8 +26,8 @@ DEFAULT_TOL = 1e-9
 
 #: smallest positive normal float
 _NORMAL_MIN = sys.float_info.min
-#: moduli within which a 4-vector's squared norm is a normal float
-_MODULUS_MIN, _MODULUS_MAX = 2.0 ** -511, 2.0 ** 510
+#: moduli sums that keep a 4-vector's squared norm a normal float
+_MODULI_MIN, _MODULI_MAX = 2.0 ** -509, 2.0 ** 510
 
 
 @dataclass(frozen=True)
@@ -40,24 +40,22 @@ class QubitState:
     def __post_init__(self):
         a0, a1 = abs(self.alpha0), abs(self.alpha1)
         # x * x, not x ** 2: a huge amplitude gives inf, not OverflowError
-        n2 = a0 * a0 + a1 * a1
-        if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
-            raise ValueError(f"qubit state not normalized: |alpha|^2 = {n2!r}")
+        _check_unit(a0 * a0 + a1 * a1, "qubit state")
 
     @classmethod
     def normalized(cls, alpha0: complex, alpha1: complex) -> "QubitState":
-        """Rescale (alpha0, alpha1) to unit norm and construct."""
-        n = math.hypot(abs(alpha0), abs(alpha1))
-        if not 0.0 < n < math.inf:  # also rejects nan
-            raise ValueError(
-                f"cannot normalize {(alpha0, alpha1)!r}: norm {n!r}")
-        a0, a1 = complex(alpha0) / n, complex(alpha1) / n
-        if n < _NORMAL_MIN:  # a subnormal norm is coarse: check the result
-            return cls(a0, a1)
+        """Rescale (alpha0, alpha1) to unit norm and construct: divide by
+        the ``math.hypot`` norm, `_prescaled` first if it is not normal."""
+        try:
+            n = math.hypot(abs(alpha0), abs(alpha1))
+        except OverflowError:  # a finite modulus above the float range
+            n = math.inf
+        if not _NORMAL_MIN <= n < math.inf:  # also zero and nan
+            return cls.normalized(*_prescaled((alpha0, alpha1)).tolist())
         # dividing by a normal norm leaves a unit pair to a few ulp
         state = object.__new__(cls)
-        object.__setattr__(state, "alpha0", a0)
-        object.__setattr__(state, "alpha1", a1)
+        object.__setattr__(state, "alpha0", complex(alpha0) / n)
+        object.__setattr__(state, "alpha1", complex(alpha1) / n)
         return state
 
     @property
@@ -77,9 +75,7 @@ class TwoQubitState:
 
     def __post_init__(self):
         v = np.array(self.vec, dtype=np.complex128).reshape(4)
-        n2 = float(np.vdot(v, v).real)
-        if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
-            raise ValueError(f"two-qubit state not normalized: |c|^2 = {n2!r}")
+        _check_unit(float(np.vdot(v, v).real), "two-qubit state")
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
 
@@ -92,28 +88,20 @@ class TwoQubitState:
         """Rescale ``vec`` to unit norm and construct.
 
         Divides by the norm that ``np.linalg.norm`` computes, bit for bit.
-        When a modulus lies outside [2^-511, 2^510], where the squared norm
-        could leave the normal float range, ``vec`` is first divided by its
-        largest real or imaginary part, so every finite nonzero vector
-        normalizes.
+        When the moduli sum to outside [2^-509, 2^510], where the squared
+        norm could leave the normal float range, ``vec`` is `_prescaled`
+        first, so every finite nonzero vector normalizes.
         """
         v = w = np.asarray(vec, dtype=np.complex128).reshape(4)
         c0, c1, c2, c3 = v.tolist()
         try:
-            big = max(abs(c0), abs(c1), abs(c2), abs(c3))
+            total = abs(c0) + abs(c1) + abs(c2) + abs(c3)
         except OverflowError:  # a finite modulus above the float range
-            big = math.inf
-        if not _MODULUS_MIN <= big <= _MODULUS_MAX:
-            big = max(np.abs(v.real).max(), np.abs(v.imag).max())
-            if not 0.0 < big < math.inf:  # zero, inf or nan
-                raise _cannot_normalize(v)
-            # part by part: NumPy's complex division takes 1 / big first
-            w = np.empty(4, dtype=np.complex128)
-            w.real, w.imag = v.real / big, v.imag / big
+            total = math.inf
+        if not _MODULI_MIN <= total <= _MODULI_MAX:  # also zero and nan
+            w = _prescaled(v)
         re, im = w.real, w.imag
         n = math.sqrt(re.dot(re) + im.dot(im))
-        if not n < math.inf:  # a nan that max() passed over
-            raise _cannot_normalize(v)
         # a fresh array, unit to a few ulp: no copy or second check needed
         w = w / n
         w.flags.writeable = False
@@ -122,10 +110,25 @@ class TwoQubitState:
         return state
 
 
-def _cannot_normalize(v: np.ndarray) -> ValueError:
-    with np.errstate(over="ignore"):  # finite parts beside an inf
-        n = float(np.linalg.norm(v))
-    return ValueError(f"cannot normalize {v!r}: norm {n!r}")
+def _check_unit(n2: float, what: str) -> None:
+    """Raise ``ValueError`` unless the squared norm ``n2`` is 1 to NORM_TOL."""
+    if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
+        raise ValueError(f"{what} not normalized: squared norm {n2!r}")
+
+
+def _prescaled(v) -> np.ndarray:
+    """``v`` divided by its largest real or imaginary part, so that its
+    squared norm is normal; ``ValueError`` for zero, inf or nan."""
+    v = np.asarray(v, dtype=np.complex128)
+    big = np.maximum(np.abs(v.real), np.abs(v.imag)).max()  # keeps a nan
+    if not 0.0 < big < math.inf:  # zero, inf or nan
+        with np.errstate(over="ignore"):  # finite parts beside an inf
+            n = float(np.linalg.norm(v))
+        raise ValueError(f"cannot normalize {v!r}: norm {n!r}")
+    # part by part: NumPy's complex division takes 1 / big first
+    w = np.empty_like(v)
+    w.real, w.imag = v.real / big, v.imag / big
+    return w
 
 
 def ptrace_A(M: np.ndarray) -> np.ndarray:

@@ -191,6 +191,10 @@ def test_tables_single_table_report(capsys):
     feasible = [r for r in report["rows"] if r["status"] == "Feasible"]
     assert len(feasible) == 4
     assert all("witness" in r for r in feasible)
+    # the restart count lives in "config" only
+    assert {k for r in report["rows"] for k in r} == {
+        "table", "index", "psi0_kets", "psi1_kets", "expected", "status",
+        "best_residual", "decided_by", "agree", "witness"}
 
 
 def test_tables_output_is_deterministic(capsys):
@@ -298,7 +302,10 @@ def test_verify_reports_failing_bundled_claims(capsys):
     by_name = {line.split()[1].rstrip(":"): line.split()[0]
                for line in lines[:-1]}
     assert by_name["example1-fixed-point"] == "FAIL"
-    assert by_name["eq9-spot-check"] == "ok"
+    # eq9 at the phase-corrected qubit: all three lines vanish (lines 2-3
+    # stay below 1/2 at every qubit, so a looser gate could never fail)
+    assert ("ok   eq9-spot-check: line residuals "
+            "('1.110e-16', '0.000e+00', '0.000e+00')") in lines
     assert by_name["eq17-spot-check"] == "ok"
 
 

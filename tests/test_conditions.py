@@ -222,6 +222,21 @@ def test_masks_state_is_sufficient_not_necessary_for_overlapping_pair():
     assert max(report.eq4_residuals) == 0.0
 
 
+@seed(17)
+@settings(max_examples=200, deadline=None)
+@given(v=vec4)
+def test_masks_state_accepts_a_non_orthogonal_masking_pair(v):
+    # (Psi0, i Psi0) overlaps by i, yet both cross matrices vanish at
+    # |+>, and with them the superposition residuals: a vanishing cross
+    # matrix has trace 2 Re(z <Psi1|Psi0>) = 0, so ||Psi|| = 1
+    psi0 = _unit(v)
+    psi1 = TwoQubitState.unit(1j * psi0.vec)
+    assert abs(np.vdot(psi0.vec, psi1.vec)) == pytest.approx(1.0)
+    report = masks_state(QubitState.normalized(1.0, 1.0), psi0, psi1)
+    assert report.verdict
+    assert max(report.superposition_residuals) <= 1e-15
+
+
 def test_masks_state_rejects_bad_tol():
     # the surface samplers share the check
     for tol in (0.0, -1e-9, math.nan, math.inf):

@@ -177,6 +177,14 @@ def test_example2_qubit_is_unit_and_phase_locked():
     assert b.vec[1].real == 0.0
 
 
+@pytest.mark.parametrize("lam", [1e155, 1e200, -1e200, 1.7e308])
+def test_example2_qubit_is_unit_where_lam_squared_overflows(lam):
+    b = ortho.example2_qubit(lam)
+    assert (b.alpha0, b.alpha1) == (complex(1.0 / abs(lam), 0.0),
+                                    complex(0.0, math.copysign(1.0, lam)))
+    assert abs(abs(b.alpha0) ** 2 + abs(b.alpha1) ** 2 - 1.0) <= ATOL
+
+
 def test_eq13_zero_on_the_balanced_family():
     a0 = b0 = complex(0.5, 0.5)
     a1 = b1 = complex(SQRT_HALF, 0.0)

@@ -1,5 +1,7 @@
 """Pattern feasibility search, verdict tables, and the support scan."""
 
+import collections
+import functools
 import itertools
 import json
 import math
@@ -559,8 +561,8 @@ def test_entangled_support_bound_decides_the_last_scan_pairs():
             assert _full_bound(p0, p1, DELTA) == bound
             out = feasible_full(p0, p1, FeasibilityConfig(restarts=2))
             assert out == FeasibilityOutcome(
-                FeasibilityStatus.INFEASIBLE, bound, restarts_used=0,
-                iterations=0, decided_by="bound")
+                FeasibilityStatus.INFEASIBLE, bound, iterations=0,
+                decided_by="bound")
 
 
 def _diagonal_lp(kets0, kets1) -> float:
@@ -633,25 +635,32 @@ def _pairwise_linf_distance(P: set, Q: set) -> float:
                         for wx, wy in dirs))
 
 
-def _exact_diagonal_distance(counts0, counts1, floor: Fraction) -> Fraction:
-    """`_diagonal_distance` in rational arithmetic, from its definition:
-    the moduli^2 sets are simplices with vertices lo + (1 - sum(lo)) e_k
-    over listed kets k, mapped to (X, Y) = (m00 + m01, m00 + m10), and
-    the gap is the widest over the unit-L1 normals of their hulls."""
+@functools.cache
+def _exact_ranges(counts: tuple, floor: Fraction) -> tuple:
+    """A pattern's (min, max) of X, Y, (X+Y)/2 and (X-Y)/2 in rational
+    arithmetic, from the definition: the moduli^2 set is the simplex with
+    vertices lo + (1 - sum(lo)) e_k over listed kets k, mapped to
+    (X, Y) = (m00 + m01, m00 + m10).  Cached: 69 multisets, 4761 pairs."""
     normals = [(1, 0), (0, 1), (Fraction(1, 2), Fraction(1, 2)),
                (Fraction(1, 2), Fraction(-1, 2))]
-    extents = []
-    for counts in (counts0, counts1):
-        lo = [floor if n == 1 else Fraction(0) for n in counts]
-        corners = []
-        for k in (k for k in range(4) if counts[k]):
-            m = list(lo)
-            m[k] += 1 - sum(lo)
-            corners.append((m[0] + m[1], m[0] + m[2]))
-        extents.append([[wx * x + wy * y for x, y in corners]
-                        for wx, wy in normals])
-    return max([Fraction(0)] + [max(min(a) - max(b), min(b) - max(a))
-                                for a, b in zip(*extents)])
+    lo = [floor if n == 1 else Fraction(0) for n in counts]
+    corners = []
+    for k in (k for k in range(4) if counts[k]):
+        m = list(lo)
+        m[k] += 1 - sum(lo)
+        corners.append((m[0] + m[1], m[0] + m[2]))
+    return tuple((min(v), max(v)) for v in (
+        [wx * x + wy * y for x, y in corners] for wx, wy in normals))
+
+
+def _exact_diagonal_distance(counts0, counts1, floor: Fraction) -> Fraction:
+    """`_diagonal_distance` in rational arithmetic: the widest gap between
+    the two patterns' `_exact_ranges`, over the unit-L1 normals of their
+    hulls."""
+    return max([Fraction(0)] + [
+        max(lo0 - hi1, lo1 - hi0) for (lo0, hi0), (lo1, hi1) in zip(
+            _exact_ranges(tuple(counts0), floor),
+            _exact_ranges(tuple(counts1), floor))])
 
 
 def test_diagonal_bound_sides_with_its_exact_value():
@@ -673,6 +682,103 @@ def test_diagonal_bound_sides_with_its_exact_value():
     # the closest positive gap is half the single-ket floor, about
     # 0.005: no rounding could move a pair across the Infeasible floor
     assert smallest == exact_floor / 2
+
+
+#: rational brackets of sqrt(2): a coarse one for the side of the
+#: Infeasible floor, and the correctly rounded float +- half an ulp for
+#: agreement to 1e-15
+_ROOT2_COARSE = (Fraction(14142, 10000), Fraction(14143, 10000))
+_ROOT2_FINE = (Fraction(math.sqrt(2.0)) - Fraction(1, 2 ** 53),
+               Fraction(math.sqrt(2.0)) + Fraction(1, 2 ** 53))
+
+#: the Tr_B then Tr_A off-diagonal entry, as the ket pairs (i, j) of its
+#: products c_i c_j*
+_OFF_DIAGONAL_KETS = ((("00", "10"), ("01", "11")),
+                      (("00", "01"), ("10", "11")))
+
+
+def _lone_off_diagonal(kets0, kets1) -> bool:
+    """Some off-diagonal entry is 0 for one pattern and one product of
+    two single kets for the other: |o| >= f^2, f the slot floor."""
+    for entry in _OFF_DIAGONAL_KETS:
+        listed = [[(i, j) for i, j in entry if i in kets and j in kets]
+                  for kets in (kets0, kets1)]
+        for (zero, one), kets in ((listed, kets1), (listed[::-1], kets0)):
+            if not zero and len(one) == 1 and all(
+                    kets.count(k) == 1 for k in one[0]):
+                return True
+    return False
+
+
+def _entangled_overlap(kets0, kets1) -> bool:
+    """One pattern lists only kets of {00,11} or {01,10}, the other a
+    ket outside that pair exactly once."""
+    return any(set(a) <= pair and any(b.count(k) == 1 for k in b
+                                      if k not in pair)
+               for a, b in ((kets0, kets1), (kets1, kets0))
+               for pair in ({"00", "11"}, {"01", "10"}))
+
+
+#: the witness check's floor on |slot| and overlap, exact
+_F = Fraction(DELTA) - Fraction(1e-12)
+
+
+def _exact_clauses(kets0, kets1):
+    """The clauses of `_eq4_bound` and of `_full_bound` as rational
+    intervals (lo, hi) by name, with delta and the 1e-12 slack at their
+    exact binary values: one (eq4, full) pair of dicts per bracket of
+    sqrt(2), fine then coarse."""
+    diagonal = _exact_diagonal_distance(_counts(kets0), _counts(kets1),
+                                        _F * _F)
+    off = _F * _F if _lone_off_diagonal(kets0, kets1) else Fraction(0)
+    disjoint = not set(kets0) & set(kets1)
+    overlap = _entangled_overlap(kets0, kets1)
+    for lo, hi in (_ROOT2_FINE, _ROOT2_COARSE):
+        eq4 = {"diagonal": (lo * diagonal, hi * diagonal),
+               "off-diagonal": (lo * off, hi * off)}
+        if disjoint:
+            yield eq4, {"disjoint": (Fraction(DELTA), Fraction(DELTA))}
+            continue
+        full = {"diagonal": (diagonal, diagonal), "off-diagonal": (off, off)}
+        if overlap:
+            full["overlap"] = (_F * _F / (2 * _F + 1 + hi),
+                               _F * _F / (2 * _F + 1 + lo))
+        yield eq4, full
+
+
+def test_every_bound_clause_sides_with_its_exact_value():
+    # on all 4761 ordered multiset pairs each float bound is within 1e-15
+    # of its exact value and on the same side of the Infeasible floor, and
+    # every clause decides some pair; the clauses are symmetric in the
+    # pair, so each unordered pair is rebuilt once and checked both ways
+    for lo, hi in (_ROOT2_COARSE, _ROOT2_FINE):
+        assert lo * lo < 2 < hi * hi
+    floor, eps = Fraction(_INFEASIBLE_FLOOR), Fraction(1e-15)
+    patterns_by_kets = {kets: BasisPattern(kets) for kets in _MULTISETS}
+    deciding = collections.Counter()
+    for kets0, kets1 in itertools.combinations_with_replacement(_MULTISETS,
+                                                                2):
+        fine, coarse = _exact_clauses(kets0, kets1)
+        for order in {(kets0, kets1), (kets1, kets0)}:
+            p0, p1 = (patterns_by_kets[kets] for kets in order)
+            values = _eq4_bound(p0, p1, DELTA), _full_bound(p0, p1, DELTA)
+            for name, value, clauses, bracket in zip(
+                    ("eq4", "full"), values, fine, coarse):
+                lo, hi = (max(ends) for ends in zip(*clauses.values()))
+                assert lo - eps <= Fraction(value) <= hi + eps, order
+                lo, hi = (max(ends) for ends in zip(*bracket.values()))
+                assert (value >= _INFEASIBLE_FLOOR) is (lo >= floor) \
+                    is (hi >= floor), order
+                if lo >= floor:
+                    deciding[name, max(bracket,
+                                       key=lambda c: bracket[c][0])] += 1
+    # 4761 - 1301 and 4761 - 1157 certified pairs
+    assert deciding == {("eq4", "diagonal"): 3124,
+                        ("eq4", "off-diagonal"): 336,
+                        ("full", "disjoint"): 1112,
+                        ("full", "diagonal"): 2084,
+                        ("full", "off-diagonal"): 336,
+                        ("full", "overlap"): 72}
 
 
 def test_diagonal_bound_matches_vertex_enumeration():
@@ -725,7 +831,7 @@ def test_infeasible_outcome_reports_finite_floor():
     assert out.best_residual >= _INFEASIBLE_FLOOR
     assert out.best_residual == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert out.decided_by == "bound"
-    assert out.restarts_used == 0 and out.iterations == 0
+    assert out.iterations == 0
 
 
 def test_duplicate_ket_pattern_merges_before_deciding():
@@ -912,15 +1018,15 @@ def test_full_system_certifies_disjoint_supports():
     for kets0, kets1 in ((("00",), ("01",)), (("00", "00", "11"), ("01",))):
         out = feasible_full(BasisPattern(kets0), BasisPattern(kets1), cfg)
         assert out == FeasibilityOutcome(
-            FeasibilityStatus.INFEASIBLE, DELTA, restarts_used=0,
-            iterations=0, decided_by="bound")
+            FeasibilityStatus.INFEASIBLE, DELTA, iterations=0,
+            decided_by="bound")
     # a shared ket leaves it to the eq4 bound: the Tr_A off-diagonal of
     # {00,11} is 0, that of {01,10,11} one product of single kets
     out = feasible_full(BasisPattern(("00", "11")),
                         BasisPattern(("01", "10", "11")), cfg)
     assert out == FeasibilityOutcome(
-        FeasibilityStatus.INFEASIBLE, (DELTA - 1e-12) ** 2, restarts_used=0,
-        iterations=0, decided_by="bound")
+        FeasibilityStatus.INFEASIBLE, (DELTA - 1e-12) ** 2, iterations=0,
+        decided_by="bound")
 
 
 @pytest.mark.parametrize("decide, kets0, kets1", [
@@ -939,7 +1045,7 @@ def test_search_without_a_witness_is_inconclusive(monkeypatch, decide,
     assert out.decided_by == "search"
     assert out.witness is None
     assert out.best_residual > FeasibilityConfig().tol
-    assert (out.restarts_used, out.iterations) == (3, 0)
+    assert out.iterations == 0
 
 
 def test_search_is_deterministic():
@@ -963,7 +1069,6 @@ def test_outcome_counts_damped_steps(decide):
     a, b = decide(p0, p1, cfg), decide(p0, p1, cfg)
     assert a.iterations >= cfg.restarts
     assert a.iterations == b.iterations
-    assert a.restarts_used == cfg.restarts
 
 
 def test_seed_changes_search_path_not_verdicts():

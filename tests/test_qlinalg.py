@@ -22,6 +22,7 @@ from oracle import (
 )
 
 ATOL = 1e-12
+SQRT_HALF = math.sqrt(0.5)
 HALF_I = np.eye(2) / 2.0
 NON_FINITE = (math.nan, math.inf, -math.inf, complex(math.inf, math.nan))
 
@@ -185,12 +186,36 @@ def test_unit_rejects_zero_and_non_finite_with_the_numpy_norm(vec, norm):
 @pytest.mark.parametrize("alpha", [
     (5e-324, 0.0), (1e-320, 1e-320j), (3e-310, -4e-310), (1e-300, 1e-320)])
 def test_normalized_never_returns_a_non_unit_pair(alpha):
-    try:  # a subnormal norm keeps as few as 11 significant bits
-        b = QubitState.normalized(*alpha)
-    except ValueError as err:
-        assert "not normalized" in str(err)
-    else:
-        assert abs(abs(b.alpha0) ** 2 + abs(b.alpha1) ** 2 - 1.0) <= NORM_TOL
+    # a subnormal norm keeps as few as 11 significant bits: the pair is
+    # prescaled instead of divided by it
+    b = QubitState.normalized(*alpha)
+    assert abs(abs(b.alpha0) ** 2 + abs(b.alpha1) ** 2 - 1.0) <= NORM_TOL
+
+
+@pytest.mark.parametrize("alpha, expected", [
+    ((1e-320, 1e-320j), (SQRT_HALF, SQRT_HALF * 1j)),   # subnormal norm
+    ((complex(1.5e308, 1.5e308), 0.0),                  # |alpha0| overflows
+     (complex(SQRT_HALF, SQRT_HALF), 0.0)),
+    ((1e200, -1e200j), (SQRT_HALF, -SQRT_HALF * 1j)),   # the norm overflows
+    ((5e-324, 0.0), (1.0, 0.0)),                        # 1 / norm overflows
+])
+def test_normalized_normalizes_finite_pairs_of_any_magnitude(alpha,
+                                                             expected):
+    b = QubitState.normalized(*alpha)
+    np.testing.assert_allclose(b.vec, expected, rtol=1e-15, atol=0.0)
+    assert abs(abs(b.alpha0) ** 2 + abs(b.alpha1) ** 2 - 1.0) <= NORM_TOL
+    assert type(b.alpha0) is type(b.alpha1) is complex
+
+
+@pytest.mark.parametrize("alpha", [
+    (0.0, 0.0), (0j, -0.0), (math.inf, 0.0), (1.0, complex(0.0, -math.inf)),
+    (math.nan, 0.0), (1.0, complex(0.0, math.nan)), (0.0, math.nan),
+    (complex(math.inf, math.nan), 1.0), (complex(1e308, 1e308), math.inf),
+    (complex(1.5e308, 1.5e308), math.nan)])
+def test_normalized_rejects_zero_and_non_finite_pairs(alpha):
+    # never an OverflowError, also where |alpha0| is above the float range
+    with pytest.raises(ValueError, match="cannot normalize"):
+        QubitState.normalized(*alpha)
 
 
 # ---------------------------------------------------------------------------
