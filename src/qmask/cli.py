@@ -37,11 +37,12 @@ class InputError(Exception):
 
 
 def _tolerance(text: str) -> float:
-    """argparse type of ``--tol``: a finite positive number."""
+    """argparse type of ``--tol``: a number `conditions._check_tol` takes."""
     value = float(text)
-    if not 0.0 < value < math.inf:  # also rejects nan
-        raise argparse.ArgumentTypeError(
-            f"must be finite and positive, got {text!r}")
+    try:
+        conditions._check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return value
 
 

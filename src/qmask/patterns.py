@@ -9,11 +9,11 @@ full masking system with a non-orthogonality constraint).  Both systems
 decide a pair the same way: a certified lower bound first, chiefly the
 widest gap between the two patterns' ranges of four linear functions of
 the squared moduli (for the full system, also the overlap of disjoint
-or entangled supports).  The pairs the bound leaves open go to a seeded
-random-restart damped least-squares search with an analytic Jacobian,
-which looks for a witness.  The support scan decides only the
-differing-support pairs the bound leaves open, each violation with its
-own witness.
+or entangled supports), read from one cached profile per ket multiset.
+The pairs the bound leaves open go to a seeded random-restart damped
+least-squares search with an analytic Jacobian, which looks for a
+witness.  The support scan decides only the differing-support pairs the
+bound leaves open, each violation with its own witness.
 
 Outcomes are three-way: Feasible carries an independently re-verified
 witness; Infeasible is always a certificate, a bound at or above a
@@ -23,6 +23,7 @@ Identical config seeds give bit-identical outcomes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -405,9 +406,35 @@ def _minimize_batch(system: _PairSystem, theta: np.ndarray, iters: int,
 #: products c_i c_j*
 _OFF_DIAGONAL = (((0, 2), (1, 3)), ((0, 1), (2, 3)))
 
+#: the two-ket supports of a maximally entangled state
+_ENTANGLED = (frozenset({"00", "11"}), frozenset({"01", "10"}))
 
-def _diagonal_distance(counts0: list[int], counts1: list[int],
-                       floor: float) -> float:
+
+@functools.cache
+def _profile(counts: tuple[int, ...], floor: float) -> tuple:
+    """What both bounds read of a ket multiset (n00, n01, n10, n11) at a
+    single-ket floor on moduli^2: the four axis ranges of
+    `_diagonal_distance`; each `_OFF_DIAGONAL` entry's listed products,
+    as n_i n_j ((1,) is one product of single kets); and bit masks over
+    `_ENTANGLED`: support inside pair i, a ket outside it listed once."""
+    lo = [floor if n == 1 else 0.0 for n in counts]
+    rest = 1.0 - sum(lo)
+    x0, y0 = lo[0] + lo[1], lo[0] + lo[2]
+    # e_k adds to X when ket k is 00 or 01, to Y when it is 00 or 10
+    corners = [(x0 + rest * (k < 2), y0 + rest * (k % 2 == 0))
+               for k in range(4) if counts[k]]
+    axes = zip(*((x, y, (x + y) / 2, (x - y) / 2) for x, y in corners))
+    products = tuple(tuple(counts[i] * counts[j] for i, j in pairs
+                           if counts[i] and counts[j])
+                     for pairs in _OFF_DIAGONAL)
+    outside = [[n for k, n in zip(KET_LABELS, counts) if k not in pair]
+               for pair in _ENTANGLED]
+    return (tuple((min(v), max(v)) for v in axes), products,
+            sum((not any(o)) << i for i, o in enumerate(outside)),
+            sum((1 in o) << i for i, o in enumerate(outside)))
+
+
+def _diagonal_distance(counts0, counts1, floor: float) -> float:
     """L-infinity distance between two patterns' sets of diagonals (X, Y).
 
     X = m00 + m01 and Y = m00 + m10 for merged moduli^2 m with sum 1,
@@ -418,20 +445,22 @@ def _diagonal_distance(counts0: list[int], counts1: list[int],
     X-Y only.  The widest gap between the patterns' ranges of X, Y,
     (X+Y)/2 and (X-Y)/2 (unit L1 normals) is thus the exact distance.
     """
-    ranges = []
-    for counts in (counts0, counts1):
-        lo = [floor if n == 1 else 0.0 for n in counts]
-        rest = 1.0 - sum(lo)
-        x0, y0 = lo[0] + lo[1], lo[0] + lo[2]
-        # e_k adds to X when ket k is 00 or 01, to Y when it is 00 or 10
-        corners = [(x0 + rest * (k < 2), y0 + rest * (k % 2 == 0))
-                   for k in range(4) if counts[k]]
-        axes = zip(*((x, y, (x + y) / 2, (x - y) / 2) for x, y in corners))
-        ranges.append([(min(v), max(v)) for v in axes])
     gap = 0.0
-    for (lo0, hi0), (lo1, hi1) in zip(*ranges):
+    for (lo0, hi0), (lo1, hi1) in zip(_profile(tuple(counts0), floor)[0],
+                                      _profile(tuple(counts1), floor)[0]):
         gap = max(gap, lo0 - hi1, lo1 - hi0)
     return gap
+
+
+def _eq4_gap(p0: BasisPattern, p1: BasisPattern, floor: float):
+    """`_eq4_bound` / sqrt(2) and the two patterns' `_profile`s."""
+    c0, c1 = (tuple(map(p.kets.count, KET_LABELS)) for p in (p0, p1))
+    prof0, prof1 = _profile(c0, floor), _profile(c1, floor)
+    bound = _diagonal_distance(c0, c1, floor)
+    for terms in zip(prof0[1], prof1[1]):
+        if () in terms and (1,) in terms:
+            bound = max(bound, floor)
+    return bound, prof0, prof1
 
 
 def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
@@ -444,21 +473,9 @@ def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
     (a) |d| >= `_diagonal_distance`, from four axis ranges per pattern.
     (b) |o| >= (delta - _CHECK_SLACK)^2 when one side's entry is a
     single product of two single kets and the other's is 0.
+    Both read one cached `_profile` per ket multiset.
     """
-    floor = (delta - _CHECK_SLACK) ** 2
-    counts = [[p.kets.count(k) for k in KET_LABELS] for p in (p0, p1)]
-    bound = _diagonal_distance(*counts, floor)
-    for pairs in _OFF_DIAGONAL:
-        # the listed products of each side; [1] is one product of singles
-        terms = [[c[i] * c[j] for i, j in pairs if c[i] and c[j]]
-                 for c in counts]
-        if [] in terms and [1] in terms:
-            bound = max(bound, floor)
-    return math.sqrt(2.0) * bound
-
-
-#: the two-ket supports of a maximally entangled state
-_ENTANGLED = (frozenset({"00", "11"}), frozenset({"01", "10"}))
+    return math.sqrt(2.0) * _eq4_gap(p0, p1, (delta - _CHECK_SLACK) ** 2)[0]
 
 
 def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
@@ -482,14 +499,14 @@ def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
       eps (2 + (1 + sqrt(2)) / |q|), and |w|, |q| >= f give the bound.
       X_B, the qubit swap and exchanging the states keep every residual
       and |w|, which covers {01,10}, a single 10 and either order.
+    Both clauses read one cached `_profile` per ket multiset.
     """
     if not p0.support & p1.support:
         return delta
-    bound = _eq4_bound(p0, p1, delta) / math.sqrt(2.0)
-    if any(a.support <= pair and any(b.kets.count(k) == 1
-                                     for k in set(KET_LABELS) - pair)
-           for a, b in ((p0, p1), (p1, p0)) for pair in _ENTANGLED):
-        f = delta - _CHECK_SLACK
+    f = delta - _CHECK_SLACK
+    gap, prof0, prof1 = _eq4_gap(p0, p1, f ** 2)
+    bound = math.sqrt(2.0) * gap / math.sqrt(2.0)  # _eq4_bound / sqrt(2)
+    if prof0[2] & prof1[3] or prof1[2] & prof0[3]:
         bound = max(bound, f * f / (2.0 * f + 1.0 + math.sqrt(2.0)))
     return bound
 

@@ -92,7 +92,7 @@ class TwoQubitState:
         norm could leave the normal float range, ``vec`` is `_prescaled`
         first, so every finite nonzero vector normalizes.
         """
-        v = w = np.asarray(vec, dtype=np.complex128).reshape(4)
+        v = w = _complex_array(vec).reshape(4)
         c0, c1, c2, c3 = v.tolist()
         try:
             total = abs(c0) + abs(c1) + abs(c2) + abs(c3)
@@ -116,10 +116,19 @@ def _check_unit(n2: float, what: str) -> None:
         raise ValueError(f"{what} not normalized: squared norm {n2!r}")
 
 
+def _complex_array(v) -> np.ndarray:
+    """``v`` as a complex128 array; ``ValueError`` where an entry, such as
+    an int above the float range, has no complex128 value."""
+    try:
+        return np.asarray(v, dtype=np.complex128)
+    except OverflowError as exc:
+        raise ValueError(f"cannot normalize: {exc}") from exc
+
+
 def _prescaled(v) -> np.ndarray:
     """``v`` divided by its largest real or imaginary part, so that its
     squared norm is normal; ``ValueError`` for zero, inf or nan."""
-    v = np.asarray(v, dtype=np.complex128)
+    v = _complex_array(v)
     big = np.maximum(np.abs(v.real), np.abs(v.imag)).max()  # keeps a nan
     if not 0.0 < big < math.inf:  # zero, inf or nan
         with np.errstate(over="ignore"):  # finite parts beside an inf

@@ -514,6 +514,27 @@ def test_entangled_support_identities_hold_exactly():
     assert sp.expand(q * (a * c(p) - c(d) * s) - (a * c(F) - E * s)) == 0
 
 
+def test_masking_partner_shares_both_marginals_exactly():
+    # for M = [[a, b], [c, d]] and N = M - 2 det(M) [[d*, -c*], [-b*, a*]]:
+    # N N^dag - (1 - 4|det M|^2) M M^dag = 4|det M|^2 (||M||^2 - 1) I, and
+    # the same for N^dag N, so at unit norm N / sqrt(1 - C^2), C = 2|det M|,
+    # has both marginals of M; and tr(M^dag N) is real
+    import sympy as sp
+
+    a, b, c, d = (sp.Symbol(f"{n}r", real=True)
+                  + sp.I * sp.Symbol(f"{n}i", real=True) for n in "abcd")
+    M = sp.Matrix([[a, b], [c, d]])
+    det = M.det()
+    N = M - 2 * det * sp.Matrix([[d, -c], [-b, a]]).conjugate()
+    det2 = det * sp.conjugate(det)
+    norm2 = sum(x * sp.conjugate(x) for x in (a, b, c, d))
+    for NN, MM in ((N * N.H, M * M.H), (N.H * N, M.H * M)):
+        gap = NN - (1 - 4 * det2) * MM - 4 * det2 * (norm2 - 1) * sp.eye(2)
+        assert sp.expand(gap) == sp.zeros(2, 2)
+    overlap = (M.H * N).trace()
+    assert sp.expand(overlap - sp.conjugate(overlap)) == 0
+
+
 def test_entangled_support_bound_holds_on_random_states():
     # the clause's inequality |w| <= eps (2 + (1 + sqrt(2)) / |q|), eps the
     # largest masks_state residual at |+>, for Psi0 on {00,11} or {01,10}
@@ -781,13 +802,15 @@ def test_every_bound_clause_sides_with_its_exact_value():
                         ("full", "overlap"): 72}
 
 
+#: some multisets in another ket order than `_MULTISETS`
+_PERMUTED = [("01", "00"), ("10", "00", "01"), ("11", "00"),
+             ("10", "01", "00"), ("00", "11", "00"), ("01", "10", "01", "00")]
+
+
 def test_diagonal_bound_matches_vertex_enumeration():
     # the 69 sorted multisets, plus some in another ket order
-    permuted = [("01", "00"), ("10", "00", "01"), ("11", "00"),
-                ("10", "01", "00"), ("00", "11", "00"),
-                ("01", "10", "01", "00")]
     floor = (DELTA - 1e-12) ** 2
-    for kets0, kets1 in itertools.product(_MULTISETS + permuted, repeat=2):
+    for kets0, kets1 in itertools.product(_MULTISETS + _PERMUTED, repeat=2):
         counts = [_counts(kets0), _counts(kets1)]
         oracle = _pairwise_linf_distance(*(_vertex_polygon(c, floor)
                                            for c in counts))
@@ -800,6 +823,83 @@ def test_diagonal_bound_matches_vertex_enumeration():
         if bound > math.sqrt(2.0) * floor:
             assert bound == pytest.approx(math.sqrt(2.0) * oracle,
                                           abs=1e-15)
+
+
+def _uncached_diagonal_distance(counts0, counts1, floor):
+    """`_diagonal_distance` as computed per call, before its ranges were
+    cached per ket multiset."""
+    ranges = []
+    for counts in (counts0, counts1):
+        lo = [floor if n == 1 else 0.0 for n in counts]
+        rest = 1.0 - sum(lo)
+        x0, y0 = lo[0] + lo[1], lo[0] + lo[2]
+        corners = [(x0 + rest * (k < 2), y0 + rest * (k % 2 == 0))
+                   for k in range(4) if counts[k]]
+        axes = zip(*((x, y, (x + y) / 2, (x - y) / 2) for x, y in corners))
+        ranges.append([(min(v), max(v)) for v in axes])
+    gap = 0.0
+    for (lo0, hi0), (lo1, hi1) in zip(*ranges):
+        gap = max(gap, lo0 - hi1, lo1 - hi0)
+    return gap
+
+
+def _uncached_eq4_bound(p0, p1, delta):
+    floor = (delta - 1e-12) ** 2
+    counts = [[p.kets.count(k) for k in KET_LABELS] for p in (p0, p1)]
+    bound = _uncached_diagonal_distance(*counts, floor)
+    for pairs in (((0, 2), (1, 3)), ((0, 1), (2, 3))):
+        terms = [[c[i] * c[j] for i, j in pairs if c[i] and c[j]]
+                 for c in counts]
+        if [] in terms and [1] in terms:
+            bound = max(bound, floor)
+    return math.sqrt(2.0) * bound
+
+
+def _uncached_full_bound(p0, p1, delta):
+    if not p0.support & p1.support:
+        return delta
+    bound = _uncached_eq4_bound(p0, p1, delta) / math.sqrt(2.0)
+    if any(a.support <= pair and any(b.kets.count(k) == 1
+                                     for k in set(KET_LABELS) - pair)
+           for a, b in ((p0, p1), (p1, p0))
+           for pair in (frozenset({"00", "11"}), frozenset({"01", "10"}))):
+        f = delta - 1e-12
+        bound = max(bound, f * f / (2.0 * f + 1.0 + math.sqrt(2.0)))
+    return bound
+
+
+@pytest.mark.parametrize("delta", [DELTA, 0.25])
+def test_cached_bounds_equal_the_per_call_computation_bit_for_bit(delta):
+    # every ordered pair of the 69 sorted multisets and of `_PERMUTED`; a
+    # second delta checks that no profile is read at another floor
+    floor = (delta - 1e-12) ** 2
+    kets = _MULTISETS + _PERMUTED
+    pats = [BasisPattern(k) for k in kets]
+    for (k0, p0), (k1, p1) in itertools.product(zip(kets, pats), repeat=2):
+        counts = _counts(k0), _counts(k1)
+        assert _diagonal_distance(*counts, floor) \
+            == _uncached_diagonal_distance(*counts, floor), (k0, k1)
+        assert _eq4_bound(p0, p1, delta) \
+            == _uncached_eq4_bound(p0, p1, delta), (k0, k1)
+        assert _full_bound(p0, p1, delta) \
+            == _uncached_full_bound(p0, p1, delta), (k0, k1)
+
+
+def test_bounds_cache_one_profile_per_ket_multiset():
+    # a table run and a scan, from an empty cache, compute each multiset's
+    # profile once: at most the 69 multisets at the one floor
+    cfg = FeasibilityConfig(restarts=1, seed=42)
+    rows = load_table_fixture()
+    multisets = {tuple(_counts(kets)) for row in rows
+                 for kets in (row.psi0_kets, row.psi1_kets)}
+    multisets |= {tuple(_counts(p.kets)) for p in duplicate_free_patterns()}
+    patterns._profile.cache_clear()
+    reproduce_tables((1, 2, 3, 4), cfg)
+    support_theorem_scan(cfg)
+    info = patterns._profile.cache_info()
+    assert info.currsize == info.misses == len(multisets) <= 69
+    reproduce_tables((1, 2, 3, 4), cfg)
+    assert patterns._profile.cache_info().misses == info.misses
 
 
 # ---------------------------------------------------------------------------

@@ -211,11 +211,18 @@ def test_normalized_normalizes_finite_pairs_of_any_magnitude(alpha,
     (0.0, 0.0), (0j, -0.0), (math.inf, 0.0), (1.0, complex(0.0, -math.inf)),
     (math.nan, 0.0), (1.0, complex(0.0, math.nan)), (0.0, math.nan),
     (complex(math.inf, math.nan), 1.0), (complex(1e308, 1e308), math.inf),
-    (complex(1.5e308, 1.5e308), math.nan)])
+    (complex(1.5e308, 1.5e308), math.nan), (10 ** 400, 0), (1, -10 ** 400)])
 def test_normalized_rejects_zero_and_non_finite_pairs(alpha):
     # never an OverflowError, also where |alpha0| is above the float range
+    # or an int has no float value
     with pytest.raises(ValueError, match="cannot normalize"):
         QubitState.normalized(*alpha)
+
+
+@pytest.mark.parametrize("vec", [[10 ** 400, 0, 0, 0], (0, 1j, -10 ** 400, 0)])
+def test_unit_rejects_ints_above_the_float_range(vec):
+    with pytest.raises(ValueError, match="cannot normalize: int too large"):
+        TwoQubitState.unit(vec)
 
 
 # ---------------------------------------------------------------------------
