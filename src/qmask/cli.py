@@ -81,15 +81,6 @@ def _load_amplitudes(path, expected_len: int) -> np.ndarray:
     return vec
 
 
-def _load_qubit(path) -> QubitState:
-    vec = _load_amplitudes(path, 2)
-    return QubitState.normalized(complex(vec[0]), complex(vec[1]))
-
-
-def _load_two_qubit(path) -> TwoQubitState:
-    return TwoQubitState.unit(_load_amplitudes(path, 4))
-
-
 def _state_dict(vec: np.ndarray) -> dict:
     return {"re": [float(v.real) for v in vec],
             "im": [float(v.imag) for v in vec]}
@@ -123,9 +114,9 @@ def _report_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_check(args) -> int:
-    b = _load_qubit(args.b)
-    psi0 = _load_two_qubit(args.psi0)
-    psi1 = _load_two_qubit(args.psi1)
+    b = QubitState.normalized(*_load_amplitudes(args.b, 2).tolist())
+    psi0 = TwoQubitState.unit(_load_amplitudes(args.psi0, 4))
+    psi1 = TwoQubitState.unit(_load_amplitudes(args.psi1, 4))
     report = conditions.masks_state(b, psi0, psi1, tol=args.tol)
     payload = {k: _jsonable(v)
                for k, v in dataclasses.asdict(report).items()}
@@ -166,7 +157,7 @@ def cmd_tables(args) -> int:
     cfg = patterns.FeasibilityConfig(restarts=args.restarts, seed=args.seed)
     try:
         results = patterns.reproduce_tables(
-            [args.table] if args.table else [1, 2, 3, 4], cfg)
+            [args.table] if args.table else patterns.TABLES, cfg)
     except (FileNotFoundError, ValueError) as exc:
         raise InputError(f"table fixture: {exc}") from exc
     rows = [_row_dict(r) for r in results]
@@ -189,16 +180,16 @@ def cmd_surface(args) -> int:
         points = ortho.sample_example1(args.grid, args.branch, args.tol)
     else:
         points = ortho.sample_example2(args.grid, args.tol)
+    summary = f"kept {len(points)} of {args.grid ** 3} grid points"
     if args.out:
         try:
             ortho.write_surface_csv(points, args.out)
         except OSError as exc:
             raise InputError(f"{args.out}: {exc}") from exc
-        print(f"kept {len(points)} of {args.grid ** 3} grid points")
+        print(summary)
     else:
         ortho.write_surface_csv(points, sys.stdout)
-        print(f"kept {len(points)} of {args.grid ** 3} grid points",
-              file=sys.stderr)
+        print(summary, file=sys.stderr)
     return 0
 
 
@@ -227,7 +218,7 @@ def _verify_checks(args):
     cfg = patterns.FeasibilityConfig(restarts=args.restarts, seed=args.seed)
     mismatches = [(res.row.table, res.row.index, res.row.expected,
                    res.outcome.status.value)
-                  for res in patterns.reproduce_tables((1, 2, 3, 4), cfg)
+                  for res in patterns.reproduce_tables(patterns.TABLES, cfg)
                   if not res.agree]
     yield ("tables", not mismatches,
            f"{len(mismatches)} mismatched rows: {mismatches}")
@@ -257,6 +248,13 @@ def cmd_verify(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _add_search_options(p: argparse.ArgumentParser) -> None:
+    """``--restarts`` and ``--seed``, defaulting to `FeasibilityConfig`'s."""
+    defaults = patterns.FeasibilityConfig()
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmask",
@@ -273,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("tables", help="reproduce the bundled verdict tables")
-    p.add_argument("--table", type=int, choices=(1, 2, 3, 4), default=None,
+    p.add_argument("--table", type=int, choices=patterns.TABLES, default=None,
                    help="restrict to one table (default: all)")
-    p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
+    _add_search_options(p)
     p.add_argument("--out", default=None, help="write JSON report here")
     p.set_defaults(func=cmd_tables)
 
@@ -292,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("verify", help="run every built-in claim check")
-    p.add_argument("--restarts", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
+    _add_search_options(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -154,9 +154,12 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
     * the six eq4 lines (marginal equality of Psi0 and Psi1),
     * both eq3 cross-matrix Frobenius norms,
     * the marginal distances between the *renormalized* superposition
-      ``Psi = alpha0 Psi0 + alpha1 Psi1`` and Psi0 (defense in depth:
-      implied by the first two groups for every pair, as a vanishing
-      cross matrix has trace 2 Re(z <Psi1|Psi0>) = 0, so ||Psi|| = 1).
+      ``Psi = alpha0 Psi0 + alpha1 Psi1`` and Psi0.  They are zero
+      wherever the first two groups are exactly zero, as a vanishing
+      cross matrix has trace 2 Re(z <Psi1|Psi0>) = 0, so ||Psi|| = 1.
+      At a tolerance they are not implied: with every other residual
+      at most eps they are bounded only by (2|alpha1|^2 + 1 + sqrt(2))
+      eps / (1 - sqrt(2) eps), so this group alone can fail the verdict.
 
     This is the paper's eq3 system (both cross matrices vanish): exact
     for orthogonal pairs, sufficient but not necessary otherwise.  As

@@ -16,6 +16,7 @@ orthogonal pair to the full 4x4 unitary that realizes the hiding map.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass
@@ -44,10 +45,8 @@ class OrthoPairParams:
     b1: complex
 
     def __post_init__(self):
-        for (u, v), what in (((self.a0, self.a1), "(a0, a1)"),
-                             ((self.b0, self.b1), "(b0, b1)")):
-            # x * x, not x ** 2: a huge amplitude gives inf, not OverflowError
-            _check_unit(abs(u) * abs(u) + abs(v) * abs(v), what)
+        _check_unit((self.a0, self.a1), "(a0, a1)")
+        _check_unit((self.b0, self.b1), "(b0, b1)")
 
     def states(self) -> tuple[TwoQubitState, TwoQubitState]:
         psi0 = TwoQubitState([self.a0, 0.0, 0.0, self.a1])
@@ -301,15 +300,12 @@ def write_surface_csv(points: list[SurfacePoint], path_or_file) -> None:
     Floats are written with ``repr`` (shortest round-trip form).
     """
     if hasattr(path_or_file, "write"):
-        _write_surface_rows(points, path_or_file)
+        target = contextlib.nullcontext(path_or_file)
     else:
-        with open(path_or_file, "w", newline="") as fh:
-            _write_surface_rows(points, fh)
-
-
-def _write_surface_rows(points: list[SurfacePoint], fh) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(SURFACE_CSV_HEADER)
-    for p in points:
-        writer.writerow([repr(c) for c in p.coordinates]
-                        + [repr(p.residual), p.branch])
+        target = open(path_or_file, "w", newline="")
+    with target as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SURFACE_CSV_HEADER)
+        for p in points:
+            writer.writerow([repr(c) for c in p.coordinates]
+                            + [repr(p.residual), p.branch])

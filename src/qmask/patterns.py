@@ -39,6 +39,9 @@ from .qlinalg import QubitState, TwoQubitState
 
 KET_LABELS = ("00", "01", "10", "11")
 
+#: the numbers of the bundled verdict tables
+TABLES = (1, 2, 3, 4)
+
 #: relative inflation of the nonzero floor inside the search, so that
 #: witnesses still clear the exact floor after normalization
 _DELTA_MARGIN = 1e-4
@@ -123,6 +126,11 @@ class FeasibilityStatus(str, Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
+#: the fixture's verdict label of each decided status
+_EXPECTED = {FeasibilityStatus.FEASIBLE: "mask",
+             FeasibilityStatus.INFEASIBLE: "no"}
+
+
 @dataclass(frozen=True)
 class Witness:
     """A verified solution: normalized states plus pre-merge coefficients."""
@@ -178,11 +186,8 @@ class TableRowResult:
 
     @property
     def agree(self) -> bool:
-        if self.outcome.status is FeasibilityStatus.FEASIBLE:
-            return self.row.expected == "mask"
-        if self.outcome.status is FeasibilityStatus.INFEASIBLE:
-            return self.row.expected == "no"
-        return False  # Inconclusive never agrees
+        # Inconclusive has no label, so it never agrees
+        return _EXPECTED.get(self.outcome.status) == self.row.expected
 
 
 @dataclass(frozen=True)
@@ -213,12 +218,8 @@ def assemble(pattern: BasisPattern, coeffs) -> tuple[TwoQubitState, float]:
 
 def duplicate_free_patterns() -> list[BasisPattern]:
     """The 15 duplicate-free patterns, ordered by length then labels."""
-    out = []
-    for mask in range(1, 16):
-        kets = tuple(k for i, k in enumerate(KET_LABELS) if mask >> i & 1)
-        out.append(BasisPattern(kets))
-    out.sort(key=lambda p: (len(p), p.kets))
-    return out
+    return [BasisPattern(kets) for n in range(1, len(KET_LABELS) + 1)
+            for kets in itertools.combinations(KET_LABELS, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +645,8 @@ def load_table_fixture() -> list[TableRow]:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed fixture row {entry!r}") from exc
         # a JSON integer (never a bool), and lists of ket strings
-        if (type(table) is not int or table not in (1, 2, 3, 4)
-                or expected not in ("mask", "no")
+        if (type(table) is not int or table not in TABLES
+                or expected not in _EXPECTED.values()
                 or not all(isinstance(kets, list)
                            and all(isinstance(k, str) for k in kets)
                            for kets in (p0, p1))):
@@ -664,7 +665,7 @@ def reproduce_tables(tables, cfg: FeasibilityConfig) -> list[TableRowResult]:
     Feasible, the certified bound for rows found Infeasible).
     """
     tables = list(tables)
-    if not all(_is_integer(n) and 1 <= n <= 4 for n in tables):
+    if not all(_is_integer(n) and n in TABLES for n in tables):
         raise ValueError(f"tables must be integers 1-4, got {tables!r}")
     return [TableRowResult(row=row, outcome=feasible_eq4(
                 BasisPattern(row.psi0_kets), BasisPattern(row.psi1_kets), cfg))

@@ -38,9 +38,7 @@ class QubitState:
     alpha1: complex
 
     def __post_init__(self):
-        a0, a1 = abs(self.alpha0), abs(self.alpha1)
-        # x * x, not x ** 2: a huge amplitude gives inf, not OverflowError
-        _check_unit(a0 * a0 + a1 * a1, "qubit state")
+        _check_unit((self.alpha0, self.alpha1), "qubit state")
 
     @classmethod
     def normalized(cls, alpha0: complex, alpha1: complex) -> "QubitState":
@@ -74,8 +72,7 @@ class TwoQubitState:
     vec: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vec, dtype=np.complex128).reshape(4)
-        _check_unit(float(np.vdot(v, v).real), "two-qubit state")
+        v = np.array(_check_unit(self.vec, "two-qubit state")).reshape(4)
         v.flags.writeable = False
         object.__setattr__(self, "vec", v)
 
@@ -110,10 +107,14 @@ class TwoQubitState:
         return state
 
 
-def _check_unit(n2: float, what: str) -> None:
-    """Raise ``ValueError`` unless the squared norm ``n2`` is 1 to NORM_TOL."""
+def _check_unit(amplitudes, what: str) -> np.ndarray:
+    """``amplitudes`` as a complex128 array (`_complex_array`); raise
+    ``ValueError`` unless their squared norm is 1 to NORM_TOL."""
+    v = _complex_array(amplitudes)
+    n2 = float(np.vdot(v, v).real)  # inf, not an error, past the float range
     if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
         raise ValueError(f"{what} not normalized: squared norm {n2!r}")
+    return v
 
 
 def _complex_array(v) -> np.ndarray:

@@ -309,6 +309,78 @@ def test_verify_reports_failing_bundled_claims(capsys):
     assert by_name["eq17-spot-check"] == "ok"
 
 
+# golden output, recorded before the search defaults, the table numbers
+# and the unit check each got one home; verify prints no search residual
+VERIFY_STDOUT = (
+    "FAIL example1-fixed-point: max residual 3.837e-01\n"
+    "ok   eq9-spot-check: line residuals ('1.110e-16', '0.000e+00', "
+    "'0.000e+00')\n"
+    "ok   eq17-spot-check: on-circle 0.000e+00, off-circle 9.706e-02\n"
+    "FAIL tables: 15 mismatched rows: [(3, 6, 'no', 'Feasible'), (3, 7, "
+    "'no', 'Feasible'), (3, 8, 'no', 'Feasible'), (3, 13, 'no', "
+    "'Feasible'), (3, 16, 'no', 'Feasible'), (3, 21, 'no', 'Feasible'), "
+    "(3, 24, 'no', 'Feasible'), (3, 30, 'no', 'Feasible'), (3, 32, 'no', "
+    "'Feasible'), (4, 4, 'no', 'Feasible'), (4, 5, 'no', 'Feasible'), "
+    "(4, 6, 'no', 'Feasible'), (4, 7, 'no', 'Feasible'), (4, 8, 'no', "
+    "'Feasible'), (4, 12, 'no', 'Feasible')]\n"
+    "FAIL support-scan: 16 feasible differing-support pairs: [(('00', "
+    "'01', '10'), ('00', '01', '11')), (('00', '01', '10'), ('00', '10', "
+    "'11')), (('00', '01', '10'), ('00', '01', '10', '11')), (('00', "
+    "'01', '11'), ('00', '01', '10')), (('00', '01', '11'), ('01', '10', "
+    "'11')), (('00', '01', '11'), ('00', '01', '10', '11')), (('00', "
+    "'10', '11'), ('00', '01', '10')), (('00', '10', '11'), ('01', '10', "
+    "'11')), (('00', '10', '11'), ('00', '01', '10', '11')), (('01', "
+    "'10', '11'), ('00', '01', '11')), (('01', '10', '11'), ('00', '10', "
+    "'11')), (('01', '10', '11'), ('00', '01', '10', '11')), (('00', "
+    "'01', '10', '11'), ('00', '01', '10')), (('00', '01', '10', '11'), "
+    "('00', '01', '11')), (('00', '01', '10', '11'), ('00', '10', "
+    "'11')), (('00', '01', '10', '11'), ('01', '10', '11'))]\n"
+    "2/5 checks passed\n"
+)
+
+
+def test_verify_stdout_is_golden(capsys):
+    assert main(["verify", "--restarts", "10", "--seed", "42"]) == 1
+    assert capsys.readouterr().out == VERIFY_STDOUT
+
+
+#: sha256 of the ``tables --restarts 10 --seed 42`` JSON with each Feasible
+#: row's search numbers masked, recorded with the verify golden above
+TABLES_MASKED_SHA256 = (
+    "44e396d9096b9ba46f517b78b91e7b760a13ef8e8e0db9cc91719d4cf0199c5c")
+
+
+def test_tables_json_is_golden_up_to_the_search_numbers(tmp_path, capsys):
+    # a Feasible row's best residual and witness are what the damped
+    # least-squares search converged to, so they may move in the last
+    # bits with the LAPACK build; every other byte is pinned
+    out = tmp_path / "tables.json"
+    argv = ["tables", "--restarts", "10", "--seed", "42", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "")
+    raw = out.read_text()
+    report = json.loads(raw)
+    assert json.dumps(report, indent=1, sort_keys=True) + "\n" == raw
+    assert (report["row_count"], report["mismatch_count"]) == (106, 15)
+    feasible = [r for r in report["rows"] if r["status"] == "Feasible"]
+    assert len(feasible) == 30
+    for row in feasible:
+        row["best_residual"] = row["witness"] = "masked"
+    masked = json.dumps(report, indent=1, sort_keys=True) + "\n"
+    assert hashlib.sha256(masked.encode()).hexdigest() == TABLES_MASKED_SHA256
+
+
+@pytest.mark.parametrize("command", ["tables", "verify"])
+def test_search_options_default_to_the_config(command):
+    from qmask.cli import build_parser
+    from qmask.patterns import FeasibilityConfig
+
+    args = build_parser().parse_args([command])
+    defaults = FeasibilityConfig()
+    assert (args.restarts, args.seed) == (defaults.restarts, defaults.seed)
+    assert (args.restarts, args.seed) == (200, 42)
+
+
 # ---------------------------------------------------------------------------
 # --tol
 # ---------------------------------------------------------------------------

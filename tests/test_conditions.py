@@ -361,6 +361,79 @@ def _reference(b, psi0, psi1, tol=1e-9):
             all(r <= tol for r in residuals), every)
 
 
+# A triple from the example-1 pair at ~1e-10 from masking: every eq4 line
+# and both cross norms are <= 1e-9 (at most 6.6e-10), but the
+# superposition residuals (1.6e-9) are not, so the verdict is False
+# through that group alone
+NEAR_B = QubitState(complex(0.25717120989390235, -0.07283801425596326),
+                    complex(-0.4699102688739829, 0.8412739932315366))
+NEAR_PSI0 = TwoQubitState([
+    complex(0.7071067811795778, 2.3430495866722693e-10),
+    complex(7.51821381398108e-11, 8.42628887565989e-11),
+    complex(-3.407875625292297e-10, -3.623673848181038e-10),
+    complex(-6.601648255120379e-10, 0.7071067811935171)])
+NEAR_PSI1 = TwoQubitState([
+    complex(4.6100831108094526e-10, 1.4013369148213546e-10),
+    complex(0.707106780780869, -2.406415991088984e-10),
+    complex(0.7071067815922263, 2.586623901116933e-10),
+    complex(1.598601247928132e-10, 3.473165016452625e-11)])
+
+
+def test_superposition_residuals_can_fail_the_verdict_alone():
+    report = masks_state(NEAR_B, NEAR_PSI0, NEAR_PSI1)
+    eps = max(*report.eq4_residuals, report.crossA_norm, report.crossB_norm)
+    assert eps <= 6.6e-10
+    assert min(report.superposition_residuals) >= 1.5e-9
+    assert not report.verdict
+    assert masks_state(NEAR_B, NEAR_PSI0, NEAR_PSI1, tol=2e-9).verdict
+    # the 4x4 oracle agrees: the group is not a rounding artifact
+    residuals, *_, verdict, _ = _reference(NEAR_B, NEAR_PSI0, NEAR_PSI1)
+    assert not verdict
+    assert max(residuals[:8]) <= 6.6e-10
+    assert min(residuals[8:]) >= 1.5e-9
+
+
+def _rephased_pair(rng):
+    """(b, Psi0, Psi1) with Psi1 = e^{i(arg z + pi/2)} Psi0: an
+    overlapping pair whose cross matrices vanish at b."""
+    b = _qubit(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    psi0 = _unit(rng.standard_normal(4) + 1j * rng.standard_normal(4))
+    z = b.alpha0 * b.alpha1.conjugate()
+    phase = 1j * z / abs(z) if z else 1.0
+    return b, psi0, _unit(phase * psi0.vec)
+
+
+@seed(29)
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       kind=st.integers(min_value=0, max_value=2),
+       kick=st.lists(amp, min_size=10, max_size=10),
+       digits=st.floats(min_value=1.0, max_value=16.0))
+def test_superposition_residuals_are_bounded_by_the_other_groups(
+        k, kind, kick, digits):
+    # The superposition's x-marginal is rho_0 - |alpha1|^2 D + C, with D
+    # the pair's marginal gap (||D||_F <= 2 eps by the eq4 lines) and C
+    # the cross matrix (||C||_F <= eps, so |Tr C| <= sqrt(2) eps).  As
+    # ||Psi||^2 = 1 + Tr C, renormalizing gives the bound below for eps
+    # the largest eq4 line or cross norm: checked on masking triples
+    # (two orthogonal families and one overlapping) moved by 10^-digits
+    rng = np.random.default_rng(k)
+    if kind < 2:
+        b, psi0, psi1, _ = list(_seeded_triples(rng, 2))[kind]
+    else:
+        b, psi0, psi1 = _rephased_pair(rng)
+    step = 10.0 ** -digits * np.array(kick)
+    b = _qubit(b.vec + step[:2])
+    psi0, psi1 = _unit(psi0.vec + step[2:6]), _unit(psi1.vec + step[6:])
+    reference = _reference(b, psi0, psi1)[0]
+    for residuals in (reference, masks_state(b, psi0, psi1).residuals()):
+        eps = max(residuals[:8])
+        assume(math.sqrt(2.0) * eps < 1.0)
+        bound = ((2.0 * abs(b.alpha1) ** 2 + 1.0 + math.sqrt(2.0)) * eps
+                 / (1.0 - math.sqrt(2.0) * eps))
+        assert max(residuals[8:]) <= bound + 1e-15
+
+
 def test_triple_results_do_not_depend_on_call_order():
     triples = list(_seeded_triples(np.random.default_rng(2025), 200))
 

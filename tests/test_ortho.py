@@ -52,6 +52,19 @@ def test_ortho_pair_params_rejects_non_unit_rows():
         ortho.OrthoPairParams(1.0, 1.0, SQRT_HALF, SQRT_HALF)
     with pytest.raises(ValueError):  # |a0|^2 overflows to inf
         ortho.OrthoPairParams(1e200, 0.0, 1.0, 0.0)
+    # an int above the float range: ValueError, never OverflowError
+    for coeffs in ((10 ** 400, 0, 1, 0), (1, 0, 0, -10 ** 400)):
+        with pytest.raises(ValueError, match="int too large"):
+            ortho.OrthoPairParams(*coeffs)
+
+
+def test_ortho_pair_params_keeps_ordinary_inputs():
+    p = ortho.OrthoPairParams(SQRT_HALF, SQRT_HALF * 1j, 1, 0)
+    assert (p.a0, p.a1, p.b0, p.b1) == (SQRT_HALF, SQRT_HALF * 1j, 1, 0)
+    assert type(p.b0) is int
+    psi0, psi1 = p.states()
+    assert psi0.vec.tolist() == [SQRT_HALF, 0.0, 0.0, SQRT_HALF * 1j]
+    assert psi1.vec.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

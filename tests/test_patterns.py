@@ -87,6 +87,12 @@ def test_duplicate_free_patterns_enumeration():
     assert sizes.count(1) == 4 and sizes.count(2) == 6
     assert sizes.count(3) == 4 and sizes.count(4) == 1
     assert len({p.kets for p in pats}) == 15
+    # the order of a loop over the 15 ket bitmasks, sorted by length
+    # then labels
+    masks = (tuple(k for i, k in enumerate(KET_LABELS) if m >> i & 1)
+             for m in range(1, 16))
+    expected = sorted(masks, key=lambda kets: (len(kets), kets))
+    assert [p.kets for p in pats] == expected
 
 
 def test_config_validation():
@@ -118,6 +124,7 @@ def test_fixture_row_counts():
     rows = load_table_fixture()
     per_table = {n: [r for r in rows if r.table == n] for n in (1, 2, 3, 4)}
     assert [len(per_table[n]) for n in (1, 2, 3, 4)] == [16, 42, 32, 16]
+    assert patterns.TABLES == tuple(sorted({r.table for r in rows}))
     masks = {n: sum(r.expected == "mask" for r in per_table[n])
              for n in (1, 2, 3, 4)}
     assert masks == {1: 4, 2: 6, 3: 4, 4: 1}

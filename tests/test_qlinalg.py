@@ -225,6 +225,33 @@ def test_unit_rejects_ints_above_the_float_range(vec):
         TwoQubitState.unit(vec)
 
 
+@pytest.mark.parametrize("make, args", [
+    (QubitState, (10 ** 400, 0)),
+    (QubitState, (1j, -10 ** 400)),
+    (TwoQubitState, ([10 ** 400, 0, 0, 0],)),
+    (TwoQubitState.from_vec, ((0, 1, 0, 10 ** 400),)),
+], ids=["qubit-alpha0", "qubit-alpha1", "two-qubit", "two-qubit-from-vec"])
+def test_constructors_reject_ints_above_the_float_range(make, args):
+    # a ValueError, never an OverflowError, as from normalized and unit
+    with pytest.raises(ValueError, match="int too large"):
+        make(*args)
+
+
+def test_constructors_keep_ordinary_inputs():
+    b = QubitState(0.6, 0.8j)
+    assert (b.alpha0, b.alpha1) == (0.6, 0.8j)
+    assert type(b.alpha0) is float and type(b.alpha1) is complex
+    assert QubitState(1, 0).alpha0 == 1
+    vec = [SQRT_HALF, 0.0, 0.5j, complex(-0.5, 0.0)]
+    s = TwoQubitState(vec)
+    assert s.vec.dtype == np.complex128 and s.vec.shape == (4,)
+    assert s.vec.tolist() == vec
+    with pytest.raises(ValueError, match="qubit state not normalized"):
+        QubitState(1.0, 1e-6)
+    with pytest.raises(ValueError, match="two-qubit state not normalized"):
+        TwoQubitState([1.0, 0.0, 0.0, 1e-6])
+
+
 # ---------------------------------------------------------------------------
 # partial traces: frozen small cases
 # ---------------------------------------------------------------------------
