@@ -147,13 +147,12 @@ class Witness:
 class FeasibilityOutcome:
     """A decision and how it was reached.
 
-    ``decided_by`` is ``"bound"`` when a certificate alone proved the
-    pair Infeasible, and ``iterations`` is then 0.
-    ``best_residual`` is then the bound, a number no admissible
-    coefficient choice gets below: the largest marginal distance for eq4,
-    the largest `conditions.masks_state` residual for the full system
-    (see `_full_bound`).  Every other outcome is ``"search"``, Feasible
-    or Inconclusive: ``best_residual`` is the smallest re-verified
+    Infeasible is always a certificate: ``best_residual`` is then the
+    bound, a number no admissible coefficient choice gets below (the
+    largest marginal distance for eq4, the largest
+    `conditions.masks_state` residual for the full system, see
+    `_full_bound`), and ``iterations`` is 0.  Feasible and Inconclusive
+    come from the search: ``best_residual`` is the smallest re-verified
     residual over all restarts (`conditions.reduced_pair_residual` or
     `conditions.masks_state`, largest entry), or ``inf`` when no restart
     gave a candidate that meets the floors.  ``iterations`` counts the
@@ -163,9 +162,14 @@ class FeasibilityOutcome:
 
     status: FeasibilityStatus
     best_residual: float
-    iterations: int
-    decided_by: str
+    iterations: int = 0
     witness: Witness | None = None
+
+    @property
+    def decided_by(self) -> str:
+        """``"bound"`` exactly for Infeasible, read off the status."""
+        return ("bound" if self.status is FeasibilityStatus.INFEASIBLE
+                else "search")
 
 
 @dataclass(frozen=True)
@@ -226,11 +230,6 @@ def duplicate_free_patterns() -> list[BasisPattern]:
 # residual systems (batched over restarts)
 # ---------------------------------------------------------------------------
 
-def _complex_slots(theta: np.ndarray, start: int, n: int) -> np.ndarray:
-    """View 2n consecutive reals of theta (..., p) as n complex slots."""
-    return theta[..., start:start + 2 * n].view(np.complex128)
-
-
 #: orthonormal basis of the 2x2 Hermitian matrices
 _PAULI = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0]),
           np.array([[0, 1], [1, 0]]) / math.sqrt(2.0),
@@ -275,9 +274,8 @@ class _PairSystem:
 
     def __init__(self, p0: BasisPattern, p1: BasisPattern,
                  delta: float, full: bool):
-        self.p0, self.p1 = p0, p1
-        self.n0, self.n1 = len(p0), len(p1)
-        self.n = self.n0 + self.n1
+        n0, n1 = len(p0), len(p1)
+        self.n = n0 + n1
         eye = np.eye(4)[None]
         zero = np.zeros_like(eye)
         top = np.concatenate([_LOCAL, eye, zero])
@@ -289,18 +287,16 @@ class _PairSystem:
             O = np.zeros_like(_LOCAL)
             forms.append(np.block([[O, _LOCAL], [_LOCAL, O]]) / 2.0)
             self.unit = np.r_[self.unit, np.zeros(len(_LOCAL))]
-        S = np.block([[p0.slot_matrix(), np.zeros((4, self.n1))],
-                      [np.zeros((4, self.n0)), p1.slot_matrix()]])
+        S = np.block([[p0.slot_matrix(), np.zeros((4, n1))],
+                      [np.zeros((4, n0)), p1.slot_matrix()]])
         self.K = S.T @ np.concatenate(forms) @ S
         self.n_forms = len(self.K)
-        self.full = full
-        self.delta = delta
         self.delta_opt = delta * (1.0 + _DELTA_MARGIN)
         self.n_params = 2 * self.n
 
     def _products(self, theta: np.ndarray):
         """The slots z and K_m z for every matrix of K."""
-        z = np.ascontiguousarray(_complex_slots(theta, 0, self.n))
+        z = theta.view(np.complex128)
         # einsum, not a BLAS matmul: threaded BLAS on these thin products ran
         # the search several times slower on a loaded 2-core host
         return z, np.einsum("mij,...j->...mi", self.K, z)
@@ -317,7 +313,7 @@ class _PairSystem:
         z, Kz = self._products(theta)
         R, f, n = len(theta), self.n_forms, self.n
         J = np.zeros((R, f + n, self.n_params))
-        Jz = _complex_slots(J, 0, n)  # d/dRe + i d/dIm of each slot
+        Jz = J.view(np.complex128)  # d/dRe + i d/dIm of each slot
         Jz[:, :f] = 2.0 * Kz
         # the hinge slope 1/|z_k| where it is active, else 0; finite at 0
         mag = np.abs(z)
@@ -333,7 +329,7 @@ class _PairSystem:
             rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
             mag = 0.35 + 0.5 * rng.random(self.n)
             phase = 2.0 * math.pi * rng.random(self.n)
-            _complex_slots(theta[k], 0, self.n)[:] = mag * np.exp(1j * phase)
+            theta[k].view(np.complex128)[:] = mag * np.exp(1j * phase)
         return theta
 
 
@@ -347,14 +343,13 @@ _LAMBDA_MAX = 1e12       # or damping has grown hopeless
 
 
 def _minimize_batch(system: _PairSystem, theta: np.ndarray, iters: int,
-                    steps: np.ndarray | None = None) -> np.ndarray:
+                    steps: np.ndarray) -> np.ndarray:
     """Damped least squares on every restart row of ``theta`` at once.
 
-    ``steps``, when given, is an (R,) integer array; each row's count of
-    damped steps (accepted or not) is added to it.
+    ``steps`` is an (R,) integer array; each row's count of damped steps
+    (accepted or not) is added to it.
     """
     R, p = theta.shape
-    steps = np.zeros(R, dtype=np.int64) if steps is None else steps
     lam = np.full(R, 1e-3)
     active = np.ones(R, dtype=bool)
     r = system.residuals(theta)
@@ -454,14 +449,15 @@ def _diagonal_distance(counts0, counts1, floor: float) -> float:
 
 
 def _eq4_gap(p0: BasisPattern, p1: BasisPattern, floor: float):
-    """`_eq4_bound` / sqrt(2) and the two patterns' `_profile`s."""
+    """The `_eq4_bound` at a single-ket floor on moduli^2, and the two
+    patterns' `_profile`s, which `_full_bound` reads as well."""
     c0, c1 = (tuple(map(p.kets.count, KET_LABELS)) for p in (p0, p1))
     prof0, prof1 = _profile(c0, floor), _profile(c1, floor)
-    bound = _diagonal_distance(c0, c1, floor)
+    gap = _diagonal_distance(c0, c1, floor)
     for terms in zip(prof0[1], prof1[1]):
         if () in terms and (1,) in terms:
-            bound = max(bound, floor)
-    return bound, prof0, prof1
+            gap = max(gap, floor)
+    return math.sqrt(2.0) * gap, prof0, prof1
 
 
 def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
@@ -476,7 +472,7 @@ def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
     single product of two single kets and the other's is 0.
     Both read one cached `_profile` per ket multiset.
     """
-    return math.sqrt(2.0) * _eq4_gap(p0, p1, (delta - _CHECK_SLACK) ** 2)[0]
+    return _eq4_gap(p0, p1, (delta - _CHECK_SLACK) ** 2)[0]
 
 
 def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
@@ -505,8 +501,8 @@ def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
     if not p0.support & p1.support:
         return delta
     f = delta - _CHECK_SLACK
-    gap, prof0, prof1 = _eq4_gap(p0, p1, f ** 2)
-    bound = math.sqrt(2.0) * gap / math.sqrt(2.0)  # _eq4_bound / sqrt(2)
+    eq4, prof0, prof1 = _eq4_gap(p0, p1, f ** 2)
+    bound = eq4 / math.sqrt(2.0)
     if prof0[2] & prof1[3] or prof1[2] & prof0[3]:
         bound = max(bound, f * f / (2.0 * f + 1.0 + math.sqrt(2.0)))
     return bound
@@ -516,31 +512,33 @@ def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
 # feasibility oracle
 # ---------------------------------------------------------------------------
 
-def _verify_candidate(system: _PairSystem, theta: np.ndarray,
+def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
+                      delta: float, full: bool,
                       ) -> tuple[float, Witness] | None:
-    """Re-check one restart's candidate through `assemble` and `conditions`.
+    """Check one candidate, the complex slots ``z`` of ``p0`` then ``p1``,
+    through `assemble` and `conditions`, whatever proposed it.
 
     Both patterns' slots are rescaled to unit merged norm.  Returns
     (residual, witness) when every |slot| is then >= delta (up to
     _CHECK_SLACK) and, for the full system, the overlap meets the same
     floor; else None.  The residual is the largest marginal distance for
-    eq4 and the largest `masks_state` residual for the full system.
+    eq4 and the largest `masks_state` residual at b = |+> for the full
+    system.
     """
     slots = []
-    for p, start in ((system.p0, 0), (system.p1, 2 * system.n0)):
-        z = _complex_slots(theta, start, len(p))
-        norm = float(np.linalg.norm(p.slot_matrix() @ z))
+    for p, zp in ((p0, z[:len(p0)]), (p1, z[len(p0):])):
+        norm = float(np.linalg.norm(p.slot_matrix() @ zp))
         if norm < 1e-12:
             return None  # the duplicated kets cancel
-        z = z / norm
-        if not (np.abs(z) >= system.delta - _CHECK_SLACK).all():
+        zp = zp / norm
+        if not (np.abs(zp) >= delta - _CHECK_SLACK).all():
             return None
-        slots.append(z)
+        slots.append(zp)
     z0, z1 = slots
-    (psi0, _), (psi1, _) = assemble(system.p0, z0), assemble(system.p1, z1)
-    if system.full:
+    (psi0, _), (psi1, _) = assemble(p0, z0), assemble(p1, z1)
+    if full:
         overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
-        if overlap < system.delta - _CHECK_SLACK:
+        if overlap < delta - _CHECK_SLACK:
             return None
         b = _PLUS
         residual = max(conditions.masks_state(b, psi0, psi1).residuals())
@@ -554,18 +552,19 @@ def _verify_candidate(system: _PairSystem, theta: np.ndarray,
 def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
             full: bool) -> FeasibilityOutcome:
     """A certified bound first (`_full_bound` or `_eq4_bound`): at or
-    above the Infeasible floor it decides alone.  Otherwise the search,
-    which finds a witness (Feasible) or reports Inconclusive."""
+    above the Infeasible floor it decides alone.  Otherwise the search
+    proposes one candidate per restart and `_verify_candidate` decides:
+    a witness (Feasible) or Inconclusive."""
     bound = (_full_bound if full else _eq4_bound)(p0, p1, cfg.delta)
     if bound >= _INFEASIBLE_FLOOR:
-        return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound,
-                                  iterations=0, decided_by="bound")
+        return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound)
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
     steps = np.zeros(cfg.restarts, dtype=np.int64)
     theta = _minimize_batch(system, theta, _ITERS, steps)
     # the first minimum in restart-index order => deterministic
-    checked = filter(None, (_verify_candidate(system, th) for th in theta))
+    checked = filter(None, (_verify_candidate(p0, p1, z, cfg.delta, full)
+                            for z in theta.view(np.complex128)))
     best_residual, best_witness = min(checked, key=lambda c: c[0],
                                       default=(math.inf, None))
     feasible = best_residual <= cfg.tol
@@ -574,7 +573,6 @@ def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
                 else FeasibilityStatus.INCONCLUSIVE),
         best_residual=best_residual,
         iterations=int(steps.sum()),
-        decided_by="search",
         witness=best_witness if feasible else None,
     )
 

@@ -89,7 +89,7 @@ class TwoQubitState:
         norm could leave the normal float range, ``vec`` is `_prescaled`
         first, so every finite nonzero vector normalizes.
         """
-        v = w = _complex_array(vec).reshape(4)
+        v = w = _complex_array(vec, "cannot normalize").reshape(4)
         c0, c1, c2, c3 = v.tolist()
         try:
             total = abs(c0) + abs(c1) + abs(c2) + abs(c3)
@@ -110,26 +110,27 @@ class TwoQubitState:
 def _check_unit(amplitudes, what: str) -> np.ndarray:
     """``amplitudes`` as a complex128 array (`_complex_array`); raise
     ``ValueError`` unless their squared norm is 1 to NORM_TOL."""
-    v = _complex_array(amplitudes)
+    v = _complex_array(amplitudes,
+                       f"{what} has an amplitude with no complex128 value")
     n2 = float(np.vdot(v, v).real)  # inf, not an error, past the float range
     if not abs(n2 - 1.0) <= NORM_TOL:  # also rejects nan and inf
         raise ValueError(f"{what} not normalized: squared norm {n2!r}")
     return v
 
 
-def _complex_array(v) -> np.ndarray:
-    """``v`` as a complex128 array; ``ValueError`` where an entry, such as
-    an int above the float range, has no complex128 value."""
+def _complex_array(v, failed: str) -> np.ndarray:
+    """``v`` as a complex128 array; ``ValueError`` "<failed>: <reason>"
+    where an entry, such as an int above the float range, has none."""
     try:
         return np.asarray(v, dtype=np.complex128)
     except OverflowError as exc:
-        raise ValueError(f"cannot normalize: {exc}") from exc
+        raise ValueError(f"{failed}: {exc}") from exc
 
 
 def _prescaled(v) -> np.ndarray:
     """``v`` divided by its largest real or imaginary part, so that its
     squared norm is normal; ``ValueError`` for zero, inf or nan."""
-    v = _complex_array(v)
+    v = _complex_array(v, "cannot normalize")
     big = np.maximum(np.abs(v.real), np.abs(v.imag)).max()  # keeps a nan
     if not 0.0 < big < math.inf:  # zero, inf or nan
         with np.errstate(over="ignore"):  # finite parts beside an inf

@@ -53,8 +53,10 @@ def test_ortho_pair_params_rejects_non_unit_rows():
     with pytest.raises(ValueError):  # |a0|^2 overflows to inf
         ortho.OrthoPairParams(1e200, 0.0, 1.0, 0.0)
     # an int above the float range: ValueError, never OverflowError
-    for coeffs in ((10 ** 400, 0, 1, 0), (1, 0, 0, -10 ** 400)):
-        with pytest.raises(ValueError, match="int too large"):
+    for coeffs, row in (((10 ** 400, 0, 1, 0), r"\(a0, a1\)"),
+                        ((1, 0, 0, -10 ** 400), r"\(b0, b1\)")):
+        with pytest.raises(ValueError, match=row + " has an amplitude with "
+                           "no complex128 value: int too large"):
             ortho.OrthoPairParams(*coeffs)
 
 

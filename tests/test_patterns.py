@@ -30,6 +30,7 @@ from qmask.patterns import (
     _eq4_bound,
     _full_bound,
     _minimize_batch,
+    _verify_candidate,
     assemble,
     duplicate_free_patterns,
     feasible_eq4,
@@ -352,10 +353,13 @@ def test_search_rows_do_not_depend_on_batch(kets0, kets1, full):
     # rows, or in the whole batch
     system = _PairSystem(BasisPattern(kets0), BasisPattern(kets1), DELTA, full)
     start = system.initial_points(42, 6)
-    whole = _minimize_batch(system, start.copy(), 300)
+    steps = np.zeros(6, dtype=np.int64)
+    whole = _minimize_batch(system, start.copy(), 300, steps)
     for rows in [[k] for k in range(6)] + [[1, 4]]:
+        counted = np.zeros(len(rows), dtype=np.int64)
         np.testing.assert_array_equal(
-            _minimize_batch(system, start[rows], 300), whole[rows])
+            _minimize_batch(system, start[rows], 300, counted), whole[rows])
+        np.testing.assert_array_equal(counted, steps[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +546,67 @@ def test_masking_partner_shares_both_marginals_exactly():
     assert sp.expand(overlap - sp.conjugate(overlap)) == 0
 
 
+def _masking_partner(m) -> np.ndarray:
+    """P(M) = N / sqrt(1 - C^2) of the identity above, as a 4-vector."""
+    a, b, c, d = m
+    det = a * d - b * c
+    n = np.asarray(m, dtype=complex) - 2.0 * det * np.conj([d, -c, -b, a])
+    return n / math.sqrt(1.0 - 4.0 * abs(det) ** 2)
+
+
+_THREE = ("00", "01", "10")
+
+
+@pytest.mark.parametrize("m, kets1, overlap", [
+    (np.array([1.0, 1.0, 1.0, 0.0]) / math.sqrt(3.0), KET_LABELS, 0.745),
+    (np.array([0.5, 0.5, math.sqrt(0.5), 0.0]), ("00", "10", "11"), 0.707),
+    (np.array([0.5, math.sqrt(0.5), 0.5, 0.0]), ("00", "01", "11"), 0.707),
+], ids=["full-support", "drops-01", "drops-10"])
+def test_witness_check_accepts_masking_partners(m, kets1, overlap):
+    # a witness built from a formula, not found by the search: P(M) has
+    # M's marginals (eq4), and i P(M) masks |+> (the full system)
+    p0, p1 = BasisPattern(_THREE), BasisPattern(kets1)
+    partner = _masking_partner(m)[list(p1.indices)]
+    for full, phase in ((False, 1.0), (True, 1j)):
+        z = np.r_[m[:3], phase * partner].astype(complex)
+        residual, w = _verify_candidate(p0, p1, z, DELTA, full)
+        assert residual <= 1e-15
+        assert (w.b is not None) is full
+        assert abs(np.vdot(w.psi0.vec, w.psi1.vec)) == pytest.approx(
+            overlap, abs=1e-3)
+        # the check rescales each pattern's slots to unit merged norm
+        scaled, _ = _verify_candidate(p0, p1, np.r_[3.0 * z[:3], z[3:]],
+                                      DELTA, full)
+        assert scaled == pytest.approx(residual, abs=1e-15)
+
+
+def test_witness_check_applies_the_floors():
+    # Psi1 = i Psi0 on full support masks |+> at overlap 1
+    u = np.full(4, 0.5 + 0j)
+    full_support = BasisPattern(KET_LABELS)
+    for full in (False, True):
+        residual, _ = _verify_candidate(full_support, full_support,
+                                        np.r_[u, 1j * u], DELTA, full)
+        assert residual <= 1e-15
+    # two Bell states share their marginals, but have overlap 0
+    bell0, bell1 = BasisPattern(("00", "11")), BasisPattern(("01", "10"))
+    z = np.full(4, math.sqrt(0.5) + 0j)
+    residual, _ = _verify_candidate(bell0, bell1, z, DELTA, False)
+    assert residual <= 1e-15
+    assert _verify_candidate(bell0, bell1, z, DELTA, True) is None
+    # a slot of 0.1 = delta falls to 0.1 / sqrt(3.01) < delta at unit
+    # norm: rejected at delta, accepted at a floor below it
+    v = np.array([1.0, 1.0, 1.0, 0.1], dtype=complex)
+    for full in (False, True):
+        assert _verify_candidate(full_support, full_support,
+                                 np.r_[v, 1j * v], DELTA, full) is None
+        residual, w = _verify_candidate(full_support, full_support,
+                                        np.r_[v, 1j * v], 0.05, full)
+        assert residual <= 1e-15
+        assert min(map(abs, w.coeffs0)) == pytest.approx(
+            0.1 / math.sqrt(3.01))
+
+
 def test_entangled_support_bound_holds_on_random_states():
     # the clause's inequality |w| <= eps (2 + (1 + sqrt(2)) / |q|), eps the
     # largest masks_state residual at |+>, for Psi0 on {00,11} or {01,10}
@@ -588,9 +653,8 @@ def test_entangled_support_bound_decides_the_last_scan_pairs():
             assert _eq4_bound(p0, p1, DELTA) < _INFEASIBLE_FLOOR
             assert _full_bound(p0, p1, DELTA) == bound
             out = feasible_full(p0, p1, FeasibilityConfig(restarts=2))
-            assert out == FeasibilityOutcome(
-                FeasibilityStatus.INFEASIBLE, bound, iterations=0,
-                decided_by="bound")
+            assert out == FeasibilityOutcome(FeasibilityStatus.INFEASIBLE,
+                                             bound)
 
 
 def _diagonal_lp(kets0, kets1) -> float:
@@ -926,6 +990,10 @@ def test_feasible_outcome_carries_verified_witness():
         assert norm == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(rebuilt.vec / norm, psi.vec, atol=1e-9)
     assert max(reduced_pair_residual(w.psi0, w.psi1)) <= FAST_CFG.tol
+    # decided_by is read off the status, never stored
+    assert out.decided_by == "search"
+    for status in (FeasibilityStatus.FEASIBLE, FeasibilityStatus.INCONCLUSIVE):
+        assert FeasibilityOutcome(status, 0.0).decided_by == "search"
 
 
 def test_infeasible_outcome_reports_finite_floor():
@@ -939,6 +1007,12 @@ def test_infeasible_outcome_reports_finite_floor():
     assert out.best_residual == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert out.decided_by == "bound"
     assert out.iterations == 0
+    # a certificate is a status and a bound: decided_by and iterations
+    # follow from them
+    assert out == FeasibilityOutcome(FeasibilityStatus.INFEASIBLE,
+                                     out.best_residual)
+    assert FeasibilityOutcome(FeasibilityStatus.INFEASIBLE,
+                              0.5).decided_by == "bound"
 
 
 def test_duplicate_ket_pattern_merges_before_deciding():
@@ -1124,16 +1198,13 @@ def test_full_system_certifies_disjoint_supports():
     cfg = FeasibilityConfig(restarts=20, seed=42)
     for kets0, kets1 in ((("00",), ("01",)), (("00", "00", "11"), ("01",))):
         out = feasible_full(BasisPattern(kets0), BasisPattern(kets1), cfg)
-        assert out == FeasibilityOutcome(
-            FeasibilityStatus.INFEASIBLE, DELTA, iterations=0,
-            decided_by="bound")
+        assert out == FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, DELTA)
     # a shared ket leaves it to the eq4 bound: the Tr_A off-diagonal of
     # {00,11} is 0, that of {01,10,11} one product of single kets
     out = feasible_full(BasisPattern(("00", "11")),
                         BasisPattern(("01", "10", "11")), cfg)
-    assert out == FeasibilityOutcome(
-        FeasibilityStatus.INFEASIBLE, (DELTA - 1e-12) ** 2, iterations=0,
-        decided_by="bound")
+    assert out == FeasibilityOutcome(FeasibilityStatus.INFEASIBLE,
+                                     (DELTA - 1e-12) ** 2)
 
 
 @pytest.mark.parametrize("decide, kets0, kets1", [

@@ -225,16 +225,20 @@ def test_unit_rejects_ints_above_the_float_range(vec):
         TwoQubitState.unit(vec)
 
 
-@pytest.mark.parametrize("make, args", [
-    (QubitState, (10 ** 400, 0)),
-    (QubitState, (1j, -10 ** 400)),
-    (TwoQubitState, ([10 ** 400, 0, 0, 0],)),
-    (TwoQubitState.from_vec, ((0, 1, 0, 10 ** 400),)),
+@pytest.mark.parametrize("make, args, what", [
+    (QubitState, (10 ** 400, 0), "qubit state"),
+    (QubitState, (1j, -10 ** 400), "qubit state"),
+    (TwoQubitState, ([10 ** 400, 0, 0, 0],), "two-qubit state"),
+    (TwoQubitState.from_vec, ((0, 1, 0, 10 ** 400),), "two-qubit state"),
 ], ids=["qubit-alpha0", "qubit-alpha1", "two-qubit", "two-qubit-from-vec"])
-def test_constructors_reject_ints_above_the_float_range(make, args):
-    # a ValueError, never an OverflowError, as from normalized and unit
-    with pytest.raises(ValueError, match="int too large"):
+def test_constructors_reject_ints_above_the_float_range(make, args, what):
+    # a ValueError, never an OverflowError, as from normalized and unit;
+    # the constructors check a norm, so the message names the amplitude
+    # that failed, not a normalization
+    with pytest.raises(ValueError) as err:
         make(*args)
+    assert str(err.value) == (f"{what} has an amplitude with no complex128 "
+                              "value: int too large to convert to float")
 
 
 def test_constructors_keep_ordinary_inputs():
