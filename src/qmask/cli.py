@@ -193,7 +193,7 @@ def cmd_surface(args) -> int:
     return 0
 
 
-def _verify_checks(args):
+def _verify_checks():
     """Yield (name, passed, detail) for every built-in claim."""
     # fixed-point check: the quoted example-1 masked qubit
     psi0, psi1 = ortho.EXAMPLE1_PAIR.states()
@@ -215,7 +215,7 @@ def _verify_checks(args):
            f"on-circle {on:.3e}, off-circle {off:.3e}")
 
     # table reproduction
-    cfg = patterns.FeasibilityConfig(restarts=args.restarts, seed=args.seed)
+    cfg = patterns.FeasibilityConfig()
     mismatches = [(res.row.table, res.row.index, res.row.expected,
                    res.outcome.status.value)
                   for res in patterns.reproduce_tables(patterns.TABLES, cfg)
@@ -232,7 +232,7 @@ def _verify_checks(args):
 
 def cmd_verify(args) -> int:
     try:
-        checks = list(_verify_checks(args))
+        checks = list(_verify_checks())
     except (FileNotFoundError, ValueError) as exc:
         raise InputError(str(exc)) from exc
     failed = 0
@@ -247,13 +247,6 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-def _add_search_options(p: argparse.ArgumentParser) -> None:
-    """``--restarts`` and ``--seed``, defaulting to `FeasibilityConfig`'s."""
-    defaults = patterns.FeasibilityConfig()
-    p.add_argument("--restarts", type=int, default=defaults.restarts)
-    p.add_argument("--seed", type=int, default=defaults.seed)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -273,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tables", help="reproduce the bundled verdict tables")
     p.add_argument("--table", type=int, choices=patterns.TABLES, default=None,
                    help="restrict to one table (default: all)")
-    _add_search_options(p)
+    defaults = patterns.FeasibilityConfig()
+    p.add_argument("--restarts", type=int, default=defaults.restarts)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", default=None, help="write JSON report here")
     p.set_defaults(func=cmd_tables)
 
@@ -289,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("verify", help="run every built-in claim check")
-    _add_search_options(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,12 +1,13 @@
 """Shared fixtures.
 
-The verdict-table reproduction and the support scan are the two
-expensive seeded searches at the default 200 restarts: the tables take
-seconds (the certified eq4 bound decides the 76 Infeasible rows without
-a search, so only the 30 Feasible rows are searched) and the scan a few
-seconds (it skips same-support pairs and the 194 pairs a certified bound
-proves Infeasible, and searches the other 16, its violations, each on
-its own pair).
+The verdict-table reproduction and the support scan are the two seeded
+searches the acceptance gate reads, at the default config (10 restarts,
+seed 42, the budget the benchmark's tables workload runs): the tables
+take under a second (the certified eq4 bound decides the 76 Infeasible
+rows without a search, so only the 30 Feasible rows are searched) and
+the scan well under one (it skips same-support pairs and the 194 pairs a
+certified bound proves Infeasible, and searches the other 16, its
+violations, each on its own pair).
 Both are deterministic, so they run once per session here and every
 test that needs them reads the cached result.
 """

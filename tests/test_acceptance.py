@@ -117,7 +117,7 @@ def test_criterion2_all_bundled_verdicts_match(tables_run):
     assert mismatched == []
 
 
-def test_criterion2_certificates_and_runtime(tables_run):
+def test_criterion2_certificates_and_runtime(tables_run, default_cfg):
     results, elapsed = tables_run
     assert elapsed < 600.0
 
@@ -130,7 +130,7 @@ def test_criterion2_certificates_and_runtime(tables_run):
             assert r.outcome.iterations == 0
         else:
             assert r.outcome.decided_by == "search"
-            assert r.outcome.iterations >= 200
+            assert r.outcome.iterations >= default_cfg.restarts
     assert all(r.outcome.status is not FeasibilityStatus.INCONCLUSIVE
                for r in all_rows)
 

@@ -67,3 +67,13 @@ def test_one_gated_pass_of_each_workload(workloads, tmp_path):
         assert result.attempted > 0, name
         assert result.failures == [], name
         assert len(result.decisions) == decisions[name], name
+
+
+def test_default_search_config_is_the_measured_one(workloads):
+    # a default `qmask tables` (and `verify`) runs the configuration the
+    # benchmark's tables workload times and gates
+    from qmask.patterns import FeasibilityConfig
+
+    cfg = FeasibilityConfig()
+    assert (cfg.restarts, cfg.seed) == (workloads.Tables.RESTARTS,
+                                        workloads.SEARCH_SEED)

@@ -294,7 +294,7 @@ def test_verify_reports_failing_bundled_claims(capsys):
     # the bundled reference data contains claims the oracles refute
     # (the quoted fixed point and some expected verdicts), so a clean
     # build reports those failures and exits 1
-    rc = main(["verify", "--restarts", "8"])
+    rc = main(["verify"])
     out = capsys.readouterr().out
     assert rc == 1
     lines = out.splitlines()
@@ -340,8 +340,19 @@ VERIFY_STDOUT = (
 
 
 def test_verify_stdout_is_golden(capsys):
-    assert main(["verify", "--restarts", "10", "--seed", "42"]) == 1
-    assert capsys.readouterr().out == VERIFY_STDOUT
+    assert main(["verify"]) == 1
+    assert capsys.readouterr() == (VERIFY_STDOUT, "")
+
+
+@pytest.mark.parametrize("flag", [["--restarts", "10"], ["--seed", "42"]])
+def test_verify_takes_no_search_options(flag, capsys):
+    # verify runs at the default config, the one the benchmark measures
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *flag])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {flag[0]}" in captured.err
+    assert captured.out == ""
 
 
 #: sha256 of the ``tables --restarts 10 --seed 42`` JSON with each Feasible
@@ -370,15 +381,16 @@ def test_tables_json_is_golden_up_to_the_search_numbers(tmp_path, capsys):
     assert hashlib.sha256(masked.encode()).hexdigest() == TABLES_MASKED_SHA256
 
 
-@pytest.mark.parametrize("command", ["tables", "verify"])
+@pytest.mark.parametrize("command", ["tables"])
 def test_search_options_default_to_the_config(command):
+    # only tables takes them: the benchmark passes both explicitly
     from qmask.cli import build_parser
     from qmask.patterns import FeasibilityConfig
 
     args = build_parser().parse_args([command])
     defaults = FeasibilityConfig()
     assert (args.restarts, args.seed) == (defaults.restarts, defaults.seed)
-    assert (args.restarts, args.seed) == (200, 42)
+    assert (args.restarts, args.seed) == (10, 42)
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +414,14 @@ def test_tol_must_be_finite_and_positive(command, tol, triple, capsys):
 def test_verify_and_tables_take_no_tol(command, tol, capsys):
     # their tolerances are fixed, so any --tol is an unknown argument
     with pytest.raises(SystemExit) as exc:
-        main([command, "--restarts", "1", f"--tol={tol}"])
+        main([command, f"--tol={tol}"])
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "unrecognized arguments: --tol" in captured.err
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("command", ["verify", "tables"])
+@pytest.mark.parametrize("command", ["tables"])
 def test_negative_seed_is_named_in_the_error(command, capsys):
     assert main([command, "--restarts", "1", "--seed", "-1"]) == 2
     captured = capsys.readouterr()

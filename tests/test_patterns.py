@@ -607,6 +607,31 @@ def test_witness_check_applies_the_floors():
             0.1 / math.sqrt(3.01))
 
 
+def test_witness_check_takes_a_full_support_maximally_entangled_state():
+    # (1,1,1,-1)/2 and (1,0,0,1)/sqrt2 are both maximally entangled, so
+    # they share their marginals, but their overlap is 0
+    p0, p1 = BasisPattern(KET_LABELS), BasisPattern(("00", "11"))
+    z = np.r_[np.array([1.0, 1.0, 1.0, -1.0]) / 2.0,
+              np.full(2, math.sqrt(0.5))].astype(complex)
+    residual, w = _verify_candidate(p0, p1, z, DELTA, False)
+    assert residual <= 1e-15
+    assert abs(np.vdot(w.psi0.vec, w.psi1.vec)) <= 1e-15
+    assert _verify_candidate(p0, p1, z, DELTA, True) is None
+
+
+def test_witness_check_takes_a_duplicated_ket_merged_to_zero():
+    # 00 is listed twice with slots 0.3 and -0.3: it merges to 0, while
+    # every slot keeps the floor, so Psi0 = |11> and Psi1 = i|11> mask
+    p0, p1 = BasisPattern(("00", "00", "11")), BasisPattern(("11",))
+    for full, phase in ((False, 1.0), (True, 1j)):
+        z = np.array([0.3, -0.3, 1.0, phase], dtype=complex)
+        residual, w = _verify_candidate(p0, p1, z, DELTA, full)
+        assert residual <= 1e-15
+        assert min(map(abs, w.coeffs0 + w.coeffs1)) >= DELTA
+        np.testing.assert_array_equal(w.psi0.vec, [0, 0, 0, 1])
+        np.testing.assert_array_equal(w.psi1.vec, [0, 0, 0, phase])
+
+
 def test_entangled_support_bound_holds_on_random_states():
     # the clause's inequality |w| <= eps (2 + (1 + sqrt(2)) / |q|), eps the
     # largest masks_state residual at |+>, for Psi0 on {00,11} or {01,10}
@@ -1254,6 +1279,30 @@ def test_seed_changes_search_path_not_verdicts():
     p1 = BasisPattern(("01", "10"))
     alt = feasible_eq4(p0, p1, FeasibilityConfig(restarts=60, seed=7))
     assert alt.status is FeasibilityStatus.FEASIBLE
+
+
+@pytest.mark.parametrize("seed", [7, 13])
+def test_default_budget_finds_every_witness(seed):
+    # seeds where 1 or 2 restarts leave a searched table row Inconclusive;
+    # the default budget finds every witness there too
+    cfg = FeasibilityConfig(seed=seed)
+    rows = reproduce_tables(patterns.TABLES, cfg)
+    statuses = collections.Counter(r.outcome.status for r in rows)
+    assert statuses == {FeasibilityStatus.FEASIBLE: 30,
+                        FeasibilityStatus.INFEASIBLE: 76}
+    for r in rows:
+        w = r.outcome.witness
+        if w is not None:
+            assert max(reduced_pair_residual(w.psi0, w.psi1)) <= cfg.tol
+    pats = duplicate_free_patterns()
+    pinned = {(p0.kets, p1.kets) for p0 in pats for p1 in pats
+              if _partners(p0.support, p1.support)}
+    violations = support_theorem_scan(cfg)
+    assert {(v.psi0_kets, v.psi1_kets) for v in violations} == pinned
+    assert len(pinned) == 16
+    for v in violations:
+        w = v.outcome.witness
+        assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= cfg.tol
 
 
 def test_table_results_keep_fixture_order(tables_run):
