@@ -12,7 +12,8 @@ lists of JSON numbers of length 2 (qubit) or 4 (two-qubit state, basis
 order 00,01,10,11).  Norm drift up to 1e-9 is corrected with a warning;
 larger drift is an input error.
 
-Exit codes: 0 success, 1 verdict/mismatch failure, 2 input failure.
+Exit codes: 0 success, 1 verdict/mismatch failure, 2 input failure, with
+one ``error:`` line that names the state file at fault, if any.
 Identical flags and seed give byte-identical output.
 """
 
@@ -46,15 +47,30 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``object_pairs_hook`` of the state files: a repeated key is an
+    error, where ``json`` would keep its last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_amplitudes(path, expected_len: int) -> np.ndarray:
     """The file's amplitudes, norm checked; the state constructors rescale."""
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:  # not UTF-8, a duplicate key, too many digits
+        raise InputError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict) or set(raw) != {"re", "im"}:
         raise InputError(f'{path}: expected an object {{"re": [...], "im": [...]}}')
     parts = (raw["re"], raw["im"])
@@ -68,10 +84,11 @@ def _load_amplitudes(path, expected_len: int) -> np.ndarray:
         re, im = (np.array(p, dtype=float) for p in parts)
     except OverflowError as exc:
         raise InputError(f"{path}: amplitude out of float range") from exc
-    vec = re + 1j * im
-    if not np.all(np.isfinite(vec.view(float))):
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise InputError(f"{path}: non-finite amplitude")
-    norm = float(np.linalg.norm(vec))
+    vec = re + 1j * im
+    with np.errstate(over="ignore"):  # a norm above the float range is inf
+        norm = float(np.linalg.norm(vec))
     if norm == 0.0 or abs(norm - 1.0) > DRIFT_LIMIT:
         raise InputError(
             f"{path}: state norm {norm!r} is too far from 1 to correct")
@@ -158,7 +175,7 @@ def cmd_tables(args) -> int:
     try:
         results = patterns.reproduce_tables(
             [args.table] if args.table else patterns.TABLES, cfg)
-    except (FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, patterns.FixtureError) as exc:
         raise InputError(f"table fixture: {exc}") from exc
     rows = [_row_dict(r) for r in results]
     mismatches = [r for r in rows if not r["agree"]]

@@ -9,11 +9,14 @@ full masking system with a non-orthogonality constraint).  Both systems
 decide a pair the same way: a certified lower bound first, chiefly the
 widest gap between the two patterns' ranges of four linear functions of
 the squared moduli (for the full system, also the overlap of disjoint
-or entangled supports), read from one cached profile per ket multiset.
-The pairs the bound leaves open go to a seeded random-restart damped
-least-squares search with an analytic Jacobian, which looks for a
-witness.  The support scan decides only the differing-support pairs the
-bound leaves open, each violation with its own witness.
+or entangled supports).  The bound depends only on the two ket
+multisets, so its verdict is cached per multiset pair and system: a
+certified decision is one lookup that returns the one shared Infeasible
+outcome.  The pairs the bound leaves open go to a seeded random-restart
+damped least-squares search with an analytic Jacobian, which looks for
+a witness on every call.  The support scan asks the same cache which
+differing-support pairs the bound leaves open and decides only those,
+each violation with its own witness.
 
 Outcomes are three-way: Feasible carries an independently re-verified
 witness; Infeasible is always a certificate, a bound at or above a
@@ -73,6 +76,8 @@ class BasisPattern:
             if k not in KET_LABELS:
                 raise ValueError(f"unknown ket label {k!r}")
         object.__setattr__(self, "kets", kets)
+        #: the ket multiset (n00, n01, n10, n11), all the bounds read
+        object.__setattr__(self, "counts", tuple(map(kets.count, KET_LABELS)))
         S = np.zeros((4, len(kets)))
         S[self.indices, range(len(kets))] = 1.0
         S.flags.writeable = False
@@ -450,18 +455,6 @@ def _diagonal_distance(counts0, counts1, floor: float) -> float:
     return gap
 
 
-def _eq4_gap(p0: BasisPattern, p1: BasisPattern, floor: float):
-    """The `_eq4_bound` at a single-ket floor on moduli^2, and the two
-    patterns' `_profile`s, which `_full_bound` reads as well."""
-    c0, c1 = (tuple(map(p.kets.count, KET_LABELS)) for p in (p0, p1))
-    prof0, prof1 = _profile(c0, floor), _profile(c1, floor)
-    gap = _diagonal_distance(c0, c1, floor)
-    for terms in zip(prof0[1], prof1[1]):
-        if () in terms and (1,) in terms:
-            gap = max(gap, floor)
-    return math.sqrt(2.0) * gap, prof0, prof1
-
-
 def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
     """Certified lower bound on max(`conditions.reduced_pair_residual`).
 
@@ -474,7 +467,7 @@ def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
     single product of two single kets and the other's is 0.
     Both read one cached `_profile` per ket multiset.
     """
-    return _eq4_gap(p0, p1, (delta - _CHECK_SLACK) ** 2)[0]
+    return _bound(p0.counts, p1.counts, delta, full=False)
 
 
 def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
@@ -500,14 +493,44 @@ def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
       and |w|, which covers {01,10}, a single 10 and either order.
     Both clauses read one cached `_profile` per ket multiset.
     """
-    if not p0.support & p1.support:
+    return _bound(p0.counts, p1.counts, delta, full=True)
+
+
+def _bound(counts0, counts1, delta: float, full: bool) -> float:
+    """`_full_bound` or `_eq4_bound` of two ket multisets, read from
+    their two cached `_profile`s."""
+    if full and not any(n0 and n1 for n0, n1 in zip(counts0, counts1)):
         return delta
     f = delta - _CHECK_SLACK
-    eq4, prof0, prof1 = _eq4_gap(p0, p1, f ** 2)
-    bound = eq4 / math.sqrt(2.0)
-    if prof0[2] & prof1[3] or prof1[2] & prof0[3]:
-        bound = max(bound, f * f / (2.0 * f + 1.0 + math.sqrt(2.0)))
+    floor = f ** 2
+    prof0, prof1 = _profile(counts0, floor), _profile(counts1, floor)
+    gap = _diagonal_distance(counts0, counts1, floor)
+    for terms in zip(prof0[1], prof1[1]):
+        if () in terms and (1,) in terms:
+            gap = max(gap, floor)
+    bound = math.sqrt(2.0) * gap
+    if full:
+        bound /= math.sqrt(2.0)
+        if prof0[2] & prof1[3] or prof1[2] & prof0[3]:
+            bound = max(bound, f * f / (2.0 * f + 1.0 + math.sqrt(2.0)))
     return bound
+
+
+@functools.cache
+def _certificate(counts0: tuple[int, ...], counts1: tuple[int, ...],
+                 delta: float, full: bool) -> FeasibilityOutcome | None:
+    """The Infeasible outcome of two ket multisets when their `_bound`
+    is at or above the Infeasible floor, else None.
+
+    Cached per (multiset pair, delta, system): a certified decision is
+    one lookup, and every caller shares the one frozen outcome.  Only
+    certificates are cached; a pair the bound leaves open is searched
+    on every call.
+    """
+    bound = _bound(counts0, counts1, delta, full)
+    if bound < _INFEASIBLE_FLOOR:
+        return None
+    return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -553,13 +576,13 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
 
 def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
             full: bool) -> FeasibilityOutcome:
-    """A certified bound first (`_full_bound` or `_eq4_bound`): at or
-    above the Infeasible floor it decides alone.  Otherwise the search
-    proposes one candidate per restart and `_verify_candidate` decides:
-    a witness (Feasible) or Inconclusive."""
-    bound = (_full_bound if full else _eq4_bound)(p0, p1, cfg.delta)
-    if bound >= _INFEASIBLE_FLOOR:
-        return FeasibilityOutcome(FeasibilityStatus.INFEASIBLE, bound)
+    """A certified bound first (`_full_bound` or `_eq4_bound`, looked up
+    through `_certificate`): at or above the Infeasible floor it decides
+    alone.  Otherwise the search proposes one candidate per restart and
+    `_verify_candidate` decides: a witness (Feasible) or Inconclusive."""
+    certified = _certificate(p0.counts, p1.counts, cfg.delta, full)
+    if certified is not None:
+        return certified
     system = _PairSystem(p0, p1, cfg.delta, full)
     theta = system.initial_points(cfg.seed, cfg.restarts)
     steps = np.zeros(cfg.restarts, dtype=np.int64)
@@ -626,16 +649,21 @@ def fixture_path():
     return resources.files("qmask").joinpath("data/tables.fixture.json")
 
 
+class FixtureError(ValueError):
+    """The bundled verdict-table fixture is unreadable or malformed."""
+
+
 def load_table_fixture() -> list[TableRow]:
-    """Load and validate the bundled verdict tables."""
+    """Load and validate the bundled verdict tables; a missing file raises
+    FileNotFoundError, any other fault FixtureError."""
     try:
-        raw = json.loads(fixture_path().read_text())
+        raw = json.loads(fixture_path().read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"fixture file is corrupt: {exc}") from exc
+    except (OSError, ValueError) as exc:  # also not JSON, not UTF-8
+        raise FixtureError(f"fixture file is corrupt: {exc}") from exc
     if not isinstance(raw, list):
-        raise ValueError("fixture file must hold a JSON array")
+        raise FixtureError("fixture file must hold a JSON array")
     rows: list[TableRow] = []
     counters: dict[int, int] = {}
     for entry in raw:
@@ -643,15 +671,19 @@ def load_table_fixture() -> list[TableRow]:
             table, p0, p1, expected = (entry[key] for key in (
                 "table", "psi0_kets", "psi1_kets", "expected"))
         except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed fixture row {entry!r}") from exc
+            raise FixtureError(f"malformed fixture row {entry!r}") from exc
         # a JSON integer (never a bool), and lists of ket strings
         if (type(table) is not int or table not in TABLES
                 or expected not in _EXPECTED.values()
                 or not all(isinstance(kets, list)
                            and all(isinstance(k, str) for k in kets)
                            for kets in (p0, p1))):
-            raise ValueError(f"malformed fixture row {entry!r}")
-        p0, p1 = BasisPattern(p0).kets, BasisPattern(p1).kets  # checks labels
+            raise FixtureError(f"malformed fixture row {entry!r}")
+        try:
+            p0, p1 = BasisPattern(p0).kets, BasisPattern(p1).kets
+        except ValueError as exc:  # an unknown label or a bad length
+            raise FixtureError(f"malformed fixture row {entry!r}: {exc}") \
+                from exc
         counters[table] = counters.get(table, 0) + 1
         rows.append(TableRow(table, counters[table], p0, p1, expected))
     return rows
@@ -679,15 +711,15 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     the full masking system under the non-orthogonality constraint
     |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
     (see `feasible_full`).  Same-support pairs cannot be violations, nor
-    can pairs whose certified bound (`_full_bound`) is at or above the
-    Infeasible floor; neither is decided.  Every other pair is decided by
+    can pairs with a `_certificate` (a `_full_bound` at or above the
+    Infeasible floor); neither is decided.  Every other pair is decided by
     `feasible_full`, so each violation carries a witness found and
     re-verified on its own pair.
     """
     violations = []
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
-        if (p0.support == p1.support
-                or _full_bound(p0, p1, cfg.delta) >= _INFEASIBLE_FLOOR):
+        if (p0.support == p1.support or _certificate(
+                p0.counts, p1.counts, cfg.delta, True) is not None):
             continue
         outcome = feasible_full(p0, p1, cfg)
         if outcome.status is FeasibilityStatus.FEASIBLE:

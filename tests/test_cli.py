@@ -1,12 +1,17 @@
 """End-to-end CLI behavior: exit codes, reports, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from qmask.cli import main
 
@@ -111,6 +116,135 @@ def test_check_missing_file_exits_two(triple, tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["check", missing, triple[1], triple[2]]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, message", [
+    # nested past the decoder's recursion limit (a RecursionError)
+    (b"[" * 100_000, "JSON nested too deeply"),
+    # not UTF-8 (a UTF-16 byte-order mark)
+    (b'\xff\xfe{"re": [1, 0], "im": [0, 0]}',
+     "'utf-8' codec can't decode byte 0xff"),
+    # a norm above the float range, and no overflow warning before it
+    (b'{"re": [1e308, 1e308], "im": [0, 0]}',
+     "state norm inf is too far from 1 to correct"),
+    # json would keep the last value
+    (b'{"re": [1, 0], "im": [0, 0], "re": [0, 1]}', "duplicate key 're'"),
+    # an infinite imaginary part, and no invalid-value warning before it
+    (b'{"re": [1, 0], "im": [Infinity, 0]}', "non-finite amplitude"),
+    # past Python's limit on integer digits
+    (b'{"re": [1%s, 0], "im": [0, 0]}' % (b"0" * 5000),
+     "Exceeds the limit (4300 digits)"),
+], ids=["deep-nesting", "utf-16-bom", "norm-overflow", "duplicate-key",
+        "infinity", "long-integer"])
+def test_check_load_errors_name_the_file(triple, tmp_path, data, message,
+                                         capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["check", str(bad), triple[1], triple[2]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: {message}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+
+
+def _state_json(n: int):
+    """JSON text of a unit state of length ``n``."""
+    def unit(amps):
+        norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
+        return json.dumps({"re": [a.real / norm for a in amps],
+                           "im": [a.imag / norm for a in amps]})
+    return st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                    min_size=n, max_size=n).map(unit)
+
+
+#: 1 +- 1e-9 and the floats next to them: as the one nonzero amplitude,
+#: norm drifts on both sides of the 1e-9 limit
+_EDGE_AMPLITUDES = [a for b in (1.0 + 1e-9, 1.0 - 1e-9)
+                    for a in (math.nextafter(b, 0.0), b, math.nextafter(b, 2.0))]
+
+
+def _drifted(n: int):
+    """A state of length ``n`` with one edge amplitude, valid iff its
+    drift is within the limit (see `_state_files`)."""
+    def state(args):
+        amp, slot = args
+        re = [amp if k == slot else 0.0 for k in range(n)]
+        return (json.dumps({"re": re, "im": [0.0] * n}).encode(),
+                abs(amp - 1.0) <= 1e-9)
+    return st.tuples(st.sampled_from(_EDGE_AMPLITUDES),
+                     st.integers(0, n - 1)).map(state)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["re", "im", "x"]), inner,
+                      max_size=3),
+    max_leaves=10)
+
+
+def _state_files(n: int):
+    """(file bytes, valid) for a state of length ``n``: valid is True for
+    a unit state (exit 0 or 1), False for a file that must exit 2, and
+    None where either may come up."""
+    number = (st.floats() | st.integers(-10 ** 400, 10 ** 400)
+              | st.sampled_from([1e308, -1e308, 5e-324, 2.0 ** -1074]))
+    amps = st.lists(number, min_size=n, max_size=n)
+    valid = _state_json(n).map(lambda text: (text.encode(), True))
+    return st.one_of(
+        valid,
+        _drifted(n),
+        # malformed JSON; wrong types and shapes, where a valid state may
+        # still come up
+        st.text(max_size=30).map(lambda text: (text.encode(), False)),
+        _json_values.map(lambda v: (json.dumps(v).encode(), None)),
+        st.tuples(_json_values, _json_values).map(lambda p: (
+            json.dumps({"re": p[0], "im": p[1]}).encode(), None)),
+        # extreme magnitudes: inf and nan as the Infinity/NaN literals
+        st.tuples(amps, amps).map(lambda p: (
+            json.dumps({"re": p[0], "im": p[1]}).encode(), None)),
+        # bad encodings
+        st.tuples(_state_json(n), st.sampled_from(
+            ["utf-16", "utf-32", "utf-8-sig"])).map(
+                lambda p: (p[0].encode(p[1]), False)),
+        st.binary(max_size=30).map(lambda data: (data, None)),
+    )
+
+
+#: the generated state files of a qubit and of a two-qubit state
+_STATE_FILES = {n: _state_files(n) for n in (2, 4)}
+
+
+@seed(29)
+@settings(max_examples=250, deadline=None)
+@given(slot=st.integers(0, 2), data=st.data())
+@example(slot=1, data=None)  # data=None: 100 000 nested "[" as Psi0
+def test_check_exits_zero_one_or_two_with_the_file_named(
+        slot, data, tmp_path_factory):
+    directory = tmp_path_factory.getbasetemp()
+    files = []
+    for name, payload in zip(("b", "psi0", "psi1"), (GOOD_B, PSI0, PSI1)):
+        path = directory / f"prop_{name}.json"
+        path.write_text(json.dumps(payload))
+        files.append(str(path))
+    if data is None:
+        content, valid = b"[" * 100_000, False
+    else:
+        content, valid = data.draw(_STATE_FILES[2 if slot == 0 else 4])
+    bad = directory / "prop_generated.json"
+    bad.write_bytes(content)
+    files[slot] = str(bad)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")  # a warning raises out of main
+        code = main(["check", *files])
+    err = err.getvalue()
+    assert code in ((0, 1) if valid else (2,) if valid is False
+                    else (0, 1, 2)), (content, err)
+    assert "Traceback" not in err
+    if code == 2:  # after any drift warning of the fixed files
+        assert err.splitlines()[-1].startswith(f"error: {bad}: "), \
+            (content, err)
 
 
 # golden output, recorded before the triple path was unrolled: the
@@ -379,6 +513,26 @@ def test_tables_json_is_golden_up_to_the_search_numbers(tmp_path, capsys):
         row["best_residual"] = row["witness"] = "masked"
     masked = json.dumps(report, indent=1, sort_keys=True) + "\n"
     assert hashlib.sha256(masked.encode()).hexdigest() == TABLES_MASKED_SHA256
+
+
+def test_tables_search_errors_are_not_fixture_errors(tmp_path, monkeypatch,
+                                                     capsys):
+    # NumPy refuses a batch of this many restarts before allocating it;
+    # the error is the search's, and only fixture errors say "fixture"
+    assert main(["tables", "--restarts", "9" * 20]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert "fixture" not in captured.err
+    # an unknown ket label is the fixture's error, not the pattern's
+    from qmask import patterns
+
+    bad = tmp_path / "fixture.json"
+    bad.write_text(json.dumps([{"table": 1, "psi0_kets": ["02"],
+                                "psi1_kets": ["00"], "expected": "no"}]))
+    monkeypatch.setattr(patterns, "fixture_path", lambda: bad)
+    assert main(["tables", "--table", "1"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: table fixture: malformed fixture row")
 
 
 @pytest.mark.parametrize("command", ["tables"])

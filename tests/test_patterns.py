@@ -26,6 +26,7 @@ from qmask.patterns import (
     FeasibilityOutcome,
     FeasibilityStatus,
     _PairSystem,
+    _certificate,
     _diagonal_distance,
     _eq4_bound,
     _full_bound,
@@ -967,35 +968,63 @@ def _uncached_full_bound(p0, p1, delta):
 @pytest.mark.parametrize("delta", [DELTA, 0.25])
 def test_cached_bounds_equal_the_per_call_computation_bit_for_bit(delta):
     # every ordered pair of the 69 sorted multisets and of `_PERMUTED`; a
-    # second delta checks that no profile is read at another floor
+    # second delta checks that no profile or certificate is read at
+    # another floor.  The cached certificate is Infeasible exactly when
+    # the per-call bound is at or above the floor, and carries that bound
     floor = (delta - 1e-12) ** 2
     kets = _MULTISETS + _PERMUTED
     pats = [BasisPattern(k) for k in kets]
     for (k0, p0), (k1, p1) in itertools.product(zip(kets, pats), repeat=2):
         counts = _counts(k0), _counts(k1)
+        assert (p0.counts, p1.counts) == tuple(map(tuple, counts))
         assert _diagonal_distance(*counts, floor) \
             == _uncached_diagonal_distance(*counts, floor), (k0, k1)
-        assert _eq4_bound(p0, p1, delta) \
-            == _uncached_eq4_bound(p0, p1, delta), (k0, k1)
-        assert _full_bound(p0, p1, delta) \
-            == _uncached_full_bound(p0, p1, delta), (k0, k1)
+        for full, bound, uncached in (
+                (False, _eq4_bound, _uncached_eq4_bound),
+                (True, _full_bound, _uncached_full_bound)):
+            value = uncached(p0, p1, delta)
+            assert bound(p0, p1, delta) == value, (k0, k1)
+            assert _certificate(p0.counts, p1.counts, delta, full) == (
+                None if value < _INFEASIBLE_FLOOR else FeasibilityOutcome(
+                    FeasibilityStatus.INFEASIBLE, value)), (k0, k1)
+
+
+def test_certified_decisions_share_one_outcome_and_searches_do_not():
+    cfg = FeasibilityConfig(restarts=1, seed=42)
+    infeasible = BasisPattern(("00",)), BasisPattern(("01",))
+    feasible = BasisPattern(("00", "01")), BasisPattern(("00", "01"))
+    for decide in (feasible_eq4, feasible_full):
+        first, again = (decide(*infeasible, cfg) for _ in range(2))
+        assert first.status is FeasibilityStatus.INFEASIBLE
+        assert first is again
+        first, again = (decide(*feasible, cfg) for _ in range(2))
+        assert first.status is FeasibilityStatus.FEASIBLE
+        assert first.best_residual == again.best_residual
+        assert first is not again
 
 
 def test_bounds_cache_one_profile_per_ket_multiset():
-    # a table run and a scan, from an empty cache, compute each multiset's
-    # profile once: at most the 69 multisets at the one floor
+    # a table run and a scan, from empty caches, compute the certificate
+    # of each distinct (multiset pair, system) key once and each
+    # multiset's profile at most once, at the one floor; a second run is
+    # all lookups
     cfg = FeasibilityConfig(restarts=1, seed=42)
-    rows = load_table_fixture()
-    multisets = {tuple(_counts(kets)) for row in rows
-                 for kets in (row.psi0_kets, row.psi1_kets)}
-    multisets |= {tuple(_counts(p.kets)) for p in duplicate_free_patterns()}
-    patterns._profile.cache_clear()
-    reproduce_tables((1, 2, 3, 4), cfg)
-    support_theorem_scan(cfg)
-    info = patterns._profile.cache_info()
-    assert info.currsize == info.misses == len(multisets) <= 69
-    reproduce_tables((1, 2, 3, 4), cfg)
-    assert patterns._profile.cache_info().misses == info.misses
+    keys = {(BasisPattern(row.psi0_kets).counts,
+             BasisPattern(row.psi1_kets).counts, False)
+            for row in load_table_fixture()}
+    # the scan skips same-support pairs before it asks
+    keys |= {(p0.counts, p1.counts, True) for p0, p1 in itertools.product(
+        duplicate_free_patterns(), repeat=2) if p0.support != p1.support}
+    multisets = {counts for key in keys for counts in key[:2]}
+    caches = patterns._certificate, patterns._profile
+    for cache in caches:
+        cache.cache_clear()
+    for _ in range(2):
+        reproduce_tables((1, 2, 3, 4), cfg)
+        support_theorem_scan(cfg)
+        certificates, profiles = (cache.cache_info() for cache in caches)
+        assert certificates.currsize == certificates.misses == len(keys)
+        assert profiles.currsize == profiles.misses <= len(multisets) <= 69
 
 
 # ---------------------------------------------------------------------------
