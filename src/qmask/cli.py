@@ -9,7 +9,9 @@ Subcommands::
 
 State files are JSON objects ``{"re": [...], "im": [...]}`` with flat
 lists of JSON numbers of length 2 (qubit) or 4 (two-qubit state, basis
-order 00,01,10,11).  Norm drift up to 1e-9 is corrected with a warning;
+order 00,01,10,11).  Norm drift up to 1e-9 is corrected, with a warning
+when it exceeds the states' own unit tolerance ``qlinalg.NORM_TOL``
+(1e-12), so a state written at full float precision loads silently;
 larger drift is an input error.
 
 Exit codes: 0 success, 1 verdict/mismatch failure, 2 input failure, with
@@ -28,7 +30,7 @@ import sys
 import numpy as np
 
 from . import conditions, ortho, patterns
-from .qlinalg import DEFAULT_TOL, QubitState, TwoQubitState
+from .qlinalg import DEFAULT_TOL, NORM_TOL, QubitState, TwoQubitState
 
 DRIFT_LIMIT = 1e-9
 
@@ -92,7 +94,7 @@ def _load_amplitudes(path, expected_len: int) -> np.ndarray:
     if norm == 0.0 or abs(norm - 1.0) > DRIFT_LIMIT:
         raise InputError(
             f"{path}: state norm {norm!r} is too far from 1 to correct")
-    if norm != 1.0:
+    if abs(norm - 1.0) > NORM_TOL:
         print(f"warning: {path}: norm drift {abs(norm - 1.0):.3e} corrected",
               file=sys.stderr)
     return vec

@@ -15,8 +15,9 @@ certified decision is one lookup that returns the one shared Infeasible
 outcome.  The pairs the bound leaves open go to a seeded random-restart
 damped least-squares search with an analytic Jacobian, which looks for
 a witness on every call.  The support scan asks the same cache which
-differing-support pairs the bound leaves open and decides only those,
-each violation with its own witness.
+differing-support pairs the bound leaves open: 16, in two orbits of its
+16 symmetries.  It searches the first pair of each orbit and relabels
+that witness onto the other 14, each image re-verified on its own pair.
 
 Outcomes are three-way: Feasible carries an independently re-verified
 witness; Infeasible is always a certificate, a bound at or above a
@@ -61,6 +62,25 @@ _INFEASIBLE_FLOOR = 1e-6
 #: the masked qubit of the full-system search, (|0> + |1>)/sqrt(2)
 _PLUS = QubitState.normalized(1.0, 1.0)
 
+#: the eight relabellings of the basis by X_A, X_B and the qubit swap, each
+#: as the image index of 00, 01, 10, 11: the swap or not, then X_A^a X_B^b
+#: flips the index bits (a, b), the identity first
+_KET_MAPS = tuple(tuple(swap[i] ^ flips for i in range(4))
+                  for swap in ((0, 1, 2, 3), (0, 2, 1, 3))
+                  for flips in range(4))
+
+
+def _check_kets(kets) -> tuple[str, ...]:
+    """``kets`` as a tuple; ``ValueError`` unless it holds 1-4 labels of
+    `KET_LABELS` (duplicates allowed)."""
+    kets = tuple(kets)
+    if not 1 <= len(kets) <= 4:
+        raise ValueError(f"pattern needs 1-4 kets, got {len(kets)}")
+    for k in kets:
+        if k not in KET_LABELS:
+            raise ValueError(f"unknown ket label {k!r}")
+    return kets
+
 
 @dataclass(frozen=True)
 class BasisPattern:
@@ -69,12 +89,7 @@ class BasisPattern:
     kets: tuple[str, ...]
 
     def __post_init__(self):
-        kets = tuple(self.kets)
-        if not 1 <= len(kets) <= 4:
-            raise ValueError(f"pattern needs 1-4 kets, got {len(kets)}")
-        for k in kets:
-            if k not in KET_LABELS:
-                raise ValueError(f"unknown ket label {k!r}")
+        kets = _check_kets(self.kets)
         object.__setattr__(self, "kets", kets)
         #: the ket multiset (n00, n01, n10, n11), all the bounds read
         object.__setattr__(self, "counts", tuple(map(kets.count, KET_LABELS)))
@@ -164,7 +179,11 @@ class FeasibilityOutcome:
     `conditions.masks_state`, largest entry), or ``inf`` when no restart
     gave a candidate that meets the floors.  ``iterations`` counts the
     damped least-squares steps, accepted or not, summed over all
-    ``FeasibilityConfig.restarts`` restarts.
+    ``FeasibilityConfig.restarts`` restarts.  A Feasible outcome of
+    `support_theorem_scan` may instead carry an image witness, another
+    pair's witness relabelled and re-verified on its own pair: its
+    ``best_residual`` is that re-verified residual, and ``iterations``
+    is 0.
     """
 
     status: FeasibilityStatus
@@ -634,9 +653,11 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     every residual of its report <= cfg.tol.  A pair whose certified
     bound (`_full_bound`) is at or above the Infeasible floor is
     Infeasible without a search, with that bound as ``best_residual``.
-    Of the 225 duplicate-free pairs that leaves 31 to the search, which
-    only looks for a witness: the 15 same-support pairs and the 16
-    violations of `support_theorem_scan`.
+    Of the 225 duplicate-free pairs that leaves 31 open, each searched
+    here for a witness: the 15 same-support pairs and the 16 violations
+    of `support_theorem_scan`.  The scan itself calls this on two of the
+    16, one per symmetry orbit, and re-verifies relabelled witnesses on
+    the other 14.
     """
     return _decide(p0, p1, cfg, full=True)
 
@@ -680,7 +701,7 @@ def load_table_fixture() -> list[TableRow]:
                            for kets in (p0, p1))):
             raise FixtureError(f"malformed fixture row {entry!r}")
         try:
-            p0, p1 = BasisPattern(p0).kets, BasisPattern(p1).kets
+            p0, p1 = _check_kets(p0), _check_kets(p1)
         except ValueError as exc:  # an unknown label or a bad length
             raise FixtureError(f"malformed fixture row {entry!r}: {exc}") \
                 from exc
@@ -704,6 +725,27 @@ def reproduce_tables(tables, cfg: FeasibilityConfig) -> list[TableRowResult]:
             for row in load_table_fixture() if row.table in tables]
 
 
+def _orbit_slots(p0: BasisPattern, p1: BasisPattern,
+                 witness: Witness) -> dict:
+    """The slots of a witness of the duplicate-free pair (p0, p1) carried
+    to each pair of its symmetry orbit.
+
+    Keyed by the image pair's two ket index sets; each value holds, per
+    state, the slot coefficient of every image ket.  Ket i becomes ket
+    ket_map[i] in both states (`_KET_MAPS`), and the states change places
+    or not: 16 maps.  With no duplicate ket a relabelling moves whole
+    slots, so each coefficient is carried over exactly.
+    """
+    sides = (dict(zip(p0.indices, witness.coeffs0)),
+             dict(zip(p1.indices, witness.coeffs1)))
+    orbit = {}
+    for ket_map in _KET_MAPS:
+        m0, m1 = ({ket_map[i]: c for i, c in side.items()} for side in sides)
+        orbit.setdefault((frozenset(m0), frozenset(m1)), (m0, m1))
+        orbit.setdefault((frozenset(m1), frozenset(m0)), (m1, m0))
+    return orbit
+
+
 def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     """Scan all ordered duplicate-free pattern pairs for counterexamples.
 
@@ -712,16 +754,38 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
     (see `feasible_full`).  Same-support pairs cannot be violations, nor
     can pairs with a `_certificate` (a `_full_bound` at or above the
-    Infeasible floor); neither is decided.  Every other pair is decided by
-    `feasible_full`, so each violation carries a witness found and
-    re-verified on its own pair.
+    Infeasible floor); neither is decided.  That leaves 16 pairs, in two
+    orbits of eight under 16 maps that keep every `masks_state` residual
+    at b = |+> and the overlap of a witness: X_A, X_B and the qubit swap
+    on both states, times exchanging Psi0 and Psi1.  The first pair of
+    each orbit in scan order is decided by `feasible_full`.  Every other
+    one gets that witness's slots relabelled onto its own patterns
+    (`_orbit_slots`), re-verified by `_verify_candidate` on its own pair
+    and accepted at a residual <= cfg.tol with ``iterations`` 0; an image
+    that fails the check sends its pair to `feasible_full` as well.
+    Nothing is kept between calls.
     """
     violations = []
+    images = {}  # an image pair's ket index sets -> its relabelled slots
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
         if (p0.support == p1.support or _certificate(
                 p0.counts, p1.counts, cfg.delta, True) is not None):
             continue
-        outcome = feasible_full(p0, p1, cfg)
+        outcome = None
+        slots = images.get((frozenset(p0.indices), frozenset(p1.indices)))
+        if slots is not None:
+            z = np.array([slots[0][i] for i in p0.indices]
+                         + [slots[1][i] for i in p1.indices])
+            checked = _verify_candidate(p0, p1, z, cfg.delta, full=True)
+            if checked is not None and checked[0] <= cfg.tol:
+                outcome = FeasibilityOutcome(FeasibilityStatus.FEASIBLE,
+                                             checked[0], 0, checked[1])
+        if outcome is None:
+            outcome = feasible_full(p0, p1, cfg)
+            if outcome.status is FeasibilityStatus.FEASIBLE:
+                for pair, carried in _orbit_slots(
+                        p0, p1, outcome.witness).items():
+                    images.setdefault(pair, carried)
         if outcome.status is FeasibilityStatus.FEASIBLE:
             violations.append(ScanViolation(p0.kets, p1.kets, outcome))
     return violations

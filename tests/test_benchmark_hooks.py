@@ -51,9 +51,9 @@ def test_one_gated_pass_of_each_workload(workloads, tmp_path):
 
     # The harness keeps every decision interval of every pass, so this
     # count times the pass rate drives peak_rss_mb: a change to it should
-    # be deliberate.  The scan decides its 16 violations alone: a bound
-    # certifies every Infeasible pair.
-    decisions = {"tables": 106, "scan": 16, "verdicts": 4000}
+    # be deliberate.  A bound certifies every Infeasible scan pair, and
+    # the scan decides one pair per orbit of its 16 violations: 2.
+    decisions = {"tables": 106, "scan": 2, "verdicts": 4000}
     assert set(workloads.WORKLOADS) == set(decisions)
     for name, cls in workloads.WORKLOADS.items():
         workload = cls(1, tmp_path)

@@ -47,7 +47,10 @@ def _write(tmp_path, name, payload) -> str:
 
 def test_check_masking_triple_exits_zero(triple, capsys):
     assert main(["check", *triple]) == 0
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    # GOOD_B's norm is 1 - 1.1e-16: full float precision, no warning
+    assert captured.err == ""
+    report = json.loads(captured.out)
     assert report["verdict"] is True
     assert report["tol"] == 1e-9
     assert len(report["eq4_residuals"]) == 6
@@ -78,6 +81,20 @@ def test_check_corrects_small_norm_drift(triple, tmp_path, capsys):
     assert main(["check", b, triple[1], triple[2]]) == 0
     err = capsys.readouterr().err
     assert "norm drift" in err and "corrected" in err
+
+
+@pytest.mark.parametrize("drift, warns", [(1e-13, False), (9e-13, False),
+                                          (3e-12, True)])
+def test_check_warns_only_on_drift_past_the_unit_tolerance(
+        triple, tmp_path, capsys, drift, warns):
+    # qlinalg.NORM_TOL is 1e-12; the drift of |0> scaled by 1 + drift is
+    # drift to within a rounding error
+    b = _write(tmp_path, "b.json",
+               {"re": [1.0 + drift, 0.0], "im": [0.0, 0.0]})
+    assert main(["check", b, triple[1], triple[2]]) in (0, 1)
+    err = capsys.readouterr().err
+    assert ("norm drift" in err) is warns
+    assert err.count("\n") == warns
 
 
 @pytest.mark.parametrize("payload", [
@@ -242,9 +259,9 @@ def test_check_exits_zero_one_or_two_with_the_file_named(
     assert code in ((0, 1) if valid else (2,) if valid is False
                     else (0, 1, 2)), (content, err)
     assert "Traceback" not in err
-    if code == 2:  # after any drift warning of the fixed files
-        assert err.splitlines()[-1].startswith(f"error: {bad}: "), \
-            (content, err)
+    if code == 2:  # the fixed files load without a drift warning
+        assert err.count("\n") == 1, (content, err)
+        assert err.startswith(f"error: {bad}: "), (content, err)
 
 
 # golden output, recorded before the triple path was unrolled: the

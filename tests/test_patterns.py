@@ -1154,27 +1154,186 @@ def test_full_system_decides_every_scan_pair():
             assert min(map(abs, coeffs)) >= DELTA - 1e-12
 
 
+#: the scan's config in the benchmark
+SCAN_CFG = FeasibilityConfig(restarts=2, seed=42)
+
+#: the first open pair of each orbit in scan order: the two the scan searches
+_SCAN_REPRESENTATIVES = ((("00", "01", "10"), ("00", "01", "11")),
+                         (("00", "01", "10"), ("00", "01", "10", "11")))
+
+
+def _relabellings(kets0, kets1, coeffs0, coeffs1) -> dict:
+    """Every image of a witness's slots under the 16 scan maps of the
+    oracle `_KET_MAPS`: image pair (sorted ket tuples) -> the set of
+    slot vectors some map carries the slots to, in the image's order."""
+    images = collections.defaultdict(set)
+    for g, exchange in itertools.product(_KET_MAPS, (False, True)):
+        sides = [{KET_LABELS[g[KET_LABELS.index(k)]]: c
+                  for k, c in zip(kets, coeffs)}
+                 for kets, coeffs in ((kets0, coeffs0), (kets1, coeffs1))]
+        if exchange:
+            sides.reverse()
+        pair = tuple(tuple(sorted(side)) for side in sides)
+        images[pair].add(tuple(side[k] for side, kets in zip(sides, pair)
+                               for k in kets))
+    return images
+
+
 def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
     # counted through the name the benchmark's tracer patches, at the
     # benchmark's config: no same-support or bound-certified pair is
-    # decided, so what is left is the 16 violations, each found by search
-    decided = []
-    search = patterns.feasible_full
+    # decided, and of the 16 open pairs only the first of each symmetry
+    # orbit is searched; the other 14 carry a representative's slots,
+    # relabelled exactly and re-verified on their own pair
+    decided, checked = [], []
+    search, verify = patterns.feasible_full, patterns._verify_candidate
 
     def counting(p0, p1, cfg):
         out = search(p0, p1, cfg)
         decided.append(((p0.kets, p1.kets), out))
         return out
 
+    def recording(p0, p1, z, delta, full):
+        checked.append(((p0.kets, p1.kets), tuple(z)))
+        return verify(p0, p1, z, delta, full)
+
     monkeypatch.setattr(patterns, "feasible_full", counting)
-    violations = support_theorem_scan(FeasibilityConfig(restarts=2, seed=42))
-    assert len(decided) == len(violations) == 16
-    for v, ((k0, k1), out) in zip(violations, decided):
-        assert set(k0) != set(k1)
+    monkeypatch.setattr(patterns, "_verify_candidate", recording)
+    violations = support_theorem_scan(SCAN_CFG)
+    assert [pair for pair, _ in decided] == list(_SCAN_REPRESENTATIVES)
+    pats = duplicate_free_patterns()
+    assert [(v.psi0_kets, v.psi1_kets) for v in violations] == [
+        (p0.kets, p1.kets) for p0, p1 in itertools.product(pats, repeat=2)
+        if _partners(p0.support, p1.support)]
+    searched = dict(decided)
+    images = {}
+    for (k0, k1), out in decided:
         assert out.status is FeasibilityStatus.FEASIBLE
-        assert out.decided_by == "search"
-        assert (v.psi0_kets, v.psi1_kets) == (k0, k1)
-        assert v.outcome is out
+        w = out.witness
+        images.update(_relabellings(k0, k1, w.coeffs0, w.coeffs1))
+    for v in violations:
+        pair = (v.psi0_kets, v.psi1_kets)
+        out = v.outcome
+        if pair in searched:
+            assert out is searched[pair]
+            assert out.iterations > 0
+            continue
+        assert out.status is FeasibilityStatus.FEASIBLE
+        assert out.iterations == 0
+        assert out.best_residual <= SCAN_CFG.tol
+        # one check per image, on the relabelled slots bit for bit
+        (z,) = [z for checked_pair, z in checked if checked_pair == pair]
+        assert z in images[pair]
+        w = out.witness
+        assert w.b == QubitState.normalized(1.0, 1.0)
+        # the check rescales the slots to unit merged norm, by at most a
+        # rounding error
+        np.testing.assert_allclose(w.coeffs0 + w.coeffs1, z,
+                                   rtol=1e-15, atol=0)
+        assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) \
+            == out.best_residual
+        assert abs(np.vdot(w.psi0.vec, w.psi1.vec)) >= DELTA - 1e-9
+
+
+def test_open_scan_pairs_form_two_orbits_of_eight():
+    # the pairs the bounds leave open with differing supports, under the
+    # eight ket maps times exchanging the states: every image of an open
+    # pair is open, and the 16 fall into two orbits of eight
+    pats = duplicate_free_patterns()
+    open_pairs = {(p0.support, p1.support) for p0, p1 in
+                  itertools.product(pats, repeat=2)
+                  if _partners(p0.support, p1.support)}
+    assert len(open_pairs) == 16
+    orbits = set()
+    for s0, s1 in open_pairs:
+        orbit = set()
+        for g in _KET_MAPS:
+            i0, i1 = (frozenset(KET_LABELS[g[KET_LABELS.index(k)]]
+                                for k in s) for s in (s0, s1))
+            orbit |= {(i0, i1), (i1, i0)}
+        assert orbit <= open_pairs
+        orbits.add(frozenset(orbit))
+    assert sorted(map(len, orbits)) == [8, 8]
+    assert frozenset().union(*orbits) == open_pairs
+    # each orbit's first pair in scan order is a searched representative
+    order = [(p0.support, p1.support)
+             for p0, p1 in itertools.product(pats, repeat=2)]
+    assert sorted(min(orbit, key=order.index) for orbit in orbits) \
+        == sorted((frozenset(k0), frozenset(k1))
+                  for k0, k1 in _SCAN_REPRESENTATIVES)
+
+
+def test_scan_relabels_by_the_eight_ket_maps():
+    # the runtime maps, built from the swap and bit flips of an index,
+    # are the oracle's eight permutations, built from the bits of a ket
+    assert len(set(patterns._KET_MAPS)) == len(patterns._KET_MAPS) == 8
+    assert set(patterns._KET_MAPS) == set(_KET_MAPS)
+
+
+@pytest.mark.parametrize("rejection", ["floors", "residual"])
+def test_a_rejected_image_is_searched_on_its_own_pair(monkeypatch,
+                                                      rejection):
+    # an image the check turns down, by its floors (None) or by a
+    # residual above tol, sends its pair to feasible_full; the violations
+    # stay the same
+    expected = [(v.psi0_kets, v.psi1_kets)
+                for v in support_theorem_scan(SCAN_CFG)]
+    target = (("00", "01", "11"), ("00", "01", "10"))
+    searched, rejected = [], []
+    search, verify = patterns.feasible_full, patterns._verify_candidate
+
+    def counting(p0, p1, cfg):
+        searched.append((p0.kets, p1.kets))
+        return search(p0, p1, cfg)
+
+    def rejecting(p0, p1, z, delta, full):
+        checked = verify(p0, p1, z, delta, full)
+        if (p0.kets, p1.kets) != target or rejected:
+            return checked
+        rejected.append(checked)
+        return None if rejection == "floors" else (
+            2.0 * SCAN_CFG.tol, checked[1])
+
+    monkeypatch.setattr(patterns, "feasible_full", counting)
+    monkeypatch.setattr(patterns, "_verify_candidate", rejecting)
+    violations = support_theorem_scan(SCAN_CFG)
+    # the image itself would have passed
+    assert len(rejected) == 1 and rejected[0][0] <= SCAN_CFG.tol
+    assert searched == [*_SCAN_REPRESENTATIVES, target]
+    assert [(v.psi0_kets, v.psi1_kets) for v in violations] == expected
+    (out,) = [v.outcome for v in violations
+              if (v.psi0_kets, v.psi1_kets) == target]
+    assert out.status is FeasibilityStatus.FEASIBLE and out.iterations > 0
+    w = out.witness
+    assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= SCAN_CFG.tol
+
+
+def test_two_scans_give_identical_violations_and_witnesses(monkeypatch):
+    # nothing is kept between scans: each searches its representatives
+    # again, and gets the same outcomes bit for bit
+    searched = []
+    search = patterns.feasible_full
+
+    def counting(p0, p1, cfg):
+        searched.append((p0.kets, p1.kets))
+        return search(p0, p1, cfg)
+
+    monkeypatch.setattr(patterns, "feasible_full", counting)
+    first, again = (support_theorem_scan(SCAN_CFG) for _ in range(2))
+    assert searched == 2 * list(_SCAN_REPRESENTATIVES)
+    assert len(first) == len(again) == 16
+    for a, b in zip(first, again):
+        assert (a.psi0_kets, a.psi1_kets) == (b.psi0_kets, b.psi1_kets)
+        assert a.outcome is not b.outcome
+        assert (a.outcome.status, a.outcome.best_residual,
+                a.outcome.iterations) == (b.outcome.status,
+                                          b.outcome.best_residual,
+                                          b.outcome.iterations)
+        wa, wb = a.outcome.witness, b.outcome.witness
+        assert (wa.coeffs0, wa.coeffs1, wa.b) == (wb.coeffs0, wb.coeffs1,
+                                                  wb.b)
+        for psi_a, psi_b in ((wa.psi0, wb.psi0), (wa.psi1, wb.psi1)):
+            np.testing.assert_array_equal(psi_a.vec, psi_b.vec)
 
 
 #: the eight relabelings of the basis by X_A, X_B and the qubit swap, each
