@@ -5,8 +5,9 @@ two-qubit carrier states when Psi = alpha0|Psi0> + alpha1|Psi1> has
 reduced states (on both subsystems) independent of the alphas.  This
 package evaluates the masking conditions as numerical residuals,
 decides feasibility of basis patterns by a certified bound, then a
-search for a witness, and samples the solution surfaces of the two
-orthogonal-pair families it ships as built-in examples.
+witness (searched for the marginal-equality system, built from closed
+forms for the full masking system), and samples the solution surfaces
+of the two orthogonal-pair families it ships as built-in examples.
 """
 
 from .qlinalg import QubitState, TwoQubitState
@@ -15,6 +16,7 @@ from .conditions import (
     cross_term_matrix,
     eq4_residuals,
     eq7_eq8_residuals,
+    masking_partner,
     masks_all_superpositions,
     masks_state,
     reduced_pair_residual,
@@ -60,7 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "QubitState", "TwoQubitState",
     "MaskingReport", "cross_term_matrix", "eq4_residuals",
-    "eq7_eq8_residuals",
+    "eq7_eq8_residuals", "masking_partner",
     "masks_all_superpositions", "masks_state", "reduced_pair_residual",
     "BasisPattern", "FeasibilityConfig", "FeasibilityOutcome",
     "FeasibilityStatus", "ScanViolation", "TableRow", "TableRowResult",

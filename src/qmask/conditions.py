@@ -13,6 +13,8 @@ This module numbers its residual systems once and for all:
 * ``eq7/eq8`` — the simplified three-line scalar systems equivalent to
   the cross-term matrices vanishing.
 
+``masking_partner`` gives the second state with a state's two marginals.
+
 Every verdict reads the entries of 2x2 blocks from one scalar kernel,
 ``_blocks(u, v)``: Tr_A|u><v| = M_u^T conj(M_v) (eq5: A, B, C, D_entry)
 then Tr_B|u><v| = M_u M_v^dagger (eq6), row-major, ``M[i, j]`` being the
@@ -221,6 +223,39 @@ def masks_all_superpositions(psi0: TwoQubitState, psi1: TwoQubitState,
     return max(*reduced_pair_residual(psi0, psi1),
                hypot(abs(t0), abs(t1), abs(t2), abs(t3)),
                hypot(abs(t4), abs(t5), abs(t6), abs(t7))) <= DEFAULT_TOL
+
+
+#: below this 1 - C^2 `masking_partner` refuses: P is undefined at C = 1,
+#: and its marginals drift from Psi's by about 6e-16 / sqrt(1 - C^2), so
+#: at most about 6e-14 above it
+PARTNER_MIN_GAP = 1e-4
+
+
+def masking_partner(psi: TwoQubitState) -> TwoQubitState:
+    """The masking partner P(Psi) of a state that is not maximally
+    entangled: a second state with both of Psi's marginals.
+
+    With M = [[a, b], [c, d]] the amplitude matrix of Psi and C =
+    2|det M| its concurrence, P(M) = (M - 2 det(M) [[d*, -c*], [-b*,
+    a*]]) / sqrt(1 - C^2), which is (2 Tr_B|Psi><Psi| - 1) M normalised.
+    Every state with Psi's marginals is e^{ig}(cos t Psi + i sin t P)
+    (Liang, Li and Fei, PRA 100, 030304(R), 2019); <Psi|P> is real.
+    Returned at unit norm through `TwoQubitState.unit`.  Raises
+    ``ValueError`` when 1 - C^2 < `PARTNER_MIN_GAP`, which includes
+    every maximally entangled state (C = 1).
+    """
+    a, b, c, d = psi.vec.tolist()
+    det = a * d - b * c
+    gap = 1.0 - 4.0 * abs(det) ** 2
+    if gap < PARTNER_MIN_GAP:
+        raise ValueError("no masking partner for a state maximally "
+                         f"entangled or too close to it: 1 - C^2 = {gap:.3g}"
+                         f" < {PARTNER_MIN_GAP:g}")
+    two_det = 2.0 * det
+    return TwoQubitState.unit([a - two_det * d.conjugate(),
+                               b + two_det * c.conjugate(),
+                               c + two_det * b.conjugate(),
+                               d - two_det * a.conjugate()])
 
 
 def eq7_eq8_residuals(psi0: TwoQubitState, psi1: TwoQubitState,

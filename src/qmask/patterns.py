@@ -6,23 +6,29 @@ position carrying a complex coefficient slot constrained away from zero
 feasibility oracle decides whether a pattern pair admits coefficients
 satisfying the marginal-equality system (and, for the support scan, the
 full masking system with a non-orthogonality constraint).  Both systems
-decide a pair the same way: a certified lower bound first, chiefly the
-widest gap between the two patterns' ranges of four linear functions of
-the squared moduli (for the full system, also the overlap of disjoint
-or entangled supports).  The bound depends only on the two ket
-multisets, so its verdict is cached per multiset pair and system: a
-certified decision is one lookup that returns the one shared Infeasible
-outcome.  The pairs the bound leaves open go to a seeded random-restart
-damped least-squares search with an analytic Jacobian, which looks for
-a witness on every call.  The support scan asks the same cache which
+decide a pair with a certified lower bound first, chiefly the widest
+gap between the two patterns' ranges of four linear functions of the
+squared moduli (for the full system, also the overlap of disjoint or
+entangled supports).  The bound depends only on the two ket multisets,
+so its verdict is cached per multiset pair and system: a certified
+decision is one lookup that returns the one shared Infeasible outcome.
+
+The pairs the bound leaves open are decided apart from it.  The eq4
+system runs a seeded random-restart damped least-squares search with an
+analytic Jacobian, in blocks of at most 64 restarts, which looks for a
+witness on every call.  The full system runs no search.  Two states
+share both marginals when their supports are equal or partners (see
+`conditions.masking_partner`), so it takes the first such pair of
+supports that the two patterns can take and builds its witness from
+closed forms.  The support scan asks the same cache which
 differing-support pairs the bound leaves open: 16, in two orbits of its
-16 symmetries.  It searches the first pair of each orbit and relabels
+16 symmetries.  It decides the first pair of each orbit and relabels
 that witness onto the other 14, each image re-verified on its own pair.
 
 Outcomes are three-way: Feasible carries an independently re-verified
-witness; Infeasible is always a certificate, a bound at or above a
-floor; a search that finds no witness is Inconclusive.
-Identical config seeds give bit-identical outcomes.
+witness, whoever proposed it; Infeasible is always a certificate, a
+bound at or above a floor; an eq4 search that finds no witness is
+Inconclusive.  Identical config seeds give bit-identical outcomes.
 """
 
 from __future__ import annotations
@@ -56,10 +62,18 @@ _CHECK_SLACK = 1e-12
 #: damped least-squares iterations per restart
 _ITERS = 2000
 
+#: most restarts the eq4 search builds and minimises at once, so that its
+#: memory stays bounded at any restart count
+_BLOCK = 64
+
+#: the most restarts a config accepts: NumPy's index range, so that every
+#: restart index fits an array index
+_MAX_RESTARTS = int(np.iinfo(np.intp).max)
+
 #: a certified bound at or above this decides Infeasible
 _INFEASIBLE_FLOOR = 1e-6
 
-#: the masked qubit of the full-system search, (|0> + |1>)/sqrt(2)
+#: the masked qubit of the full system, (|0> + |1>)/sqrt(2)
 _PLUS = QubitState.normalized(1.0, 1.0)
 
 #: the eight relabellings of the basis by X_A, X_B and the qubit swap, each
@@ -123,12 +137,13 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class FeasibilityConfig:
-    """Search configuration for the pattern feasibility oracle."""
+    """Configuration of the pattern feasibility oracle."""
 
     #: fixed floor on every |slot|, |<Psi0|Psi1>| and the qubit's |alpha_i|
     delta: float = field(default=0.1, init=False)
-    #: a budget for finding witnesses: Infeasible is always a certificate
-    #: and never depends on it; 10 is what the benchmark's tables run
+    #: the eq4 search's budget for finding witnesses: Infeasible is always
+    #: a certificate and never depends on it, nor does the full system;
+    #: 10 is what the benchmark's tables run
     restarts: int = 10
     #: fixed witness tolerance on the re-verified residual
     tol: float = field(default=1e-8, init=False)
@@ -140,6 +155,9 @@ class FeasibilityConfig:
             if not _is_integer(value) or value < low:
                 raise ValueError(
                     f"{name} must be an integer >= {low}, got {value!r}")
+        if self.restarts > _MAX_RESTARTS:
+            raise ValueError(f"restarts must be at most {_MAX_RESTARTS}, "
+                             f"got {self.restarts!r}")
 
 
 class FeasibilityStatus(str, Enum):
@@ -173,17 +191,16 @@ class FeasibilityOutcome:
     bound, a number no admissible coefficient choice gets below (the
     largest marginal distance for eq4, the largest
     `conditions.masks_state` residual for the full system, see
-    `_full_bound`), and ``iterations`` is 0.  Feasible and Inconclusive
-    come from the search: ``best_residual`` is the smallest re-verified
-    residual over all restarts (`conditions.reduced_pair_residual` or
-    `conditions.masks_state`, largest entry), or ``inf`` when no restart
-    gave a candidate that meets the floors.  ``iterations`` counts the
-    damped least-squares steps, accepted or not, summed over all
-    ``FeasibilityConfig.restarts`` restarts.  A Feasible outcome of
-    `support_theorem_scan` may instead carry an image witness, another
-    pair's witness relabelled and re-verified on its own pair: its
-    ``best_residual`` is that re-verified residual, and ``iterations``
-    is 0.
+    `_full_bound`), and ``iterations`` is 0.  For eq4, Feasible and
+    Inconclusive come from the search: ``best_residual`` is the smallest
+    re-verified residual `conditions.reduced_pair_residual` over all
+    restarts, or ``inf`` when no restart gave a candidate that meets the
+    floors, and ``iterations`` counts the damped least-squares steps,
+    accepted or not, summed over all ``FeasibilityConfig.restarts``
+    restarts.  A Feasible outcome of the full system carries a witness
+    built from a formula, or in `support_theorem_scan` another pair's
+    witness relabelled: ``best_residual`` is its re-verified largest
+    `conditions.masks_state` residual, and ``iterations`` is 0.
     """
 
     status: FeasibilityStatus
@@ -193,9 +210,14 @@ class FeasibilityOutcome:
 
     @property
     def decided_by(self) -> str:
-        """``"bound"`` exactly for Infeasible, read off the status."""
-        return ("bound" if self.status is FeasibilityStatus.INFEASIBLE
-                else "search")
+        """Read off the outcome: ``"bound"`` exactly for Infeasible,
+        ``"relation"`` for a full-system witness (the one kind that
+        carries a masked qubit ``b``), ``"search"`` for any other."""
+        if self.status is FeasibilityStatus.INFEASIBLE:
+            return "bound"
+        if self.witness is not None and self.witness.b is not None:
+            return "relation"
+        return "search"
 
 
 @dataclass(frozen=True)
@@ -253,7 +275,7 @@ def duplicate_free_patterns() -> list[BasisPattern]:
 
 
 # ---------------------------------------------------------------------------
-# residual systems (batched over restarts)
+# the eq4 residual system (batched over restarts)
 # ---------------------------------------------------------------------------
 
 #: orthonormal basis of the 2x2 Hermitian matrices
@@ -269,37 +291,26 @@ _LOCAL = np.array([np.kron(np.eye(2), P) for P in _PAULI]
 
 
 class _PairSystem:
-    """Residual system and its Jacobian for one pattern pair.
+    """The eq4 residual system and its Jacobian for one pattern pair.
 
     Parameters are the interleaved re/im of the pre-merge slots
-    z = (z0, z1) of both patterns.  The full system fixes the masked
-    qubit at b = |+> (see `feasible_full` for why that loses nothing).
-    Over one stack of Hermitian matrices K_m, built once from the slot
-    matrices S0, S1, every residual row is one of two kinds, in this
-    order:
+    z = (z0, z1) of both patterns.  Over one stack of Hermitian matrices
+    K_m, built once from the slot matrices S0, S1, every residual row is
+    one of two kinds, in this order:
 
-    - a form z^dag K_m z - unit_m.  For eq4, K_m = diag(S0^T F S0,
-      -S1^T F S1) over the eight `_LOCAL` observables F, then the two
-      norms diag(S0^T S0, 0) and diag(0, S1^T S1), with ``unit`` 1 on
-      the norms only: <c0|F|c0> - <c1|F|c1> and both norms minus one.
-      The full system adds the eight cross forms, the off-diagonal
-      blocks S1^T F S0 / 2 and their adjoint, so that z^dag K_m z =
-      Re<c1|F|c0>: at b = |+>, the Frobenius components of both eq3
-      cross matrices;
+    - a form z^dag K_m z - unit_m: K_m = diag(S0^T F S0, -S1^T F S1) over
+      the eight `_LOCAL` observables F, then the two norms diag(S0^T S0,
+      0) and diag(0, S1^T S1), with ``unit`` 1 on the norms only:
+      <c0|F|c0> - <c1|F|c1> and both norms minus one;
     - a hinge max(0, delta' - |z_k|) on each slot.
-
-    The overlap floor |<Psi0|Psi1>| >= delta has no row: every pair it
-    could rule out is certified by `_full_bound` before a search, and
-    `_verify_candidate` checks it on each candidate.
 
     The Jacobian is closed-form.  Written as one complex number per slot,
     d/dRe + i d/dIm, a form row has the gradient 2 K_m z and a slot hinge
     -z_k/|z_k| in its own slot, 0 where inactive.  The squared residual
-    norm is rA^2 + rB^2 (+ cross norms) + slot penalties.
+    norm is rA^2 + rB^2 + slot penalties.
     """
 
-    def __init__(self, p0: BasisPattern, p1: BasisPattern,
-                 delta: float, full: bool):
+    def __init__(self, p0: BasisPattern, p1: BasisPattern, delta: float):
         n0, n1 = len(p0), len(p1)
         self.n = n0 + n1
         eye = np.eye(4)[None]
@@ -307,15 +318,10 @@ class _PairSystem:
         top = np.concatenate([_LOCAL, eye, zero])
         bottom = np.concatenate([-_LOCAL, zero, eye])
         O = np.zeros_like(top)
-        forms = [np.block([[top, O], [O, bottom]])]
         self.unit = np.r_[np.zeros(len(_LOCAL)), 1.0, 1.0]
-        if full:
-            O = np.zeros_like(_LOCAL)
-            forms.append(np.block([[O, _LOCAL], [_LOCAL, O]]) / 2.0)
-            self.unit = np.r_[self.unit, np.zeros(len(_LOCAL))]
         S = np.block([[p0.slot_matrix(), np.zeros((4, n1))],
                       [np.zeros((4, n0)), p1.slot_matrix()]])
-        self.K = S.T @ np.concatenate(forms) @ S
+        self.K = S.T @ np.block([[top, O], [O, bottom]]) @ S
         self.n_forms = len(self.K)
         self.delta_opt = delta * (1.0 + _DELTA_MARGIN)
         self.n_params = 2 * self.n
@@ -348,14 +354,14 @@ class _PairSystem:
             (mag < self.delta_opt) / np.maximum(mag, 1e-300))
         return J
 
-    def initial_points(self, seed: int, restarts: int) -> np.ndarray:
-        """Per-restart starts keyed by (seed, restart index)."""
-        theta = np.empty((restarts, self.n_params))
-        for k in range(restarts):
+    def initial_points(self, seed: int, restarts: range) -> np.ndarray:
+        """One start per restart index, keyed by (seed, index)."""
+        theta = np.empty((len(restarts), self.n_params))
+        for row, k in zip(theta, restarts):
             rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
             mag = 0.35 + 0.5 * rng.random(self.n)
             phase = 2.0 * math.pi * rng.random(self.n)
-            theta[k].view(np.complex128)[:] = mag * np.exp(1j * phase)
+            row.view(np.complex128)[:] = mag * np.exp(1j * phase)
         return theta
 
 
@@ -593,30 +599,31 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
                              tuple(map(complex, z1)), b)
 
 
-def _decide(p0: BasisPattern, p1: BasisPattern, cfg: FeasibilityConfig,
-            full: bool) -> FeasibilityOutcome:
-    """A certified bound first (`_full_bound` or `_eq4_bound`, looked up
-    through `_certificate`): at or above the Infeasible floor it decides
-    alone.  Otherwise the search proposes one candidate per restart and
-    `_verify_candidate` decides: a witness (Feasible) or Inconclusive."""
-    certified = _certificate(p0.counts, p1.counts, cfg.delta, full)
-    if certified is not None:
-        return certified
-    system = _PairSystem(p0, p1, cfg.delta, full)
-    theta = system.initial_points(cfg.seed, cfg.restarts)
-    steps = np.zeros(cfg.restarts, dtype=np.int64)
-    theta = _minimize_batch(system, theta, _ITERS, steps)
-    # the first minimum in restart-index order => deterministic
-    checked = filter(None, (_verify_candidate(p0, p1, z, cfg.delta, full)
-                            for z in theta.view(np.complex128)))
-    best_residual, best_witness = min(checked, key=lambda c: c[0],
-                                      default=(math.inf, None))
+def _search(p0: BasisPattern, p1: BasisPattern,
+            cfg: FeasibilityConfig) -> FeasibilityOutcome:
+    """The eq4 search: one candidate per restart, minimised in blocks of
+    at most `_BLOCK` restarts, each checked by `_verify_candidate`: a
+    witness (Feasible) or Inconclusive.  Rows do not depend on their
+    block, so the blocks change no outcome."""
+    system = _PairSystem(p0, p1, cfg.delta)
+    best_residual, best_witness, steps = math.inf, None, 0
+    for start in range(0, cfg.restarts, _BLOCK):
+        restarts = range(start, min(start + _BLOCK, cfg.restarts))
+        counted = np.zeros(len(restarts), dtype=np.int64)
+        theta = _minimize_batch(system, system.initial_points(
+            cfg.seed, restarts), _ITERS, counted)
+        steps += int(counted.sum())
+        for z in theta.view(np.complex128):
+            checked = _verify_candidate(p0, p1, z, cfg.delta, full=False)
+            # the first minimum in restart-index order => deterministic
+            if checked is not None and checked[0] < best_residual:
+                best_residual, best_witness = checked
     feasible = best_residual <= cfg.tol
     return FeasibilityOutcome(
         status=(FeasibilityStatus.FEASIBLE if feasible
                 else FeasibilityStatus.INCONCLUSIVE),
         best_residual=best_residual,
-        iterations=int(steps.sum()),
+        iterations=steps,
         witness=best_witness if feasible else None,
     )
 
@@ -627,13 +634,125 @@ def feasible_eq4(p0: BasisPattern, p1: BasisPattern,
 
     Looks for pre-merge coefficients with every |c| >= cfg.delta and
     both merged states unit norm such that the marginals of the two
-    states coincide.  A pair whose certified lower bound (`_eq4_bound`)
-    is at or above the Infeasible floor is Infeasible without a search,
-    with that bound as ``best_residual``.  Any other pair is searched
-    for a witness, re-verified through `conditions` (never the optimizer
-    state); a search that finds none is Inconclusive.
+    states coincide.  A pair whose certified lower bound (`_eq4_bound`,
+    looked up through `_certificate`) is at or above the Infeasible
+    floor is Infeasible without a search, with that bound as
+    ``best_residual``.  Any other pair is searched for a witness,
+    re-verified through `conditions` (never the optimizer state); a
+    search that finds none is Inconclusive.
     """
-    return _decide(p0, p1, cfg, full=False)
+    certified = _certificate(p0.counts, p1.counts, cfg.delta, False)
+    return certified if certified is not None else _search(p0, p1, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the full system: witnesses from closed forms
+# ---------------------------------------------------------------------------
+
+def _partner_pair(amplitudes) -> tuple[np.ndarray, np.ndarray]:
+    """A state M and its masking partner P(M), as amplitude vectors."""
+    m = TwoQubitState.unit(amplitudes)
+    return m.vec, conditions.masking_partner(m).vec
+
+
+#: the partner case with the three-ket support missing 11: its state M
+#: and P(M), keyed by the ket that P(M) misses, 01 or 10, or None when it
+#: has all four kets
+_PARTNERS = {None: _partner_pair([1.0, 1.0, 1.0, 0.0]),
+             1: _partner_pair([0.5, 0.5, math.sqrt(0.5), 0.0]),
+             2: _partner_pair([0.5, math.sqrt(0.5), 0.5, 0.0])}
+
+#: the m-th roots of unity for m = 2, 3, 4; each set sums to 0 exactly
+_ROOTS = {2: (1.0, -1.0),
+          3: (1.0, complex(-0.5, math.sqrt(0.75)),
+              complex(-0.5, -math.sqrt(0.75))),
+          4: (1.0, 1j, -1.0, -1j)}
+
+
+def _fitting_supports(counts: tuple[int, ...]) -> list[int]:
+    """The supports a merged state of the ket multiset can have, as bit
+    masks over ket indices, ascending: every single ket, and any of the
+    duplicated ones, which can merge to 0."""
+    singles = sum(1 << k for k, n in enumerate(counts) if n == 1)
+    listed = sum(1 << k for k, n in enumerate(counts) if n)
+    return [s for s in range(1, 16)
+            if s & singles == singles and not s & ~listed]
+
+
+def _related_states(s0: int, s1: int) -> tuple | None:
+    """Psi0 and Psi1 of supports s0 and s1 (bit masks) that share both
+    marginals and mask |+>, or None unless the supports are equal or
+    partners.
+
+    - Equal supports: uniform amplitudes, and Psi1 = i Psi0.
+    - Partners, a three-ket support against all four kets or against
+      three kets whose missing ket differs in one bit: moved by the X_A,
+      X_B map of `_KET_MAPS` that takes the three-ket support's missing
+      ket to 11, they are M and i P(M) of `_PARTNERS`; when Psi0 has all
+      four kets, P(M) and i M.  Both orders make the two eq3 cross
+      matrices at |+> anti-Hermitian, so they vanish.
+
+    The maximally entangled pairs of eq4 are not among them: their
+    overlap is 0.
+    """
+    if s0 == s1:
+        psi0 = np.array([s0 >> k & 1 for k in range(4)]) / math.sqrt(
+            s0.bit_count())
+        return psi0, 1j * psi0
+    three, other = (s0, s1) if s0.bit_count() == 3 else (s1, s0)
+    if three.bit_count() != 3:
+        return None
+    # X_A^a X_B^b, (a, b) the bits of flips, takes the ket three lacks
+    # to 11; the ket other lacks goes to 01 or 10 exactly for partners
+    flips = ((15 ^ three).bit_length() - 1) ^ 3
+    if other == 15:
+        key = None
+    elif other.bit_count() == 3:
+        key = ((15 ^ other).bit_length() - 1) ^ flips
+        if key not in (1, 2):
+            return None
+    else:
+        return None
+    m, partner = _PARTNERS[key]
+    states = (m, 1j * partner) if three == s0 else (partner, 1j * m)
+    ket_map = list(_KET_MAPS[flips])
+    return tuple(psi[ket_map] for psi in states)
+
+
+def _split_slots(p: BasisPattern, psi: np.ndarray, support: int,
+                 delta: float) -> list[complex]:
+    """Slot coefficients of ``p`` that merge to ``psi`` on ``support`` and
+    to 0 off it.  A single ket takes its amplitude.  A ket listed m >= 2
+    times, with merged value a, is split as a/m + r e^{2 pi i j/m} over
+    its copies j with r = 2 delta + |a|/m: the copies sum to a, and each
+    has modulus >= 2 delta."""
+    copies = [0, 0, 0, 0]
+    slots = []
+    for k in p.indices:
+        a = complex(psi[k]) if support >> k & 1 else 0j
+        m = p.counts[k]
+        if m == 1:
+            slots.append(a)
+            continue
+        r = 2.0 * delta + abs(a) / m
+        slots.append(a / m + r * _ROOTS[m][copies[k]])
+        copies[k] += 1
+    return slots
+
+
+def _full_check(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
+                cfg: FeasibilityConfig) -> FeasibilityOutcome:
+    """One full-system candidate through `_verify_candidate`: Feasible at
+    a re-verified residual <= cfg.tol, with ``iterations`` 0, else
+    Inconclusive."""
+    checked = _verify_candidate(p0, p1, z, cfg.delta, full=True)
+    if checked is None:
+        return FeasibilityOutcome(FeasibilityStatus.INCONCLUSIVE, math.inf)
+    residual, witness = checked
+    if residual > cfg.tol:
+        return FeasibilityOutcome(FeasibilityStatus.INCONCLUSIVE, residual)
+    return FeasibilityOutcome(FeasibilityStatus.FEASIBLE, residual, 0,
+                              witness)
 
 
 def feasible_full(p0: BasisPattern, p1: BasisPattern,
@@ -648,18 +767,36 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     Psi0, e^{-i arg z} Psi1).  That rephasing keeps Psi1's marginals,
     the overlap magnitude and every |slot|, and Psi1's slot phases
     already range over it: a pair masks some qubit with |alpha_i| >=
-    delta iff it masks |+>.  A candidate is
-    accepted by `conditions.masks_state` at b = |+>: Feasible needs
-    every residual of its report <= cfg.tol.  A pair whose certified
-    bound (`_full_bound`) is at or above the Infeasible floor is
-    Infeasible without a search, with that bound as ``best_residual``.
-    Of the 225 duplicate-free pairs that leaves 31 open, each searched
-    here for a witness: the 15 same-support pairs and the 16 violations
-    of `support_theorem_scan`.  The scan itself calls this on two of the
-    16, one per symmetry orbit, and re-verifies relabelled witnesses on
-    the other 14.
+    delta iff it masks |+>.
+
+    A pair whose certified bound (`_full_bound`, looked up through
+    `_certificate`) is at or above the Infeasible floor is Infeasible,
+    with that bound as ``best_residual``.  Every other pair has two
+    supports it can take that are equal or partners, and no search
+    runs: the first such pair in `_fitting_supports` order gets its
+    witness from `_related_states`, split onto the slots by
+    `_split_slots` and accepted by `_verify_candidate`, which runs
+    `conditions.masks_state` at b = |+>: Feasible needs every residual
+    <= cfg.tol; it would be Inconclusive only if that check failed,
+    which the tests rule out on every pair of ket multisets.
+    ``cfg.restarts`` and ``cfg.seed`` play no part.  Of
+    the 225 duplicate-free pairs that leaves 31 Feasible: the 15
+    same-support pairs and the 16 violations of `support_theorem_scan`.
+    The scan itself calls this on two of the 16, one per symmetry
+    orbit, and re-verifies relabelled witnesses on the other 14.
     """
-    return _decide(p0, p1, cfg, full=True)
+    certified = _certificate(p0.counts, p1.counts, cfg.delta, True)
+    if certified is not None:
+        return certified
+    for s0, s1 in itertools.product(_fitting_supports(p0.counts),
+                                    _fitting_supports(p1.counts)):
+        states = _related_states(s0, s1)
+        if states is not None:
+            z = np.array(_split_slots(p0, states[0], s0, cfg.delta)
+                         + _split_slots(p1, states[1], s1, cfg.delta))
+            return _full_check(p0, p1, z, cfg)
+    # not reached: the bound certifies every pair without such supports
+    return FeasibilityOutcome(FeasibilityStatus.INCONCLUSIVE, math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -774,12 +911,11 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
         outcome = None
         slots = images.get((frozenset(p0.indices), frozenset(p1.indices)))
         if slots is not None:
-            z = np.array([slots[0][i] for i in p0.indices]
-                         + [slots[1][i] for i in p1.indices])
-            checked = _verify_candidate(p0, p1, z, cfg.delta, full=True)
-            if checked is not None and checked[0] <= cfg.tol:
-                outcome = FeasibilityOutcome(FeasibilityStatus.FEASIBLE,
-                                             checked[0], 0, checked[1])
+            outcome = _full_check(p0, p1, np.array(
+                [slots[0][i] for i in p0.indices]
+                + [slots[1][i] for i in p1.indices]), cfg)
+            if outcome.status is not FeasibilityStatus.FEASIBLE:
+                outcome = None
         if outcome is None:
             outcome = feasible_full(p0, p1, cfg)
             if outcome.status is FeasibilityStatus.FEASIBLE:

@@ -1,13 +1,14 @@
 """Shared fixtures.
 
-The verdict-table reproduction and the support scan are the two seeded
-searches the acceptance gate reads, at the default config (10 restarts,
-seed 42, the budget the benchmark's tables workload runs): the tables
-take under a second (the certified eq4 bound decides the 76 Infeasible
-rows without a search, so only the 30 Feasible rows are searched) and
-the scan well under one (it skips same-support pairs and the 194 pairs a
-certified bound proves Infeasible, and searches the other 16, its
-violations, each on its own pair).
+The verdict-table reproduction and the support scan are the two runs
+the acceptance gate reads, at the default config (10 restarts, seed 42,
+the budget the benchmark's tables workload runs): the tables take under
+a second (the certified eq4 bound decides the 76 Infeasible rows
+without a search, so only the 30 Feasible rows are searched) and the
+scan a few milliseconds (it skips same-support pairs and the 194 pairs
+a certified bound proves Infeasible; the other 16, its violations, get
+witnesses built from formulas, two of them directly and 14 as their
+relabelled images, with no search).
 Both are deterministic, so they run once per session here and every
 test that needs them reads the cached result.
 """

@@ -534,8 +534,9 @@ def test_tables_json_is_golden_up_to_the_search_numbers(tmp_path, capsys):
 
 def test_tables_search_errors_are_not_fixture_errors(tmp_path, monkeypatch,
                                                      capsys):
-    # NumPy refuses a batch of this many restarts before allocating it;
-    # the error is the search's, and only fixture errors say "fixture"
+    # the config refuses more restarts than NumPy can index, before any
+    # search; the error is the config's, and only fixture errors say
+    # "fixture"
     assert main(["tables", "--restarts", "9" * 20]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from qmask.conditions import (
     DEGENERATE_NORM,
+    PARTNER_MIN_GAP,
     cross_term_matrix,
     eq4_residuals,
     eq7_eq8_residuals,
+    masking_partner,
     masks_all_superpositions,
     masks_state,
     reduced_pair_residual,
@@ -235,6 +237,61 @@ def test_masks_state_accepts_a_non_orthogonal_masking_pair(v):
     report = masks_state(QubitState.normalized(1.0, 1.0), psi0, psi1)
     assert report.verdict
     assert max(report.superposition_residuals) <= 1e-15
+
+
+def _local_unitary(a, b, g):
+    """A 2x2 unitary from three angles."""
+    return np.array([[math.cos(a) * np.exp(1j * b), math.sin(a)],
+                     [-math.sin(a) * np.exp(1j * g),
+                      math.cos(a) * np.exp(1j * (g - b))]])
+
+
+def _schmidt_state(digits, u, v) -> TwoQubitState:
+    """U diag(cos t, sin t) V^T with 1 - C^2 = 10^-digits, C = sin 2t."""
+    t = math.asin(math.sqrt(1.0 - 10.0 ** -digits)) / 2.0
+    m = (_local_unitary(*u) @ np.diag([math.cos(t), math.sin(t)])
+         @ _local_unitary(*v).T)
+    return _unit(m.reshape(4))
+
+
+#: from product states (digits 0) to maximal entanglement (digits >= 16)
+schmidt_states = st.builds(_schmidt_state,
+                           st.floats(min_value=0.0, max_value=17.0),
+                           st.tuples(angles, angles, angles),
+                           st.tuples(angles, angles, angles))
+
+
+@seed(31)
+@settings(max_examples=300, deadline=None)
+@given(psi=st.one_of(vec4.map(_unit), schmidt_states))
+def test_masking_partner_shares_both_marginals(psi):
+    # P(Psi) has both of Psi's marginals to 1e-12, and <Psi|P> is real,
+    # at every concurrence C the function accepts; it refuses exactly
+    # when 1 - C^2 < PARTNER_MIN_GAP, up to the rounding of C
+    c = 2.0 * abs(np.linalg.det(psi.vec.reshape(2, 2)))
+    try:
+        partner = masking_partner(psi)
+    except ValueError as exc:
+        assert "maximally entangled" in str(exc)
+        assert 1.0 - c * c < PARTNER_MIN_GAP * (1.0 + 1e-9)
+        return
+    assert 1.0 - c * c >= PARTNER_MIN_GAP * (1.0 - 1e-9)
+    assert np.linalg.norm(partner.vec) == pytest.approx(1.0, abs=1e-15)
+    rho0, rho1 = outer(psi, psi), outer(partner, partner)
+    for trace in (ptrace_A, ptrace_B):
+        assert np.abs(trace(rho0) - trace(rho1)).max() <= 1e-12
+    assert abs(np.vdot(psi.vec, partner.vec).imag) <= 1e-12
+
+
+@seed(32)
+@settings(max_examples=100, deadline=None)
+@given(u=st.tuples(angles, angles, angles), phase=angles)
+def test_masking_partner_refuses_maximally_entangled_states(u, phase):
+    # U / sqrt(2) for a unitary U has C = 1: no state but its own phases
+    # shares its marginals, and P is undefined
+    psi = _unit(np.exp(1j * phase) * _local_unitary(*u).reshape(4))
+    with pytest.raises(ValueError, match="maximally entangled"):
+        masking_partner(psi)
 
 
 def test_masks_state_rejects_bad_tol():

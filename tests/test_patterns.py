@@ -1,6 +1,8 @@
-"""Pattern feasibility search, verdict tables, and the support scan."""
+"""Pattern feasibility: the certified bounds, the eq4 search, the full
+system's formula witnesses, verdict tables, and the support scan."""
 
 import collections
+import dataclasses
 import functools
 import itertools
 import json
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from qmask import patterns
 from qmask.conditions import (
     cross_term_matrix,
+    masking_partner,
     masks_state,
     reduced_pair_residual,
 )
@@ -108,6 +111,10 @@ def test_config_validation():
         FeasibilityConfig(seed=-1)
     with pytest.raises(ValueError, match="restarts must be an integer"):
         FeasibilityConfig(restarts=2.5)
+    # NumPy's index range bounds the count
+    assert FeasibilityConfig(restarts=2 ** 63 - 1).restarts == 2 ** 63 - 1
+    with pytest.raises(ValueError, match="restarts must be at most"):
+        FeasibilityConfig(restarts=2 ** 63)
     with pytest.raises(ValueError, match="seed must be an integer"):
         FeasibilityConfig(seed=42.0)
     assert FeasibilityConfig(restarts=np.int64(3)).restarts == 3
@@ -286,12 +293,11 @@ def _unit_slots(p: BasisPattern, values) -> np.ndarray:
 @settings(max_examples=200, deadline=None)
 @given(p0=st.sampled_from(SYSTEM_PATTERNS),
        p1=st.sampled_from(SYSTEM_PATTERNS),
-       v0=slot_values, v1=slot_values, full=st.booleans())
-def test_search_residuals_match_conditions(p0, p1, v0, v1, full):
+       v0=slot_values, v1=slot_values)
+def test_search_residuals_match_conditions(p0, p1, v0, v1):
     # at unit norm with every slot above the floor, the squared residual
-    # norm is the reference marginal distance (plus, for the full system,
-    # the cross norms at b = |+>); the overlap floor has no row
-    system = _PairSystem(p0, p1, DELTA, full)
+    # norm is the reference marginal distance
+    system = _PairSystem(p0, p1, DELTA)
     z0, z1 = _unit_slots(p0, v0), _unit_slots(p1, v1)
     z = np.concatenate([z0, z1])
     assume(np.abs(z).min() >= system.delta_opt)
@@ -302,11 +308,6 @@ def test_search_residuals_match_conditions(p0, p1, v0, v1, full):
     psi1 = TwoQubitState.unit(p1.slot_matrix() @ z1)
     rA, rB = reduced_pair_residual(psi0, psi1)
     expected = rA ** 2 + rB ** 2
-    if full:
-        b = QubitState.normalized(1.0, 1.0)
-        for sub in "AB":
-            cross = cross_term_matrix(psi0, psi1, b, sub)
-            expected += float(np.linalg.norm(cross)) ** 2
     assert len(r) == system.n_forms + system.n
     assert float(r @ r) == pytest.approx(expected, abs=1e-12)
 
@@ -319,14 +320,13 @@ def _kink_free_point(rng, low: int, high: int) -> np.ndarray:
     return np.stack([z.real, z.imag], axis=-1).ravel()
 
 
-@pytest.mark.parametrize("full", [False, True])
-def test_pair_system_jacobian_matches_central_differences(full):
+def test_pair_system_jacobian_matches_central_differences():
     # slots clear of the floor, some slots on the active side of their
     # hinge, and every slot below the floor
     rng = np.random.default_rng(11)
     h = 1e-6
     for p0, p1 in itertools.product(SYSTEM_PATTERNS, repeat=2):
-        system = _PairSystem(p0, p1, DELTA, full)
+        system = _PairSystem(p0, p1, DELTA)
         n = system.n
         theta = np.stack([_kink_free_point(rng, 0, n),
                           _kink_free_point(rng, n // 2, n - n // 2),
@@ -343,17 +343,15 @@ def test_pair_system_jacobian_matches_central_differences(full):
         assert (r[2, system.n_forms:] > 0).all()
 
 
-@pytest.mark.parametrize("kets0, kets1, full", [
-    (("00", "11"), ("01", "10"), False),
-    (("00", "00", "01"), ("00", "01"), False),
-    (("00", "01", "10"), ("00", "01", "10"), True),
-    (("00", "01"), ("00", "11"), True),
+@pytest.mark.parametrize("kets0, kets1", [
+    (("00", "11"), ("01", "10")),
+    (("00", "00", "01"), ("00", "01")),
 ])
-def test_search_rows_do_not_depend_on_batch(kets0, kets1, full):
+def test_search_rows_do_not_depend_on_batch(kets0, kets1):
     # each restart row converges to the same bits alone, in a subset of
     # rows, or in the whole batch
-    system = _PairSystem(BasisPattern(kets0), BasisPattern(kets1), DELTA, full)
-    start = system.initial_points(42, 6)
+    system = _PairSystem(BasisPattern(kets0), BasisPattern(kets1), DELTA)
+    start = system.initial_points(42, range(6))
     steps = np.zeros(6, dtype=np.int64)
     whole = _minimize_batch(system, start.copy(), 300, steps)
     for rows in [[k] for k in range(6)] + [[1, 4]]:
@@ -361,6 +359,40 @@ def test_search_rows_do_not_depend_on_batch(kets0, kets1, full):
         np.testing.assert_array_equal(
             _minimize_batch(system, start[rows], 300, counted), whole[rows])
         np.testing.assert_array_equal(counted, steps[rows])
+    # a later block draws its starts by restart index
+    np.testing.assert_array_equal(system.initial_points(42, range(2, 5)),
+                                  start[2:5])
+
+
+def test_search_minimises_restarts_in_blocks_of_64(monkeypatch):
+    # 200 restarts are built and minimised as blocks of 64, 64, 64 and 8
+    # rows, never as one (200, p) batch, and give the outcome of the
+    # whole batch bit for bit: the first minimum in restart-index order
+    p0, p1 = BasisPattern(("00", "11")), BasisPattern(("01", "10"))
+    cfg = FeasibilityConfig(restarts=200, seed=42)
+    shapes = []
+
+    def recording(system, theta, iters, steps):
+        shapes.append(theta.shape)
+        return _minimize_batch(system, theta, iters, steps)
+
+    monkeypatch.setattr(patterns, "_minimize_batch", recording)
+    out = feasible_eq4(p0, p1, cfg)
+    n_params = 2 * (len(p0) + len(p1))
+    assert shapes == [(64, n_params)] * 3 + [(8, n_params)]
+
+    system = _PairSystem(p0, p1, DELTA)
+    steps = np.zeros(200, dtype=np.int64)
+    whole = _minimize_batch(system, system.initial_points(42, range(200)),
+                            patterns._ITERS, steps)
+    checked = [c for c in (_verify_candidate(p0, p1, z, DELTA, False)
+                           for z in whole.view(np.complex128))
+               if c is not None]
+    residual, witness = min(checked, key=lambda c: c[0])
+    assert out.status is FeasibilityStatus.FEASIBLE
+    assert (out.best_residual, out.iterations) == (residual, steps.sum())
+    assert (out.witness.coeffs0, out.witness.coeffs1) == (witness.coeffs0,
+                                                          witness.coeffs1)
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +541,46 @@ def test_full_bound_certifies_exactly_the_pairs_no_witness_can_fit():
     assert open_pairs == 1157
 
 
+def test_full_system_decides_every_multiset_pair_without_a_search(
+        monkeypatch):
+    # on all 4761 ordered multiset pairs: Feasible exactly where no
+    # certificate applies, never Inconclusive, and no search, solve or
+    # einsum runs; every witness re-verifies at |+>, with the overlap
+    # and slot floors, and its slots assemble to its states
+    def no_search(*args, **kwargs):
+        raise AssertionError("the full system ran a search")
+
+    for module, name in ((patterns, "_minimize_batch"), (np.linalg, "solve"),
+                         (np, "einsum")):
+        monkeypatch.setattr(module, name, no_search)
+    plus = QubitState.normalized(1.0, 1.0)
+    cfg = FeasibilityConfig(restarts=1)
+    feasible = 0
+    for kets0, kets1 in itertools.product(_MULTISETS, repeat=2):
+        p0, p1 = BasisPattern(kets0), BasisPattern(kets1)
+        out = feasible_full(p0, p1, cfg)
+        certified = _certificate(p0.counts, p1.counts, DELTA, True)
+        if certified is not None:
+            assert out is certified
+            continue
+        feasible += 1
+        assert out.status is FeasibilityStatus.FEASIBLE, (kets0, kets1)
+        assert (out.decided_by, out.iterations) == ("relation", 0)
+        w = out.witness
+        assert w.b == plus
+        residuals = masks_state(plus, w.psi0, w.psi1).residuals()
+        assert max(residuals) == out.best_residual <= 1e-8
+        assert abs(np.vdot(w.psi0.vec, w.psi1.vec)) >= DELTA - 1e-12
+        for p, coeffs, psi in ((p0, w.coeffs0, w.psi0),
+                               (p1, w.coeffs1, w.psi1)):
+            assert min(map(abs, coeffs)) >= DELTA - 1e-12
+            state, norm = assemble(p, coeffs)
+            assert norm == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(state.vec, psi.vec, rtol=0,
+                                       atol=1e-12)
+    assert feasible == 1157
+
+
 def test_entangled_support_identities_hold_exactly():
     # with Psi0 = (a, 0, 0, d) and Psi1 = (p, q, r, s): conj(w) for
     # w = <Psi0|Psi1> is 2 Re(d s*) + (a p* - d* s), and
@@ -547,14 +619,6 @@ def test_masking_partner_shares_both_marginals_exactly():
     assert sp.expand(overlap - sp.conjugate(overlap)) == 0
 
 
-def _masking_partner(m) -> np.ndarray:
-    """P(M) = N / sqrt(1 - C^2) of the identity above, as a 4-vector."""
-    a, b, c, d = m
-    det = a * d - b * c
-    n = np.asarray(m, dtype=complex) - 2.0 * det * np.conj([d, -c, -b, a])
-    return n / math.sqrt(1.0 - 4.0 * abs(det) ** 2)
-
-
 _THREE = ("00", "01", "10")
 
 
@@ -564,10 +628,10 @@ _THREE = ("00", "01", "10")
     (np.array([0.5, math.sqrt(0.5), 0.5, 0.0]), ("00", "01", "11"), 0.707),
 ], ids=["full-support", "drops-01", "drops-10"])
 def test_witness_check_accepts_masking_partners(m, kets1, overlap):
-    # a witness built from a formula, not found by the search: P(M) has
+    # a witness built from a formula, not found by a search: P(M) has
     # M's marginals (eq4), and i P(M) masks |+> (the full system)
     p0, p1 = BasisPattern(_THREE), BasisPattern(kets1)
-    partner = _masking_partner(m)[list(p1.indices)]
+    partner = masking_partner(TwoQubitState.unit(m)).vec[list(p1.indices)]
     for full, phase in ((False, 1.0), (True, 1j)):
         z = np.r_[m[:3], phase * partner].astype(complex)
         residual, w = _verify_candidate(p0, p1, z, DELTA, full)
@@ -666,13 +730,14 @@ def test_entangled_support_bound_holds_on_random_states():
 
 def test_entangled_support_bound_decides_the_last_scan_pairs():
     # {00,11} or {01,10} against full support, in either order: no eq4
-    # bound applies (both supports can be maximally entangled), the
-    # clause gives f^2 / (2f + 1 + sqrt(2)) ~ 3.83e-3 exactly, below the
-    # smallest residual the search reaches there, 0.1000000000000527
+    # bound applies (both supports can be maximally entangled), and the
+    # clause gives f^2 / (2f + 1 + sqrt(2)) ~ 3.83e-3 exactly.  It is not
+    # tight: a random-restart search of the full system once reached
+    # residuals of 0.1000000000000527 there, and none smaller
     f = DELTA - 1e-12  # the witness check's floor on |slot| and overlap
     bound = f * f / (2.0 * f + 1.0 + math.sqrt(2.0))
     assert 3.82e-3 < bound < 3.83e-3
-    assert bound < 0.099  # not tight, but below what the search reaches
+    assert bound < 0.099  # below the residual that search reached
     full = BasisPattern(KET_LABELS)
     for kets in (("00", "11"), ("01", "10")):
         for p0, p1 in ((BasisPattern(kets), full), (full, BasisPattern(kets))):
@@ -1044,10 +1109,14 @@ def test_feasible_outcome_carries_verified_witness():
         assert norm == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(rebuilt.vec / norm, psi.vec, atol=1e-9)
     assert max(reduced_pair_residual(w.psi0, w.psi1)) <= FAST_CFG.tol
-    # decided_by is read off the status, never stored
+    # decided_by is read off the outcome, never stored: an eq4 witness
+    # has no masked qubit, a full-system witness has one
     assert out.decided_by == "search"
     for status in (FeasibilityStatus.FEASIBLE, FeasibilityStatus.INCONCLUSIVE):
         assert FeasibilityOutcome(status, 0.0).decided_by == "search"
+    with_qubit = dataclasses.replace(w, b=QubitState.normalized(1.0, 1.0))
+    assert FeasibilityOutcome(FeasibilityStatus.FEASIBLE, 0.0, 0,
+                              with_qubit).decided_by == "relation"
 
 
 def test_infeasible_outcome_reports_finite_floor():
@@ -1101,7 +1170,7 @@ def test_full_system_witness_carries_masked_qubit():
     assert min(abs(a) for a in (w.b.alpha0, w.b.alpha1)) >= DELTA - 1e-9
     assert w.b.alpha0 == w.b.alpha1 == pytest.approx(math.sqrt(0.5),
                                                      abs=1e-15)
-    # the search accepted the witness by the check that re-verifies it
+    # the witness was accepted by the check that re-verifies it
     report = masks_state(w.b, w.psi0, w.psi1)
     assert report.verdict
     assert max(report.residuals()) <= 1e-8
@@ -1110,8 +1179,8 @@ def test_full_system_witness_carries_masked_qubit():
 def test_full_system_decides_every_scan_pair():
     # the support scan's config in the benchmark: Feasible on exactly the
     # 15 same-support pairs and the 16 partner pairs, each with a
-    # re-verified witness at b = |+> found by the search, and Infeasible
-    # on the other 194, each certified without a search
+    # re-verified witness at b = |+> built from a formula, and Infeasible
+    # on the other 194, each certified by its bound
     cfg = FeasibilityConfig(restarts=2, seed=42)
     plus = QubitState.normalized(1.0, 1.0)
     differing = []  # Feasible pairs with differing supports, scan order
@@ -1127,7 +1196,8 @@ def test_full_system_decides_every_scan_pair():
             assert out.best_residual == _full_bound(p0, p1, DELTA)
             continue
         assert out.status is FeasibilityStatus.FEASIBLE
-        assert out.decided_by == "search"
+        assert out.decided_by == "relation"
+        assert out.iterations == 0
         if p0.support != p1.support:
             differing.append((p0.kets, p1.kets))
         w = out.witness
@@ -1143,6 +1213,7 @@ def test_full_system_decides_every_scan_pair():
     assert [(v.psi0_kets, v.psi1_kets) for v in violations] == differing
     for v in violations:
         assert v.outcome.status is FeasibilityStatus.FEASIBLE
+        assert v.outcome.decided_by == "relation"
         w = v.outcome.witness
         assert w.b == plus
         assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= 1e-8
@@ -1157,7 +1228,8 @@ def test_full_system_decides_every_scan_pair():
 #: the scan's config in the benchmark
 SCAN_CFG = FeasibilityConfig(restarts=2, seed=42)
 
-#: the first open pair of each orbit in scan order: the two the scan searches
+#: the first open pair of each orbit in scan order: the two the scan
+#: decides through feasible_full
 _SCAN_REPRESENTATIVES = ((("00", "01", "10"), ("00", "01", "11")),
                          (("00", "01", "10"), ("00", "01", "10", "11")))
 
@@ -1183,8 +1255,8 @@ def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
     # counted through the name the benchmark's tracer patches, at the
     # benchmark's config: no same-support or bound-certified pair is
     # decided, and of the 16 open pairs only the first of each symmetry
-    # orbit is searched; the other 14 carry a representative's slots,
-    # relabelled exactly and re-verified on their own pair
+    # orbit goes to feasible_full; the other 14 carry a representative's
+    # slots, relabelled exactly and re-verified on their own pair
     decided, checked = [], []
     search, verify = patterns.feasible_full, patterns._verify_candidate
 
@@ -1214,12 +1286,12 @@ def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
     for v in violations:
         pair = (v.psi0_kets, v.psi1_kets)
         out = v.outcome
+        assert out.decided_by == "relation"
+        assert out.iterations == 0
         if pair in searched:
             assert out is searched[pair]
-            assert out.iterations > 0
             continue
         assert out.status is FeasibilityStatus.FEASIBLE
-        assert out.iterations == 0
         assert out.best_residual <= SCAN_CFG.tol
         # one check per image, on the relabelled slots bit for bit
         (z,) = [z for checked_pair, z in checked if checked_pair == pair]
@@ -1274,8 +1346,8 @@ def test_scan_relabels_by_the_eight_ket_maps():
 def test_a_rejected_image_is_searched_on_its_own_pair(monkeypatch,
                                                       rejection):
     # an image the check turns down, by its floors (None) or by a
-    # residual above tol, sends its pair to feasible_full; the violations
-    # stay the same
+    # residual above tol, sends its pair to feasible_full, which builds
+    # that pair's own witness; the violations stay the same
     expected = [(v.psi0_kets, v.psi1_kets)
                 for v in support_theorem_scan(SCAN_CFG)]
     target = (("00", "01", "11"), ("00", "01", "10"))
@@ -1283,8 +1355,9 @@ def test_a_rejected_image_is_searched_on_its_own_pair(monkeypatch,
     search, verify = patterns.feasible_full, patterns._verify_candidate
 
     def counting(p0, p1, cfg):
-        searched.append((p0.kets, p1.kets))
-        return search(p0, p1, cfg)
+        out = search(p0, p1, cfg)
+        searched.append(((p0.kets, p1.kets), out))
+        return out
 
     def rejecting(p0, p1, z, delta, full):
         checked = verify(p0, p1, z, delta, full)
@@ -1299,17 +1372,18 @@ def test_a_rejected_image_is_searched_on_its_own_pair(monkeypatch,
     violations = support_theorem_scan(SCAN_CFG)
     # the image itself would have passed
     assert len(rejected) == 1 and rejected[0][0] <= SCAN_CFG.tol
-    assert searched == [*_SCAN_REPRESENTATIVES, target]
+    assert [pair for pair, _ in searched] == [*_SCAN_REPRESENTATIVES, target]
     assert [(v.psi0_kets, v.psi1_kets) for v in violations] == expected
     (out,) = [v.outcome for v in violations
               if (v.psi0_kets, v.psi1_kets) == target]
-    assert out.status is FeasibilityStatus.FEASIBLE and out.iterations > 0
+    assert out is searched[-1][1]
+    assert out.status is FeasibilityStatus.FEASIBLE and out.iterations == 0
     w = out.witness
     assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= SCAN_CFG.tol
 
 
 def test_two_scans_give_identical_violations_and_witnesses(monkeypatch):
-    # nothing is kept between scans: each searches its representatives
+    # nothing is kept between scans: each decides its representatives
     # again, and gets the same outcomes bit for bit
     searched = []
     search = patterns.feasible_full
@@ -1394,14 +1468,17 @@ def test_scan_symmetries_keep_the_masking_residuals(psi0, psi1, phases):
 
 
 def test_full_system_has_one_parameter_per_slot_coordinate():
-    # the masked qubit is fixed at |+>: the parameters are the slots'
-    # re/im alone, and the K stack holds 18 Hermitian forms, with no
-    # overlap matrix
+    # the masked qubit is fixed at |+>, so a full-system witness is one
+    # complex coefficient per slot, as is an eq4 search point: the slots'
+    # re/im alone, under a K stack of 10 Hermitian forms (eight marginal
+    # components and two norms)
     p0, p1 = BasisPattern(("00", "01", "10")), BasisPattern(("00", "11"))
-    for full, forms in ((False, 10), (True, 18)):
-        system = _PairSystem(p0, p1, DELTA, full)
-        assert system.n_params == 2 * (len(p0) + len(p1))
-        assert len(system.K) == forms
+    system = _PairSystem(p0, p1, DELTA)
+    assert system.n_params == 2 * (len(p0) + len(p1))
+    assert len(system.K) == 10
+    w = feasible_full(p0, BasisPattern(("00", "01", "10")), SCAN_CFG).witness
+    assert (len(w.coeffs0), len(w.coeffs1)) == (3, 3)
+    assert w.b == QubitState.normalized(1.0, 1.0)
 
 
 def test_full_system_certifies_disjoint_supports():
@@ -1426,17 +1503,23 @@ def test_full_system_certifies_disjoint_supports():
 ])
 def test_search_without_a_witness_is_inconclusive(monkeypatch, decide,
                                                   kets0, kets1):
-    # every Infeasible verdict is a certificate, so a search that finds no
-    # witness, here one that takes no step from its random starts, can
-    # only say Inconclusive
+    # every Infeasible verdict is a certificate, so an eq4 search that
+    # finds no witness, here one that takes no step from its random
+    # starts, can only say Inconclusive; the full system runs no search,
+    # so it is Feasible even then
     monkeypatch.setattr(patterns, "_ITERS", 0)
     out = decide(BasisPattern(kets0), BasisPattern(kets1),
                  FeasibilityConfig(restarts=3, seed=42))
+    assert out.iterations == 0
+    if decide is feasible_full:
+        assert out.status is FeasibilityStatus.FEASIBLE
+        assert out.decided_by == "relation"
+        assert out.best_residual <= FeasibilityConfig().tol
+        return
     assert out.status is FeasibilityStatus.INCONCLUSIVE
     assert out.decided_by == "search"
     assert out.witness is None
     assert out.best_residual > FeasibilityConfig().tol
-    assert out.iterations == 0
 
 
 def test_search_is_deterministic():
@@ -1452,13 +1535,17 @@ def test_search_is_deterministic():
 
 @pytest.mark.parametrize("decide", [feasible_eq4, feasible_full])
 def test_outcome_counts_damped_steps(decide):
-    # every restart takes at least one damped step, and the count is
-    # part of the seeded, deterministic outcome
+    # every eq4 restart takes at least one damped step, and the count is
+    # part of the seeded, deterministic outcome; the full system takes
+    # none
     p0 = BasisPattern(("00", "01", "10"))
     p1 = BasisPattern(("00", "01", "10", "11"))
     cfg = FeasibilityConfig(restarts=6, seed=42)
     a, b = decide(p0, p1, cfg), decide(p0, p1, cfg)
-    assert a.iterations >= cfg.restarts
+    if decide is feasible_full:
+        assert a.iterations == 0
+    else:
+        assert a.iterations >= cfg.restarts
     assert a.iterations == b.iterations
 
 
