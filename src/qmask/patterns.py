@@ -107,6 +107,8 @@ class BasisPattern:
         object.__setattr__(self, "kets", kets)
         #: the ket multiset (n00, n01, n10, n11), all the bounds read
         object.__setattr__(self, "counts", tuple(map(kets.count, KET_LABELS)))
+        #: basis index of each slot (2*bitA + bitB)
+        object.__setattr__(self, "indices", tuple(map(KET_LABELS.index, kets)))
         S = np.zeros((4, len(kets)))
         S[self.indices, range(len(kets))] = 1.0
         S.flags.writeable = False
@@ -114,11 +116,6 @@ class BasisPattern:
 
     def __len__(self) -> int:
         return len(self.kets)
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        """Basis index of each slot (2*bitA + bitB)."""
-        return tuple(2 * int(k[0]) + int(k[1]) for k in self.kets)
 
     @property
     def support(self) -> frozenset[str]:
@@ -265,13 +262,26 @@ def assemble(pattern: BasisPattern, coeffs) -> tuple[TwoQubitState, float]:
         raise ValueError(
             f"pattern has {len(pattern)} slots, got {c.shape[0]} coefficients")
     merged = pattern.slot_matrix() @ c
-    return TwoQubitState.unit(merged), float(np.linalg.norm(merged))
+    return TwoQubitState.unit(merged), _norm(merged)
+
+
+def _norm(v: np.ndarray) -> float:
+    """The norm of a complex vector by the formula `TwoQubitState.unit`
+    divides by, bit for bit the value of ``np.linalg.norm``."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+#: the 15 duplicate-free patterns, ordered by length then labels
+_DUPLICATE_FREE = tuple(BasisPattern(kets)
+                        for n in range(1, len(KET_LABELS) + 1)
+                        for kets in itertools.combinations(KET_LABELS, n))
 
 
 def duplicate_free_patterns() -> list[BasisPattern]:
-    """The 15 duplicate-free patterns, ordered by length then labels."""
-    return [BasisPattern(kets) for n in range(1, len(KET_LABELS) + 1)
-            for kets in itertools.combinations(KET_LABELS, n)]
+    """The 15 duplicate-free patterns, ordered by length then labels, in a
+    new list on every call."""
+    return list(_DUPLICATE_FREE)
 
 
 # ---------------------------------------------------------------------------
@@ -566,26 +576,32 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
                       delta: float, full: bool,
                       ) -> tuple[float, Witness] | None:
     """Check one candidate, the complex slots ``z`` of ``p0`` then ``p1``,
-    through `assemble` and `conditions`, whatever proposed it.
+    through `conditions`, whatever proposed it.
 
-    Both patterns' slots are rescaled to unit merged norm.  Returns
-    (residual, witness) when every |slot| is then >= delta (up to
-    _CHECK_SLACK) and, for the full system, the overlap meets the same
-    floor; else None.  The residual is the largest marginal distance for
-    eq4 and the largest `masks_state` residual at b = |+> for the full
-    system.
+    Each side takes one product, its merged vector S z with S the slot
+    matrix, and one norm of it, by the formula of `TwoQubitState.unit`.
+    Its slots are rescaled to z / norm, and its state is
+    `TwoQubitState.unit` of that same S z, which `assemble` of the
+    rescaled slots gives back to rounding.  Returns (residual, witness)
+    when every rescaled |slot| is >= delta (up to _CHECK_SLACK) and, for
+    the full system, the overlap meets the same floor; else None, also
+    when the merged amplitudes cancel.  The residual is the largest
+    marginal distance for eq4 and the largest `masks_state` residual at
+    b = |+> for the full system.
     """
-    slots = []
+    slots, states = [], []
     for p, zp in ((p0, z[:len(p0)]), (p1, z[len(p0):])):
-        norm = float(np.linalg.norm(p.slot_matrix() @ zp))
+        merged = p.slot_matrix() @ zp
+        norm = _norm(merged)
         if norm < 1e-12:
             return None  # the duplicated kets cancel
-        zp = zp / norm
-        if not (np.abs(zp) >= delta - _CHECK_SLACK).all():
+        scaled = (zp / norm).tolist()
+        # `not >=` also turns down a nan, which `min` may return
+        if not min(map(abs, scaled)) >= delta - _CHECK_SLACK:
             return None
-        slots.append(zp)
-    z0, z1 = slots
-    (psi0, _), (psi1, _) = assemble(p0, z0), assemble(p1, z1)
+        slots.append(tuple(scaled))
+        states.append(TwoQubitState.unit(merged))
+    psi0, psi1 = states
     if full:
         overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
         if overlap < delta - _CHECK_SLACK:
@@ -595,8 +611,7 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
     else:
         b = None
         residual = max(conditions.reduced_pair_residual(psi0, psi1))
-    return residual, Witness(psi0, psi1, tuple(map(complex, z0)),
-                             tuple(map(complex, z1)), b)
+    return residual, Witness(psi0, psi1, *slots, b)
 
 
 def _search(p0: BasisPattern, p1: BasisPattern,
@@ -889,9 +904,10 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     A violation is a pair with differing ket-sets that is Feasible for
     the full masking system under the non-orthogonality constraint
     |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
-    (see `feasible_full`).  Same-support pairs cannot be violations, nor
-    can pairs with a `_certificate` (a `_full_bound` at or above the
-    Infeasible floor); neither is decided.  That leaves 16 pairs, in two
+    (see `feasible_full`).  Same-support pairs, which have equal
+    ``counts`` here, cannot be violations, nor can pairs with a
+    `_certificate` (a `_full_bound` at or above the Infeasible floor);
+    neither is decided.  That leaves 16 pairs, in two
     orbits of eight under 16 maps that keep every `masks_state` residual
     at b = |+> and the overlap of a witness: X_A, X_B and the qubit swap
     on both states, times exchanging Psi0 and Psi1.  The first pair of
@@ -904,8 +920,8 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     """
     violations = []
     images = {}  # an image pair's ket index sets -> its relabelled slots
-    for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
-        if (p0.support == p1.support or _certificate(
+    for p0, p1 in itertools.product(_DUPLICATE_FREE, repeat=2):
+        if (p0.counts == p1.counts or _certificate(
                 p0.counts, p1.counts, cfg.delta, True) is not None):
             continue
         outcome = None

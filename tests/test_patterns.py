@@ -65,6 +65,17 @@ def test_pattern_indices_support_and_slots():
     np.testing.assert_allclose(S[:, 1], [1, 0, 0, 0])
 
 
+def test_pattern_stores_the_indices_the_labels_spell():
+    # indices is stored once per pattern, not rebuilt on each read, and
+    # holds 2*bitA + bitB of each label, for every fixture pattern
+    fixture = [kets for row in load_table_fixture()
+               for kets in (row.psi0_kets, row.psi1_kets)]
+    for kets in fixture + [p.kets for p in duplicate_free_patterns()]:
+        p = BasisPattern(kets)
+        assert vars(p)["indices"] == p.indices == tuple(
+            2 * int(k[0]) + int(k[1]) for k in kets)
+
+
 @pytest.mark.parametrize("kets", [(), ("00",) * 5, ("02",), ("0",)])
 def test_pattern_rejects_bad_kets(kets):
     with pytest.raises(ValueError):
@@ -77,6 +88,19 @@ def test_assemble_merges_duplicate_kets():
     state, norm = assemble(BasisPattern(("00", "11", "00")), [0.5, 0.5, 0.5])
     assert norm == pytest.approx(math.sqrt(1.25), abs=1e-12)
     np.testing.assert_allclose(state.vec * norm, [1.0, 0.0, 0.0, 0.5])
+
+
+@seed(11)
+@settings(max_examples=200, deadline=None)
+@given(v=st.lists(st.complex_numbers(max_magnitude=1e150, allow_nan=False,
+                                     allow_infinity=False),
+                  min_size=4, max_size=4))
+def test_assemble_norm_is_numpys_bit_for_bit(v):
+    # the norm that assemble and the witness check compute, as
+    # TwoQubitState.unit does, is the value np.linalg.norm gives
+    assume(any(v))
+    _, norm = assemble(BasisPattern(KET_LABELS), v)
+    assert norm == float(np.linalg.norm(np.array(v, dtype=complex)))
 
 
 def test_assemble_rejects_wrong_length():
@@ -98,6 +122,23 @@ def test_duplicate_free_patterns_enumeration():
              for m in range(1, 16))
     expected = sorted(masks, key=lambda kets: (len(kets), kets))
     assert [p.kets for p in pats] == expected
+
+
+def test_duplicate_free_patterns_returns_a_new_list_each_call():
+    # the patterns are built once, but a caller that changes its list
+    # changes neither the next call nor the scan
+    first = duplicate_free_patterns()
+    expected = [p.kets for p in first]
+    violations = [(v.psi0_kets, v.psi1_kets)
+                  for v in support_theorem_scan(SCAN_CFG)]
+    first.append(BasisPattern(("00", "00")))
+    again = duplicate_free_patterns()
+    assert again is not first
+    assert [p.kets for p in again] == expected
+    again.clear()
+    assert [p.kets for p in duplicate_free_patterns()] == expected
+    assert [(v.psi0_kets, v.psi1_kets)
+            for v in support_theorem_scan(SCAN_CFG)] == violations
 
 
 def test_config_validation():
@@ -541,18 +582,44 @@ def test_full_bound_certifies_exactly_the_pairs_no_witness_can_fit():
     assert open_pairs == 1157
 
 
+def _assert_witness_is_its_candidate(p0, p1, z, witness):
+    """The check contract: each side's state is `TwoQubitState.unit` of
+    its merged vector S z, bit for bit, its coefficients are z / |S z|
+    exactly, and they assemble back to the state."""
+    for p, zp, coeffs, psi in ((p0, z[:len(p0)], witness.coeffs0,
+                                witness.psi0),
+                               (p1, z[len(p0):], witness.coeffs1,
+                                witness.psi1)):
+        merged = p.slot_matrix() @ zp
+        np.testing.assert_array_equal(psi.vec,
+                                      TwoQubitState.unit(merged).vec)
+        assert coeffs == tuple(zp / np.linalg.norm(merged))
+        state, norm = assemble(p, coeffs)
+        assert norm == pytest.approx(1.0, abs=1e-15)
+        np.testing.assert_allclose(state.vec, psi.vec, rtol=0, atol=1e-15)
+
+
 def test_full_system_decides_every_multiset_pair_without_a_search(
         monkeypatch):
     # on all 4761 ordered multiset pairs: Feasible exactly where no
     # certificate applies, never Inconclusive, and no search, solve or
     # einsum runs; every witness re-verifies at |+>, with the overlap
-    # and slot floors, and its slots assemble to its states
+    # and slot floors, and holds the check contract on the one slot
+    # vector it was checked on
     def no_search(*args, **kwargs):
         raise AssertionError("the full system ran a search")
 
     for module, name in ((patterns, "_minimize_batch"), (np.linalg, "solve"),
                          (np, "einsum")):
         monkeypatch.setattr(module, name, no_search)
+    given = []
+    verify = patterns._verify_candidate
+
+    def recording(p0, p1, z, delta, full):
+        given.append(z)
+        return verify(p0, p1, z, delta, full)
+
+    monkeypatch.setattr(patterns, "_verify_candidate", recording)
     plus = QubitState.normalized(1.0, 1.0)
     cfg = FeasibilityConfig(restarts=1)
     feasible = 0
@@ -571,13 +638,10 @@ def test_full_system_decides_every_multiset_pair_without_a_search(
         residuals = masks_state(plus, w.psi0, w.psi1).residuals()
         assert max(residuals) == out.best_residual <= 1e-8
         assert abs(np.vdot(w.psi0.vec, w.psi1.vec)) >= DELTA - 1e-12
-        for p, coeffs, psi in ((p0, w.coeffs0, w.psi0),
-                               (p1, w.coeffs1, w.psi1)):
-            assert min(map(abs, coeffs)) >= DELTA - 1e-12
-            state, norm = assemble(p, coeffs)
-            assert norm == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(state.vec, psi.vec, rtol=0,
-                                       atol=1e-12)
+        assert min(map(abs, w.coeffs0 + w.coeffs1)) >= DELTA - 1e-12
+        (z,) = given
+        given.clear()
+        _assert_witness_is_its_candidate(p0, p1, z, w)
     assert feasible == 1157
 
 
@@ -695,6 +759,26 @@ def test_witness_check_takes_a_duplicated_ket_merged_to_zero():
         assert min(map(abs, w.coeffs0 + w.coeffs1)) >= DELTA
         np.testing.assert_array_equal(w.psi0.vec, [0, 0, 0, 1])
         np.testing.assert_array_equal(w.psi1.vec, [0, 0, 0, phase])
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_a_passing_check_normalises_each_side_once(monkeypatch, full):
+    # one TwoQubitState.unit call per side, on a witness with a
+    # duplicated ket and a rescaling
+    calls = []
+    unit = TwoQubitState.unit.__func__
+
+    def counting(cls, vec):
+        calls.append(vec)
+        return unit(cls, vec)
+
+    monkeypatch.setattr(TwoQubitState, "unit", classmethod(counting))
+    p0, p1 = BasisPattern(("00", "00", "11")), BasisPattern(("11",))
+    z = np.array([0.3, -0.3, 1.3, 0.7j if full else 0.7], dtype=complex)
+    residual, w = _verify_candidate(p0, p1, z, DELTA, full)
+    assert residual <= 1e-15
+    assert len(calls) == 2
+    _assert_witness_is_its_candidate(p0, p1, z, w)
 
 
 def test_entangled_support_bound_holds_on_random_states():
@@ -1288,15 +1372,20 @@ def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
         out = v.outcome
         assert out.decided_by == "relation"
         assert out.iterations == 0
+        # one check per violation, whose witness holds the check contract
+        # on the slots it was given
+        (z,) = [z for checked_pair, z in checked if checked_pair == pair]
+        w = out.witness
+        _assert_witness_is_its_candidate(BasisPattern(pair[0]),
+                                         BasisPattern(pair[1]),
+                                         np.array(z), w)
         if pair in searched:
             assert out is searched[pair]
             continue
         assert out.status is FeasibilityStatus.FEASIBLE
         assert out.best_residual <= SCAN_CFG.tol
-        # one check per image, on the relabelled slots bit for bit
-        (z,) = [z for checked_pair, z in checked if checked_pair == pair]
+        # an image is checked on the relabelled slots bit for bit
         assert z in images[pair]
-        w = out.witness
         assert w.b == QubitState.normalized(1.0, 1.0)
         # the check rescales the slots to unit merged norm, by at most a
         # rounding error
