@@ -19,11 +19,14 @@ analytic Jacobian, in blocks of at most 64 restarts, which looks for a
 witness on every call.  The full system runs no search.  Two states
 share both marginals when their supports are equal or partners (see
 `conditions.masking_partner`), so it takes the first such pair of
-supports that the two patterns can take and builds its witness from
-closed forms.  The support scan asks the same cache which
+supports that the two patterns can take, looked up once per multiset
+pair with its two states, and builds its witness from them on every
+call.  The support scan asks the same cache, once per delta, which
 differing-support pairs the bound leaves open: 16, in two orbits of its
-16 symmetries.  It decides the first pair of each orbit and relabels
-that witness onto the other 14, each image re-verified on its own pair.
+16 symmetries.  It keeps them as a plan: the first pair of each orbit,
+which it decides, and for each other pair the slot positions that carry
+that witness onto it.  Every scan decides the two and re-verifies the
+14 images, each on its own pair.
 
 Outcomes are three-way: Feasible carries an independently re-verified
 witness, whoever proposed it; Infeasible is always a certificate, a
@@ -41,6 +44,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,10 +120,6 @@ class BasisPattern:
 
     def __len__(self) -> int:
         return len(self.kets)
-
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(self.kets)
 
     def slot_matrix(self) -> np.ndarray:
         """Read-only (4, n) 0/1 map from slot coefficients to amplitudes."""
@@ -559,8 +559,9 @@ def _certificate(counts0: tuple[int, ...], counts1: tuple[int, ...],
 
     Cached per (multiset pair, delta, system): a certified decision is
     one lookup, and every caller shares the one frozen outcome.  Only
-    certificates are cached; a pair the bound leaves open is searched
-    on every call.
+    certificates are cached; a pair the bound leaves open is decided on
+    every call, by the eq4 search or by a full-system witness checked
+    again.
     """
     bound = _bound(counts0, counts1, delta, full)
     if bound < _INFEASIBLE_FLOOR:
@@ -734,6 +735,25 @@ def _related_states(s0: int, s1: int) -> tuple | None:
     return tuple(psi[ket_map] for psi in states)
 
 
+@functools.cache
+def _related_supports(counts0: tuple[int, ...], counts1: tuple[int, ...],
+                      ) -> tuple | None:
+    """The first pair of supports (s0, s1) in `_fitting_supports` order
+    that two ket multisets can take and `_related_states` relates, with
+    its two states, read-only: (s0, s1, Psi0, Psi1), or None when no pair
+    is related.  Cached per multiset pair, so the supports are walked
+    once; the states hold no slot, which `_split_slots` places per call.
+    """
+    for s0, s1 in itertools.product(_fitting_supports(counts0),
+                                    _fitting_supports(counts1)):
+        states = _related_states(s0, s1)
+        if states is not None:
+            for psi in states:
+                psi.flags.writeable = False
+            return (s0, s1, *states)
+    return None
+
+
 def _split_slots(p: BasisPattern, psi: np.ndarray, support: int,
                  delta: float) -> list[complex]:
     """Slot coefficients of ``p`` that merge to ``psi`` on ``support`` and
@@ -788,9 +808,10 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     `_certificate`) is at or above the Infeasible floor is Infeasible,
     with that bound as ``best_residual``.  Every other pair has two
     supports it can take that are equal or partners, and no search
-    runs: the first such pair in `_fitting_supports` order gets its
-    witness from `_related_states`, split onto the slots by
-    `_split_slots` and accepted by `_verify_candidate`, which runs
+    runs: the first such pair in `_fitting_supports` order and its
+    states from `_related_states`, looked up through `_related_supports`,
+    give the witness, split onto the slots by `_split_slots` and
+    accepted by `_verify_candidate`, which runs
     `conditions.masks_state` at b = |+>: Feasible needs every residual
     <= cfg.tol; it would be Inconclusive only if that check failed,
     which the tests rule out on every pair of ket multisets.
@@ -803,15 +824,14 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     certified = _certificate(p0.counts, p1.counts, cfg.delta, True)
     if certified is not None:
         return certified
-    for s0, s1 in itertools.product(_fitting_supports(p0.counts),
-                                    _fitting_supports(p1.counts)):
-        states = _related_states(s0, s1)
-        if states is not None:
-            z = np.array(_split_slots(p0, states[0], s0, cfg.delta)
-                         + _split_slots(p1, states[1], s1, cfg.delta))
-            return _full_check(p0, p1, z, cfg)
-    # not reached: the bound certifies every pair without such supports
-    return FeasibilityOutcome(FeasibilityStatus.INCONCLUSIVE, math.inf)
+    related = _related_supports(p0.counts, p1.counts)
+    if related is None:
+        # not reached: the bound certifies every pair without such supports
+        return FeasibilityOutcome(FeasibilityStatus.INCONCLUSIVE, math.inf)
+    s0, s1, psi0, psi1 = related
+    z = np.array(_split_slots(p0, psi0, s0, cfg.delta)
+                 + _split_slots(p1, psi1, s1, cfg.delta))
+    return _full_check(p0, p1, z, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -877,25 +897,58 @@ def reproduce_tables(tables, cfg: FeasibilityConfig) -> list[TableRowResult]:
             for row in load_table_fixture() if row.table in tables]
 
 
-def _orbit_slots(p0: BasisPattern, p1: BasisPattern,
-                 witness: Witness) -> dict:
-    """The slots of a witness of the duplicate-free pair (p0, p1) carried
-    to each pair of its symmetry orbit.
+class _ScanStep(NamedTuple):
+    """One open pair of the support scan: ``rep`` is None for the first
+    pair of its symmetry orbit, which `feasible_full` decides; else it is
+    the plan index of that first pair, and ``positions`` holds, for each
+    slot of p0 then p1, the position in the representative's witness
+    slots (coeffs0 + coeffs1) of the coefficient it carries."""
 
-    Keyed by the image pair's two ket index sets; each value holds, per
-    state, the slot coefficient of every image ket.  Ket i becomes ket
-    ket_map[i] in both states (`_KET_MAPS`), and the states change places
-    or not: 16 maps.  With no duplicate ket a relabelling moves whole
-    slots, so each coefficient is carried over exactly.
+    p0: BasisPattern
+    p1: BasisPattern
+    rep: int | None = None
+    positions: np.ndarray | None = None
+
+
+@functools.cache
+def _scan_plan(delta: float) -> tuple[_ScanStep, ...]:
+    """The pairs `support_theorem_scan` decides, in scan order, built once
+    per delta from `_certificate` and `_KET_MAPS` alone.
+
+    Same-support pairs, which have equal ``counts`` here, and pairs with
+    a certificate are left out: 16 pairs remain, in two orbits of eight
+    under 16 maps, X_A, X_B and the qubit swap on both states times
+    exchanging the states.  With no duplicate ket a map moves whole
+    slots, so an image pair takes each slot coefficient of its orbit's
+    first pair from one fixed position.  Of the maps that give the same
+    image pair, the first in `_KET_MAPS` order, states in place before
+    exchanged, sets the positions.  The positions are read-only.
     """
-    sides = (dict(zip(p0.indices, witness.coeffs0)),
-             dict(zip(p1.indices, witness.coeffs1)))
-    orbit = {}
-    for ket_map in _KET_MAPS:
-        m0, m1 = ({ket_map[i]: c for i, c in side.items()} for side in sides)
-        orbit.setdefault((frozenset(m0), frozenset(m1)), (m0, m1))
-        orbit.setdefault((frozenset(m1), frozenset(m0)), (m1, m0))
-    return orbit
+    plan, orbits = [], {}  # image pair's ket index sets -> (rep, m0, m1)
+    for p0, p1 in itertools.product(_DUPLICATE_FREE, repeat=2):
+        if (p0.counts == p1.counts
+                or _certificate(p0.counts, p1.counts, delta, True)
+                is not None):
+            continue
+        image = orbits.get((frozenset(p0.indices), frozenset(p1.indices)))
+        if image is not None:
+            rep, m0, m1 = image
+            positions = np.array([m0[i] for i in p0.indices]
+                                 + [m1[i] for i in p1.indices])
+            positions.flags.writeable = False
+            plan.append(_ScanStep(p0, p1, rep, positions))
+            continue
+        rep = len(plan)
+        plan.append(_ScanStep(p0, p1))
+        # each side's basis index -> the position of its slot
+        sides = (dict(zip(p0.indices, range(len(p0)))),
+                 dict(zip(p1.indices, range(len(p0), len(p0) + len(p1)))))
+        for ket_map in _KET_MAPS:
+            m0, m1 = ({ket_map[i]: j for i, j in side.items()}
+                      for side in sides)
+            orbits.setdefault((frozenset(m0), frozenset(m1)), (rep, m0, m1))
+            orbits.setdefault((frozenset(m1), frozenset(m0)), (rep, m1, m0))
+    return tuple(plan)
 
 
 def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
@@ -904,40 +957,32 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     A violation is a pair with differing ket-sets that is Feasible for
     the full masking system under the non-orthogonality constraint
     |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
-    (see `feasible_full`).  Same-support pairs, which have equal
-    ``counts`` here, cannot be violations, nor can pairs with a
-    `_certificate` (a `_full_bound` at or above the Infeasible floor);
-    neither is decided.  That leaves 16 pairs, in two
-    orbits of eight under 16 maps that keep every `masks_state` residual
-    at b = |+> and the overlap of a witness: X_A, X_B and the qubit swap
-    on both states, times exchanging Psi0 and Psi1.  The first pair of
-    each orbit in scan order is decided by `feasible_full`.  Every other
-    one gets that witness's slots relabelled onto its own patterns
-    (`_orbit_slots`), re-verified by `_verify_candidate` on its own pair
-    and accepted at a residual <= cfg.tol with ``iterations`` 0; an image
-    that fails the check sends its pair to `feasible_full` as well.
-    Nothing is kept between calls.
+    (see `feasible_full`).  Same-support pairs cannot be violations, nor
+    can pairs with a `_certificate` (a `_full_bound` at or above the
+    Infeasible floor); neither is decided.  The scan walks the 16 other
+    pairs from `_scan_plan`, in scan order, two orbits of eight under 16
+    maps that keep every `masks_state` residual at b = |+> and the
+    overlap of a witness.  The first pair of each orbit is decided by
+    `feasible_full`.  Every other one gets that witness's slots moved to
+    the plan's positions, re-verified by `_verify_candidate` on its own
+    pair and accepted at a residual <= cfg.tol with ``iterations`` 0.
+    An image that fails the check, or whose first pair was not Feasible,
+    sends its pair to `feasible_full` as well.  The plan, which depends
+    only on delta, is kept once per delta; the outcomes are computed
+    again on every call and not kept.
     """
-    violations = []
-    images = {}  # an image pair's ket index sets -> its relabelled slots
-    for p0, p1 in itertools.product(_DUPLICATE_FREE, repeat=2):
-        if (p0.counts == p1.counts or _certificate(
-                p0.counts, p1.counts, cfg.delta, True) is not None):
-            continue
+    violations, outcomes = [], []
+    for p0, p1, rep, positions in _scan_plan(cfg.delta):
         outcome = None
-        slots = images.get((frozenset(p0.indices), frozenset(p1.indices)))
-        if slots is not None:
+        witness = None if rep is None else outcomes[rep].witness
+        if witness is not None:
             outcome = _full_check(p0, p1, np.array(
-                [slots[0][i] for i in p0.indices]
-                + [slots[1][i] for i in p1.indices]), cfg)
+                witness.coeffs0 + witness.coeffs1)[positions], cfg)
             if outcome.status is not FeasibilityStatus.FEASIBLE:
                 outcome = None
         if outcome is None:
             outcome = feasible_full(p0, p1, cfg)
-            if outcome.status is FeasibilityStatus.FEASIBLE:
-                for pair, carried in _orbit_slots(
-                        p0, p1, outcome.witness).items():
-                    images.setdefault(pair, carried)
+        outcomes.append(outcome)
         if outcome.status is FeasibilityStatus.FEASIBLE:
             violations.append(ScanViolation(p0.kets, p1.kets, outcome))
     return violations

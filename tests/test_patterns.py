@@ -56,7 +56,7 @@ FAST_CFG = FeasibilityConfig(restarts=60, seed=42)
 def test_pattern_indices_support_and_slots():
     p = BasisPattern(("10", "00", "10"))
     assert p.indices == (2, 0, 2)
-    assert p.support == frozenset({"00", "10"})
+    assert frozenset(p.kets) == frozenset({"00", "10"})
     assert len(p) == 3
     S = p.slot_matrix()
     assert S.shape == (4, 3)
@@ -1102,11 +1102,11 @@ def _uncached_eq4_bound(p0, p1, delta):
 
 
 def _uncached_full_bound(p0, p1, delta):
-    if not p0.support & p1.support:
+    if not frozenset(p0.kets) & frozenset(p1.kets):
         return delta
     bound = _uncached_eq4_bound(p0, p1, delta) / math.sqrt(2.0)
-    if any(a.support <= pair and any(b.kets.count(k) == 1
-                                     for k in set(KET_LABELS) - pair)
+    if any(frozenset(a.kets) <= pair
+           and any(b.kets.count(k) == 1 for k in set(KET_LABELS) - pair)
            for a, b in ((p0, p1), (p1, p0))
            for pair in (frozenset({"00", "11"}), frozenset({"01", "10"}))):
         f = delta - 1e-12
@@ -1163,17 +1163,25 @@ def test_bounds_cache_one_profile_per_ket_multiset():
             for row in load_table_fixture()}
     # the scan skips same-support pairs before it asks
     keys |= {(p0.counts, p1.counts, True) for p0, p1 in itertools.product(
-        duplicate_free_patterns(), repeat=2) if p0.support != p1.support}
+        duplicate_free_patterns(), repeat=2)
+        if frozenset(p0.kets) != frozenset(p1.kets)}
     multisets = {counts for key in keys for counts in key[:2]}
-    caches = patterns._certificate, patterns._profile
+    caches = (patterns._certificate, patterns._profile, patterns._scan_plan,
+              patterns._related_supports)
     for cache in caches:
         cache.cache_clear()
-    for _ in range(2):
+    for run in range(2):
         reproduce_tables((1, 2, 3, 4), cfg)
         support_theorem_scan(cfg)
-        certificates, profiles = (cache.cache_info() for cache in caches)
+        certificates, profiles, plans, related = (cache.cache_info()
+                                                  for cache in caches)
         assert certificates.currsize == certificates.misses == len(keys)
         assert profiles.currsize == profiles.misses <= len(multisets) <= 69
+        # one scan plan per delta, and one support lookup per multiset
+        # pair that the scan sends to feasible_full: its 2 representatives
+        assert (plans.currsize, plans.misses, plans.hits) == (1, 1, run)
+        assert (related.currsize, related.misses, related.hits) \
+            == (2, 2, 2 * run)
 
 
 # ---------------------------------------------------------------------------
@@ -1271,8 +1279,8 @@ def test_full_system_decides_every_scan_pair():
     certified = 0
     for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
         out = feasible_full(p0, p1, cfg)
-        bounded = not (p0.support == p1.support
-                       or _partners(p0.support, p1.support))
+        s0, s1 = frozenset(p0.kets), frozenset(p1.kets)
+        bounded = not (s0 == s1 or _partners(s0, s1))
         certified += bounded
         assert (out.status is FeasibilityStatus.INFEASIBLE) is bounded
         if bounded:
@@ -1282,7 +1290,7 @@ def test_full_system_decides_every_scan_pair():
         assert out.status is FeasibilityStatus.FEASIBLE
         assert out.decided_by == "relation"
         assert out.iterations == 0
-        if p0.support != p1.support:
+        if s0 != s1:
             differing.append((p0.kets, p1.kets))
         w = out.witness
         assert w.b == plus
@@ -1360,7 +1368,7 @@ def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
     pats = duplicate_free_patterns()
     assert [(v.psi0_kets, v.psi1_kets) for v in violations] == [
         (p0.kets, p1.kets) for p0, p1 in itertools.product(pats, repeat=2)
-        if _partners(p0.support, p1.support)]
+        if _partners(frozenset(p0.kets), frozenset(p1.kets))]
     searched = dict(decided)
     images = {}
     for (k0, k1), out in decided:
@@ -1401,9 +1409,9 @@ def test_open_scan_pairs_form_two_orbits_of_eight():
     # eight ket maps times exchanging the states: every image of an open
     # pair is open, and the 16 fall into two orbits of eight
     pats = duplicate_free_patterns()
-    open_pairs = {(p0.support, p1.support) for p0, p1 in
+    open_pairs = {(frozenset(p0.kets), frozenset(p1.kets)) for p0, p1 in
                   itertools.product(pats, repeat=2)
-                  if _partners(p0.support, p1.support)}
+                  if _partners(frozenset(p0.kets), frozenset(p1.kets))}
     assert len(open_pairs) == 16
     orbits = set()
     for s0, s1 in open_pairs:
@@ -1417,7 +1425,7 @@ def test_open_scan_pairs_form_two_orbits_of_eight():
     assert sorted(map(len, orbits)) == [8, 8]
     assert frozenset().union(*orbits) == open_pairs
     # each orbit's first pair in scan order is a searched representative
-    order = [(p0.support, p1.support)
+    order = [(frozenset(p0.kets), frozenset(p1.kets))
              for p0, p1 in itertools.product(pats, repeat=2)]
     assert sorted(min(orbit, key=order.index) for orbit in orbits) \
         == sorted((frozenset(k0), frozenset(k1))
@@ -1472,8 +1480,9 @@ def test_a_rejected_image_is_searched_on_its_own_pair(monkeypatch,
 
 
 def test_two_scans_give_identical_violations_and_witnesses(monkeypatch):
-    # nothing is kept between scans: each decides its representatives
-    # again, and gets the same outcomes bit for bit
+    # only the plan is kept between scans, never an outcome: each scan
+    # decides its representatives again, and gets the same outcomes bit
+    # for bit
     searched = []
     search = patterns.feasible_full
 
@@ -1497,6 +1506,126 @@ def test_two_scans_give_identical_violations_and_witnesses(monkeypatch):
                                                   wb.b)
         for psi_a, psi_b in ((wa.psi0, wb.psi0), (wa.psi1, wb.psi1)):
             np.testing.assert_array_equal(psi_a.vec, psi_b.vec)
+
+
+def test_scan_plan_lists_the_open_pairs_and_their_representatives():
+    # the 16 partner pairs in scan order; the first of each orbit is a
+    # representative, and every other entry names one
+    plan = patterns._scan_plan(DELTA)
+    assert plan is patterns._scan_plan(DELTA)
+    pats = duplicate_free_patterns()
+    assert [(step.p0.kets, step.p1.kets) for step in plan] == [
+        (p0.kets, p1.kets) for p0, p1 in itertools.product(pats, repeat=2)
+        if _partners(frozenset(p0.kets), frozenset(p1.kets))]
+    reps = [i for i, step in enumerate(plan) if step.rep is None]
+    assert [(plan[i].p0.kets, plan[i].p1.kets) for i in reps] \
+        == list(_SCAN_REPRESENTATIVES)
+    assert all(step.positions is None for step in plan if step.rep is None)
+    assert collections.Counter(step.rep for step in plan
+                               if step.rep is not None) \
+        == {i: 7 for i in reps}
+
+
+def test_scan_plan_positions_are_the_relabellings_of_the_oracle():
+    # with a distinct label per representative slot, each image's
+    # positions give one of the oracle's slot vectors for that pair, and
+    # a representative's images are exactly the other pairs of its orbit
+    plan = patterns._scan_plan(DELTA)
+    for r, rep in enumerate(plan):
+        if rep.rep is not None:
+            continue
+        labels = range(len(rep.p0) + len(rep.p1))
+        oracle = _relabellings(rep.p0.kets, rep.p1.kets,
+                               labels[:len(rep.p0)], labels[len(rep.p0):])
+        images = {(step.p0.kets, step.p1.kets): step for step in plan
+                  if step.rep == r}
+        assert set(images) | {(rep.p0.kets, rep.p1.kets)} == set(oracle)
+        for pair, step in images.items():
+            assert tuple(labels[j] for j in step.positions) in oracle[pair]
+
+
+def test_scan_plan_is_built_without_deciding_a_pair(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the plan decided a pair")
+
+    patterns._scan_plan.cache_clear()
+    monkeypatch.setattr(patterns, "feasible_full", refuse)
+    monkeypatch.setattr(patterns, "_verify_candidate", refuse)
+    assert len(patterns._scan_plan(DELTA)) == 16
+
+
+def test_first_scan_of_a_process_decides_two_pairs(monkeypatch):
+    # with every cache cleared, building the plan decides nothing: the
+    # scan still sends its 2 representatives to feasible_full and checks
+    # 16 candidates, 14 of them images
+    for cache in (patterns._certificate, patterns._profile,
+                  patterns._scan_plan, patterns._related_supports):
+        cache.cache_clear()
+    decided, checked = [], []
+    search, verify = patterns.feasible_full, patterns._verify_candidate
+
+    def counting(p0, p1, cfg):
+        decided.append((p0.kets, p1.kets))
+        return search(p0, p1, cfg)
+
+    def recording(p0, p1, z, delta, full):
+        checked.append((p0.kets, p1.kets))
+        return verify(p0, p1, z, delta, full)
+
+    monkeypatch.setattr(patterns, "feasible_full", counting)
+    monkeypatch.setattr(patterns, "_verify_candidate", recording)
+    violations = support_theorem_scan(SCAN_CFG)
+    assert decided == list(_SCAN_REPRESENTATIVES)
+    assert checked == [(v.psi0_kets, v.psi1_kets) for v in violations]
+    assert len(checked) == 16
+
+
+def test_scan_caches_refuse_writes():
+    support_theorem_scan(SCAN_CFG)
+    arrays = [step.positions for step in patterns._scan_plan(DELTA)
+              if step.positions is not None]
+    for kets0, kets1 in _SCAN_REPRESENTATIVES:
+        related = patterns._related_supports(BasisPattern(kets0).counts,
+                                             BasisPattern(kets1).counts)
+        arrays += related[2:]
+    assert len(arrays) == 14 + 4
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
+@pytest.mark.parametrize("failed", _SCAN_REPRESENTATIVES)
+def test_a_failed_representative_sends_its_orbit_to_feasible_full(
+        monkeypatch, failed):
+    # a representative whose check fails leaves no witness to relabel:
+    # every other pair of its orbit is decided by feasible_full, and the
+    # other orbit still takes images
+    plan = patterns._scan_plan(DELTA)
+    (r,) = [i for i, step in enumerate(plan)
+            if (step.p0.kets, step.p1.kets) == failed]
+    decided = []
+    search, verify = patterns.feasible_full, patterns._verify_candidate
+
+    def counting(p0, p1, cfg):
+        decided.append((p0.kets, p1.kets))
+        return search(p0, p1, cfg)
+
+    def failing(p0, p1, z, delta, full):
+        if (p0.kets, p1.kets) == failed:
+            return None
+        return verify(p0, p1, z, delta, full)
+
+    monkeypatch.setattr(patterns, "feasible_full", counting)
+    monkeypatch.setattr(patterns, "_verify_candidate", failing)
+    violations = support_theorem_scan(SCAN_CFG)
+    assert decided == [(step.p0.kets, step.p1.kets)
+                       for i, step in enumerate(plan)
+                       if step.rep is None or step.rep == r]
+    assert [(v.psi0_kets, v.psi1_kets) for v in violations] == [
+        (step.p0.kets, step.p1.kets) for i, step in enumerate(plan)
+        if i != r]
+    assert all(v.outcome.status is FeasibilityStatus.FEASIBLE
+               for v in violations)
 
 
 #: the eight relabelings of the basis by X_A, X_B and the qubit swap, each
@@ -1660,7 +1789,7 @@ def test_default_budget_finds_every_witness(seed):
             assert max(reduced_pair_residual(w.psi0, w.psi1)) <= cfg.tol
     pats = duplicate_free_patterns()
     pinned = {(p0.kets, p1.kets) for p0 in pats for p1 in pats
-              if _partners(p0.support, p1.support)}
+              if _partners(frozenset(p0.kets), frozenset(p1.kets))}
     violations = support_theorem_scan(cfg)
     assert {(v.psi0_kets, v.psi1_kets) for v in violations} == pinned
     assert len(pinned) == 16
