@@ -17,7 +17,6 @@ from .conditions import (
     eq4_residuals,
     eq7_eq8_residuals,
     masking_partner,
-    masks_all_superpositions,
     masks_state,
     reduced_pair_residual,
 )
@@ -31,7 +30,6 @@ from .patterns import (
     TableRowResult,
     Witness,
     assemble,
-    duplicate_free_patterns,
     feasible_eq4,
     feasible_full,
     load_table_fixture,
@@ -49,8 +47,6 @@ from .ortho import (
     complete_masker_unitary,
     eq9_residuals,
     eq13_residuals,
-    example1_residual,
-    example2_qubit,
     example2_residual,
     sample_example1,
     sample_example2,
@@ -62,17 +58,15 @@ __version__ = "0.1.0"
 __all__ = [
     "QubitState", "TwoQubitState",
     "MaskingReport", "cross_term_matrix", "eq4_residuals",
-    "eq7_eq8_residuals", "masking_partner",
-    "masks_all_superpositions", "masks_state", "reduced_pair_residual",
+    "eq7_eq8_residuals", "masking_partner", "masks_state",
+    "reduced_pair_residual",
     "BasisPattern", "FeasibilityConfig", "FeasibilityOutcome",
     "FeasibilityStatus", "ScanViolation", "TableRow", "TableRowResult",
-    "Witness", "assemble", "duplicate_free_patterns", "feasible_eq4",
-    "feasible_full", "load_table_fixture", "reproduce_tables",
-    "support_theorem_scan",
+    "Witness", "assemble", "feasible_eq4", "feasible_full",
+    "load_table_fixture", "reproduce_tables", "support_theorem_scan",
     "BRANCHES", "EXAMPLE1_PAIR", "SURFACE_CSV_HEADER", "Example1Point",
     "OrthoPairParams", "SurfacePoint",
     "build_example2_states", "complete_masker_unitary", "eq9_residuals",
-    "eq13_residuals", "example1_residual", "example2_qubit",
-    "example2_residual", "sample_example1", "sample_example2",
-    "write_surface_csv",
+    "eq13_residuals", "example2_residual", "sample_example1",
+    "sample_example2", "write_surface_csv",
 ]

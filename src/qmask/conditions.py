@@ -210,21 +210,6 @@ def masks_state(b: QubitState, psi0: TwoQubitState, psi1: TwoQubitState,
                          degenerate)
 
 
-def masks_all_superpositions(psi0: TwoQubitState, psi1: TwoQubitState,
-                             ) -> bool:
-    """True iff the pair masks *every* qubit state.
-
-    Quantifying eq3 over all (alpha0, alpha1) forces the bare cross
-    traces to vanish: requires both marginal distances of the pair and
-    ``||Tr_x(|Psi0><Psi1|)||_F`` for both subsystems to be <= DEFAULT_TOL.
-    """
-    u, v = psi0.vec.tolist(), psi1.vec.tolist()
-    t0, t1, t2, t3, t4, t5, t6, t7 = _blocks(u, v)
-    return max(*reduced_pair_residual(psi0, psi1),
-               hypot(abs(t0), abs(t1), abs(t2), abs(t3)),
-               hypot(abs(t4), abs(t5), abs(t6), abs(t7))) <= DEFAULT_TOL
-
-
 #: below this 1 - C^2 `masking_partner` refuses: P is undefined at C = 1,
 #: and its marginals drift from Psi's by about 6e-16 / sqrt(1 - C^2), so
 #: at most about 6e-14 above it

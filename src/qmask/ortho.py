@@ -125,8 +125,8 @@ EXAMPLE1_PAIR = OrthoPairParams(SQRT_HALF, SQRT_HALF * 1j,
                                 SQRT_HALF, SQRT_HALF)
 
 
-def example1_residual(pt: Example1Point) -> float:
-    """|value| of the example-1 surface equation at ``pt``.
+def _example1_value(x0, y0, x1, s, branch: str):
+    """Left side of the example-1 equation; floats or broadcast arrays.
 
     With ``s = sqrt(1 - (x0^2 + y0^2 + x1^2))`` the equation reads
     ``x0 x1 + y0 s + x0 s - x1 y0 = 0`` on the plus branch and
@@ -134,12 +134,6 @@ def example1_residual(pt: Example1Point) -> float:
     the two sign resolutions of the phase condition (eq9 lines 2-3 for
     the fixed pair, called eq10/eq11/eq12 internally).
     """
-    s = math.sqrt(1.0 - pt.radius2())
-    return abs(_example1_value(pt.x0, pt.y0, pt.x1, s, pt.branch))
-
-
-def _example1_value(x0, y0, x1, s, branch: str):
-    """Left side of the example-1 equation; floats or broadcast arrays."""
     if branch == "plus":
         return x0 * x1 + y0 * s + x0 * s - x1 * y0
     return x0 * x1 - y0 * s - x0 * s - x1 * y0
@@ -169,11 +163,6 @@ def sample_example1(grid_n: int, branch: str, tol: float,
 # ---------------------------------------------------------------------------
 # example 2
 # ---------------------------------------------------------------------------
-
-def example2_qubit(lam: float) -> QubitState:
-    """The masked qubit of the example-2 family for parameter lam."""
-    return QubitState.normalized(1.0, complex(0.0, lam))
-
 
 def eq13_residuals(a0: complex, a1: complex, b0: complex, b1: complex,
                    ) -> tuple[float, ...]:

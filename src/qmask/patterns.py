@@ -6,12 +6,13 @@ position carrying a complex coefficient slot constrained away from zero
 feasibility oracle decides whether a pattern pair admits coefficients
 satisfying the marginal-equality system (and, for the support scan, the
 full masking system with a non-orthogonality constraint).  Both systems
-decide a pair with a certified lower bound first, chiefly the widest
-gap between the two patterns' ranges of four linear functions of the
-squared moduli (for the full system, also the overlap of disjoint or
-entangled supports).  The bound depends only on the two ket multisets,
-so its verdict is cached per multiset pair and system: a certified
-decision is one lookup that returns the one shared Infeasible outcome.
+decide a pair with a certified lower bound first (`_bound`), chiefly
+the widest gap between the two patterns' ranges of four linear
+functions of the squared moduli (for the full system, also the overlap
+of disjoint or entangled supports).  The bound depends only on the two
+ket multisets, so its verdict is cached per multiset pair and system: a
+certified decision is one lookup that returns the one shared Infeasible
+outcome.
 
 The pairs the bound leaves open are decided apart from it.  The eq4
 system runs a seeded random-restart damped least-squares search with an
@@ -49,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import conditions
-from .qlinalg import QubitState, TwoQubitState
+from .qlinalg import QubitState, TwoQubitState, _norm
 
 KET_LABELS = ("00", "01", "10", "11")
 
@@ -188,7 +189,7 @@ class FeasibilityOutcome:
     bound, a number no admissible coefficient choice gets below (the
     largest marginal distance for eq4, the largest
     `conditions.masks_state` residual for the full system, see
-    `_full_bound`), and ``iterations`` is 0.  For eq4, Feasible and
+    `_bound`), and ``iterations`` is 0.  For eq4, Feasible and
     Inconclusive come from the search: ``best_residual`` is the smallest
     re-verified residual `conditions.reduced_pair_residual` over all
     restarts, or ``inf`` when no restart gave a candidate that meets the
@@ -265,23 +266,10 @@ def assemble(pattern: BasisPattern, coeffs) -> tuple[TwoQubitState, float]:
     return TwoQubitState.unit(merged), _norm(merged)
 
 
-def _norm(v: np.ndarray) -> float:
-    """The norm of a complex vector by the formula `TwoQubitState.unit`
-    divides by, bit for bit the value of ``np.linalg.norm``."""
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 #: the 15 duplicate-free patterns, ordered by length then labels
 _DUPLICATE_FREE = tuple(BasisPattern(kets)
                         for n in range(1, len(KET_LABELS) + 1)
                         for kets in itertools.combinations(KET_LABELS, n))
-
-
-def duplicate_free_patterns() -> list[BasisPattern]:
-    """The 15 duplicate-free patterns, ordered by length then labels, in a
-    new list on every call."""
-    return list(_DUPLICATE_FREE)
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +478,11 @@ def _diagonal_distance(counts0, counts1, floor: float) -> float:
     return gap
 
 
-def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
-    """Certified lower bound on max(`conditions.reduced_pair_residual`).
+def _bound(counts0, counts1, delta: float, full: bool) -> float:
+    """Certified lower bound of two ket multisets (``counts``) for the
+    eq4 system, or for the full system when ``full`` is set.
 
+    eq4: a lower bound on max(`conditions.reduced_pair_residual`).
     Holds for every admissible choice: single-ket |c| >= delta -
     _CHECK_SLACK (the witness check), any duplicated-ket merged value,
     unit merged norm.  A marginal difference with diagonal (d, -d) or
@@ -500,21 +490,15 @@ def _eq4_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
     (a) |d| >= `_diagonal_distance`, from four axis ranges per pattern.
     (b) |o| >= (delta - _CHECK_SLACK)^2 when one side's entry is a
     single product of two single kets and the other's is 0.
-    Both read one cached `_profile` per ket multiset.
-    """
-    return _bound(p0.counts, p1.counts, delta, full=False)
 
+    Full system: a lower bound on max(`conditions.masks_state`
+    residuals) at b = |+> when |<Psi0|Psi1>| and every |slot| are >= f =
+    delta - _CHECK_SLACK, the floors of the witness check.  Disjoint
+    supports give <Psi0|Psi1> = 0, which misses the overlap floor by
+    delta: the bound is delta.  Otherwise it is the larger of
 
-def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
-    """Certified lower bound on max(`conditions.masks_state` residuals)
-    at b = |+> when |<Psi0|Psi1>| and every |slot| are >= f = delta -
-    _CHECK_SLACK, the floors of the witness check.
-
-    Disjoint supports give <Psi0|Psi1> = 0, which misses the overlap
-    floor by delta: the bound is delta.  Otherwise it is the larger of
-
-    - `_eq4_bound` / sqrt(2): the eq4 lines of `masks_state` are the
-      entrywise |d| and |o| that `_eq4_bound` bounds times sqrt(2);
+    - the eq4 bound / sqrt(2): the eq4 lines of `masks_state` are the
+      entrywise |d| and |o| that the eq4 bound bounds times sqrt(2);
     - f^2 / (2f + 1 + sqrt(2)) when one pattern lists only kets of a
       two-ket entangled support and the other lists a ket outside it
       exactly once.  With Psi0 = (a, 0, 0, d), Psi1 = (p, q, r, s), q
@@ -526,14 +510,10 @@ def _full_bound(p0: BasisPattern, p1: BasisPattern, delta: float) -> float:
       eps (2 + (1 + sqrt(2)) / |q|), and |w|, |q| >= f give the bound.
       X_B, the qubit swap and exchanging the states keep every residual
       and |w|, which covers {01,10}, a single 10 and either order.
-    Both clauses read one cached `_profile` per ket multiset.
+
+    Every clause of both systems reads one cached `_profile` per ket
+    multiset.
     """
-    return _bound(p0.counts, p1.counts, delta, full=True)
-
-
-def _bound(counts0, counts1, delta: float, full: bool) -> float:
-    """`_full_bound` or `_eq4_bound` of two ket multisets, read from
-    their two cached `_profile`s."""
     if full and not any(n0 and n1 for n0, n1 in zip(counts0, counts1)):
         return delta
     f = delta - _CHECK_SLACK
@@ -650,7 +630,7 @@ def feasible_eq4(p0: BasisPattern, p1: BasisPattern,
 
     Looks for pre-merge coefficients with every |c| >= cfg.delta and
     both merged states unit norm such that the marginals of the two
-    states coincide.  A pair whose certified lower bound (`_eq4_bound`,
+    states coincide.  A pair whose certified lower bound (`_bound`,
     looked up through `_certificate`) is at or above the Infeasible
     floor is Infeasible without a search, with that bound as
     ``best_residual``.  Any other pair is searched for a witness,
@@ -804,7 +784,7 @@ def feasible_full(p0: BasisPattern, p1: BasisPattern,
     already range over it: a pair masks some qubit with |alpha_i| >=
     delta iff it masks |+>.
 
-    A pair whose certified bound (`_full_bound`, looked up through
+    A pair whose certified bound (`_bound`, looked up through
     `_certificate`) is at or above the Infeasible floor is Infeasible,
     with that bound as ``best_residual``.  Every other pair has two
     supports it can take that are equal or partners, and no search
@@ -958,8 +938,8 @@ def support_theorem_scan(cfg: FeasibilityConfig) -> list[ScanViolation]:
     the full masking system under the non-orthogonality constraint
     |<Psi0|Psi1>| >= delta, with a masked qubit of |alpha_i| >= delta
     (see `feasible_full`).  Same-support pairs cannot be violations, nor
-    can pairs with a `_certificate` (a `_full_bound` at or above the
-    Infeasible floor); neither is decided.  The scan walks the 16 other
+    can pairs with a `_certificate` (a full-system `_bound` at or above
+    the Infeasible floor); neither is decided.  The scan walks the 16 other
     pairs from `_scan_plan`, in scan order, two orbits of eight under 16
     maps that keep every `masks_state` residual at b = |+> and the
     overlap of a witness.  The first pair of each orbit is decided by

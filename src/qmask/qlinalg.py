@@ -84,7 +84,7 @@ class TwoQubitState:
     def unit(cls, vec) -> "TwoQubitState":
         """Rescale ``vec`` to unit norm and construct.
 
-        Divides by the norm that ``np.linalg.norm`` computes, bit for bit.
+        Divides by `_norm`, the norm ``np.linalg.norm`` computes, bit for bit.
         When the moduli sum to outside [2^-509, 2^510], where the squared
         norm could leave the normal float range, ``vec`` is `_prescaled`
         first, so every finite nonzero vector normalizes.
@@ -97,14 +97,19 @@ class TwoQubitState:
             total = math.inf
         if not _MODULI_MIN <= total <= _MODULI_MAX:  # also zero and nan
             w = _prescaled(v)
-        re, im = w.real, w.imag
-        n = math.sqrt(re.dot(re) + im.dot(im))
         # a fresh array, unit to a few ulp: no copy or second check needed
-        w = w / n
+        w = w / _norm(w)
         w.flags.writeable = False
         state = object.__new__(cls)
         object.__setattr__(state, "vec", w)
         return state
+
+
+def _norm(v: np.ndarray) -> float:
+    """The norm of a complex vector, bit for bit the value of
+    ``np.linalg.norm``: the one formula `TwoQubitState.unit` divides by."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _check_unit(amplitudes, what: str) -> np.ndarray:

@@ -17,6 +17,10 @@ and 16 are partners.
   partner, (Psi0, Psi1) = (M, i P(M)) when Psi0 has three kets, else
   (P(M), i M), flipped back.
 
+A ket listed m >= 2 times can merge to any value a.  `split_slots`
+gives its m slots exactly, as `patterns._split_slots` places them in
+floats.
+
 Every entry is an exact sympy number, so the tests can check the
 masking conditions with no rounding.
 """
@@ -90,3 +94,13 @@ def related_witnesses() -> dict:
     pairs = ((s0, s1, witness(s0, s1))
              for s0, s1 in itertools.product(SUPPORTS, repeat=2))
     return {(s0, s1): w for s0, s1, w in pairs if w is not None}
+
+
+def split_slots(a, m: int, delta) -> tuple:
+    """The m slots a/m + r e^{2 pi i j/m}, j = 0, ..., m - 1, with r =
+    2 delta + |a|/m, of a ket listed m times that merges to a."""
+    a = sp.sympify(a)
+    r = 2 * delta + sp.Abs(a) / m
+    return tuple(sp.expand(a / m + r * (sp.cos(2 * sp.pi * j / m)
+                                        + sp.I * sp.sin(2 * sp.pi * j / m)))
+                 for j in range(m))

@@ -65,6 +65,12 @@ def _surface_point(rng, branch: str) -> ortho.Example1Point:
         return ortho.Example1Point(x0, y0, x1, branch)
 
 
+def _surface_residual(pt: ortho.Example1Point) -> float:
+    """|value| of the example-1 surface equation at ``pt``."""
+    return abs(ortho._example1_value(pt.x0, pt.y0, pt.x1, abs(pt.y1()),
+                                     pt.branch))
+
+
 def _verify_eq4_witness(outcome, p0_kets, p1_kets, tol=1e-8):
     w = outcome.witness
     assert w is not None
@@ -264,7 +270,7 @@ def test_criterion6_surface_membership_matches_masking():
     for branch in ortho.BRANCHES:
         for _ in range(1000):
             pt = _surface_point(rng, branch)
-            assert ortho.example1_residual(pt) <= 1e-9
+            assert _surface_residual(pt) <= 1e-9
             assert masks_state(pt.qubit(), PSI0, PSI1, tol=1e-9).verdict
 
     rejected = 0
@@ -272,7 +278,7 @@ def test_criterion6_surface_membership_matches_masking():
         x0, y0, x1 = rng.uniform(-0.55, 0.55, size=3)
         branch = "plus" if rng.uniform() < 0.5 else "minus"
         pt = ortho.Example1Point(x0, y0, x1, branch)
-        if ortho.example1_residual(pt) < 1e-3:
+        if _surface_residual(pt) < 1e-3:
             continue
         rejected += 1
         assert not masks_state(pt.qubit(), PSI0, PSI1, tol=1e-9).verdict
@@ -328,7 +334,8 @@ def test_criterion8_shorthand_agrees_with_matrices():
         s0, s1 = ortho.build_example2_states(
             SQRT_HALF * math.cos(phi), SQRT_HALF * math.sin(phi),
             "plus" if rng.uniform() < 0.5 else "minus")
-        triples.append((ortho.example2_qubit(rng.uniform(-3.0, 3.0)), s0, s1))
+        lam = rng.uniform(-3.0, 3.0)
+        triples.append((QubitState.normalized(1.0, 1j * lam), s0, s1))
 
     agreements = 0
     true_verdicts = 0

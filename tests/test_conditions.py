@@ -14,14 +14,12 @@ from qmask.conditions import (
     eq4_residuals,
     eq7_eq8_residuals,
     masking_partner,
-    masks_all_superpositions,
     masks_state,
     reduced_pair_residual,
 )
 from qmask.ortho import (
     EXAMPLE1_PAIR,
     build_example2_states,
-    example2_qubit,
     sample_example1,
     sample_example2,
 )
@@ -183,6 +181,10 @@ def test_masks_state_accepts_good_qubit():
     assert report.verdict
     assert max(report.residuals()) <= 1e-12
     assert not report.degenerate_superposition
+    # the eq15 pair of the example-2 family masks (1, 0.37i)
+    eq15_psi0 = TwoQubitState.unit([0.5 + 0.5j, 0.0, 0.0, SQRT_HALF])
+    eq15_psi1 = TwoQubitState.unit([0.0, 0.5 + 0.5j, SQRT_HALF, 0.0])
+    assert masks_state(_qubit((1.0, 0.37j)), eq15_psi0, eq15_psi1).verdict
 
 
 def test_masks_state_rejects_real_second_amplitude():
@@ -305,15 +307,6 @@ def test_masks_state_rejects_bad_tol():
             sample_example2(21, tol)
 
 
-def test_masks_all_superpositions_false_for_masking_families():
-    # both example pairs mask a one-parameter family, not every qubit
-    assert not masks_all_superpositions(PSI0, PSI1)
-    eq15_psi0 = TwoQubitState.unit([0.5 + 0.5j, 0.0, 0.0, SQRT_HALF])
-    eq15_psi1 = TwoQubitState.unit([0.0, 0.5 + 0.5j, SQRT_HALF, 0.0])
-    assert not masks_all_superpositions(eq15_psi0, eq15_psi1)
-    assert masks_state(_qubit((1.0, 0.37j)), eq15_psi0, eq15_psi1).verdict
-
-
 # ---------------------------------------------------------------------------
 # scalar shorthand vs matrix equivalence
 # ---------------------------------------------------------------------------
@@ -377,7 +370,8 @@ def _seeded_triples(rng, n):
             psi0, psi1 = build_example2_states(
                 SQRT_HALF * math.cos(phi), SQRT_HALF * math.sin(phi),
                 "plus" if rng.uniform() < 0.5 else "minus")
-            yield example2_qubit(rng.uniform(-3.0, 3.0)), psi0, psi1, True
+            lam = rng.uniform(-3.0, 3.0)
+            yield QubitState.normalized(1.0, 1j * lam), psi0, psi1, True
         elif kind == 2:
             b, v0, v1 = (rng.standard_normal(m) + 1j * rng.standard_normal(m)
                          for m in (2, 4, 4))
@@ -413,9 +407,8 @@ def _reference(b, psi0, psi1, tol=1e-9):
         sup = (frob_dist(ptrace_A(rho), ptrace_A(r0)),
                frob_dist(ptrace_B(rho), ptrace_B(r0)))
     residuals = (*lines, *map(np.linalg.norm, cross), *sup)
-    every = max(np.linalg.norm(T) for T in Ts) <= tol and max(marginal) <= tol
     return (residuals, eq78, cross, marginal,
-            all(r <= tol for r in residuals), every)
+            all(r <= tol for r in residuals))
 
 
 # A triple from the example-1 pair at ~1e-10 from masking: every eq4 line
@@ -444,7 +437,7 @@ def test_superposition_residuals_can_fail_the_verdict_alone():
     assert not report.verdict
     assert masks_state(NEAR_B, NEAR_PSI0, NEAR_PSI1, tol=2e-9).verdict
     # the 4x4 oracle agrees: the group is not a rounding artifact
-    residuals, *_, verdict, _ = _reference(NEAR_B, NEAR_PSI0, NEAR_PSI1)
+    residuals, *_, verdict = _reference(NEAR_B, NEAR_PSI0, NEAR_PSI1)
     assert not verdict
     assert max(residuals[:8]) <= 6.6e-10
     assert min(residuals[8:]) >= 1.5e-9
@@ -509,11 +502,10 @@ def test_block_kernel_matches_outer_product_reference():
     triples = list(_seeded_triples(np.random.default_rng(2024), 2000))
     degenerate = 0
     for b, psi0, psi1, masks in triples:
-        residuals, eq78, cross, marginal, verdict, every = _reference(
+        residuals, eq78, cross, marginal, verdict = _reference(
             b, psi0, psi1)
         report = masks_state(b, psi0, psi1)
         assert report.verdict == verdict == masks
-        assert masks_all_superpositions(psi0, psi1) == every
         got = np.array(report.residuals())
         want = np.array(residuals)
         assert np.array_equal(np.isinf(got), np.isinf(want))

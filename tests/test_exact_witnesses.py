@@ -4,7 +4,9 @@
 it can take, with that pair's two states (`patterns._related_supports`).
 Here each of the 31 related support pairs gets its witness in sympy
 (`exact_witnesses`), the masking conditions are checked on it with no
-rounding, and the float states the lookup keeps are held to it.
+rounding, and the float states the lookup keeps are held to it.  The
+split of a duplicated ket over its slots (`patterns._split_slots`) is
+checked the same way.
 """
 
 import collections
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from exact_witnesses import SUPPORTS, matrix, related_witnesses
+from exact_witnesses import SUPPORTS, matrix, related_witnesses, split_slots
 from qmask import patterns
 
 DELTA = sp.Rational(1, 10)
@@ -80,3 +82,29 @@ def test_lookup_holds_the_exact_states(witnesses):
             expected = np.array([complex(sp.N(x, 30)) for x in exact])
             np.testing.assert_allclose(psi, expected, rtol=0, atol=1e-15,
                                        err_msg=str((s0, s1)))
+
+
+#: merged values of a duplicated ket: zero, real of either sign,
+#: imaginary, complex, and irrational like the witness amplitudes
+SPLIT_VALUES = (0, 1, -1, sp.I / 3,
+                sp.Rational(3, 10) - sp.Rational(2, 5) * sp.I,
+                1 / sp.sqrt(2), -sp.I / sp.sqrt(3), (1 + sp.I) / 2)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_duplicate_split_merges_exactly_and_keeps_the_floor(m):
+    # the m slots sum to a and each has modulus >= r - |a|/m = 2 delta,
+    # exactly; the float split of a pattern listing 00 m times agrees with
+    # them to 1e-15
+    pattern = patterns.BasisPattern(("00",) * m)
+    for a in SPLIT_VALUES:
+        slots = split_slots(a, m, DELTA)
+        assert _is_zero(sum(slots) - a), (m, a)
+        for slot in slots:
+            assert not slot.has(sp.Float), (m, a, slot)
+            assert _modulus2(slot) - 4 * DELTA ** 2 >= 0, (m, a, slot)
+        psi = np.array([complex(a), 0, 0, 0])
+        got = patterns._split_slots(pattern, psi, 1, float(DELTA))
+        expected = [complex(sp.N(slot, 30)) for slot in slots]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15,
+                                   err_msg=str((m, a)))

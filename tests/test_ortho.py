@@ -73,19 +73,6 @@ def test_ortho_pair_params_keeps_ordinary_inputs():
 # first surface: x0*x1 + y0*y1 + x0*y1 - x1*y0 = 0 on the unit sphere
 # ---------------------------------------------------------------------------
 
-def test_example1_residual_zero_at_known_points():
-    for x0, y0, x1 in [(0.2, -0.2, 0.0), (-0.2, 0.2, 0.0)]:
-        for branch in ortho.BRANCHES:
-            pt = ortho.Example1Point(x0, y0, x1, branch)
-            assert ortho.example1_residual(pt) <= ATOL
-
-
-def test_example1_residual_frozen_at_uniform_point():
-    pt = ortho.Example1Point(0.5, 0.5, 0.5, "plus")
-    assert pt.y1() == pytest.approx(0.5, abs=ATOL)
-    assert ortho.example1_residual(pt) == pytest.approx(0.5, abs=ATOL)
-
-
 def test_example1_point_validation():
     with pytest.raises(ValueError):
         ortho.Example1Point(0.9, 0.9, 0.0, "plus")   # radius > 1
@@ -103,6 +90,8 @@ def test_example1_point_qubit_is_unit():
     assert np.linalg.norm(b.vec) == pytest.approx(1.0, abs=ATOL)
     assert b.vec[1].imag == pytest.approx(pt.y1(), abs=ATOL)
     assert pt.y1() < 0.0
+    pt = ortho.Example1Point(0.5, 0.5, 0.5, "plus")
+    assert pt.y1() == pytest.approx(0.5, abs=ATOL)
 
 
 @seed(21)
@@ -113,7 +102,7 @@ def test_surface_residual_equals_cross_norms(t, branch):
     # cross matrices for the split-support pair
     pt = ortho.Example1Point(*t, branch)
     psi0, psi1 = ortho.EXAMPLE1_PAIR.states()
-    r = ortho.example1_residual(pt)
+    r = abs(ortho._example1_value(pt.x0, pt.y0, pt.x1, abs(pt.y1()), branch))
     for s in "AB":
         norm = np.linalg.norm(cross_term_matrix(psi0, psi1, pt.qubit(), s))
         assert norm == pytest.approx(r, abs=1e-12)
@@ -185,21 +174,6 @@ def test_sample_example1_rejects_bad_branch():
 # second family: lambda-parameterized masked qubits
 # ---------------------------------------------------------------------------
 
-def test_example2_qubit_is_unit_and_phase_locked():
-    b = ortho.example2_qubit(0.37)
-    assert np.linalg.norm(b.vec) == pytest.approx(1.0, abs=ATOL)
-    assert b.vec[0].imag == 0.0
-    assert b.vec[1].real == 0.0
-
-
-@pytest.mark.parametrize("lam", [1e155, 1e200, -1e200, 1.7e308])
-def test_example2_qubit_is_unit_where_lam_squared_overflows(lam):
-    b = ortho.example2_qubit(lam)
-    assert (b.alpha0, b.alpha1) == (complex(1.0 / abs(lam), 0.0),
-                                    complex(0.0, math.copysign(1.0, lam)))
-    assert abs(abs(b.alpha0) ** 2 + abs(b.alpha1) ** 2 - 1.0) <= ATOL
-
-
 def test_eq13_zero_on_the_balanced_family():
     a0 = b0 = complex(0.5, 0.5)
     a1 = b1 = complex(SQRT_HALF, 0.0)
@@ -219,7 +193,8 @@ def test_eq13_frozen_generic_values():
 def test_build_example2_states_mask_the_lambda_family(sign):
     psi0, psi1 = ortho.build_example2_states(0.5, 0.5, sign)
     for lam in (0.0, 0.37, -2.4):
-        assert masks_state(ortho.example2_qubit(lam), psi0, psi1).verdict
+        b = QubitState.normalized(1.0, 1j * lam)
+        assert masks_state(b, psi0, psi1).verdict
 
 
 def test_build_example2_states_requires_circle_point():

@@ -22,6 +22,7 @@ from qmask.conditions import (
     reduced_pair_residual,
 )
 from qmask.patterns import (
+    _DUPLICATE_FREE,
     _INFEASIBLE_FLOOR,
     KET_LABELS,
     BasisPattern,
@@ -29,14 +30,12 @@ from qmask.patterns import (
     FeasibilityOutcome,
     FeasibilityStatus,
     _PairSystem,
+    _bound,
     _certificate,
     _diagonal_distance,
-    _eq4_bound,
-    _full_bound,
     _minimize_batch,
     _verify_candidate,
     assemble,
-    duplicate_free_patterns,
     feasible_eq4,
     feasible_full,
     load_table_fixture,
@@ -70,7 +69,7 @@ def test_pattern_stores_the_indices_the_labels_spell():
     # holds 2*bitA + bitB of each label, for every fixture pattern
     fixture = [kets for row in load_table_fixture()
                for kets in (row.psi0_kets, row.psi1_kets)]
-    for kets in fixture + [p.kets for p in duplicate_free_patterns()]:
+    for kets in fixture + [p.kets for p in _DUPLICATE_FREE]:
         p = BasisPattern(kets)
         assert vars(p)["indices"] == p.indices == tuple(
             2 * int(k[0]) + int(k[1]) for k in kets)
@@ -109,7 +108,7 @@ def test_assemble_rejects_wrong_length():
 
 
 def test_duplicate_free_patterns_enumeration():
-    pats = duplicate_free_patterns()
+    pats = _DUPLICATE_FREE
     assert len(pats) == 15
     sizes = [len(p) for p in pats]
     assert sizes == sorted(sizes)
@@ -122,23 +121,6 @@ def test_duplicate_free_patterns_enumeration():
              for m in range(1, 16))
     expected = sorted(masks, key=lambda kets: (len(kets), kets))
     assert [p.kets for p in pats] == expected
-
-
-def test_duplicate_free_patterns_returns_a_new_list_each_call():
-    # the patterns are built once, but a caller that changes its list
-    # changes neither the next call nor the scan
-    first = duplicate_free_patterns()
-    expected = [p.kets for p in first]
-    violations = [(v.psi0_kets, v.psi1_kets)
-                  for v in support_theorem_scan(SCAN_CFG)]
-    first.append(BasisPattern(("00", "00")))
-    again = duplicate_free_patterns()
-    assert again is not first
-    assert [p.kets for p in again] == expected
-    again.clear()
-    assert [p.kets for p in duplicate_free_patterns()] == expected
-    assert [(v.psi0_kets, v.psi1_kets)
-            for v in support_theorem_scan(SCAN_CFG)] == violations
 
 
 def test_config_validation():
@@ -299,7 +281,7 @@ def test_search_agrees_with_grid_oracle(k0, k1, expected):
         assert grid_min >= 1e-4
     # the certified bound never exceeds a residual the grid attains,
     # up to the rounding of either side
-    assert _eq4_bound(p0, p1, DELTA) <= grid_min + 1e-12
+    assert _bound(p0.counts, p1.counts, DELTA, False) <= grid_min + 1e-12
 
 
 def test_single_ket_table_matches_grid_oracle(tables_run):
@@ -315,8 +297,8 @@ def test_single_ket_table_matches_grid_oracle(tables_run):
 # search residuals against the reference conditions
 # ---------------------------------------------------------------------------
 
-SYSTEM_PATTERNS = duplicate_free_patterns() + [
-    BasisPattern(("00", "00", "01")), BasisPattern(("11", "10", "11"))]
+SYSTEM_PATTERNS = [*_DUPLICATE_FREE, BasisPattern(("00", "00", "01")),
+                   BasisPattern(("11", "10", "11"))]
 slot_values = st.lists(
     st.complex_numbers(min_magnitude=0.3, max_magnitude=1.0,
                        allow_nan=False, allow_infinity=False),
@@ -479,7 +461,7 @@ def test_eq4_bound_is_below_every_admissible_residual(kets0, kets1, v0, v1,
     p0, p1 = BasisPattern(tuple(kets0)), BasisPattern(tuple(kets1))
     states = [assemble(p, _admissible_slots(p, v, pin))[0]
               for p, v, pin in ((p0, v0, pin0), (p1, v1, pin1))]
-    bound = _eq4_bound(p0, p1, DELTA)
+    bound = _bound(p0.counts, p1.counts, DELTA, False)
     assert max(reduced_pair_residual(*states)) >= bound - 1e-12
     # the eq4 lines of masks_state are entrywise, so the full system's
     # bound drops the factor sqrt(2)
@@ -491,8 +473,8 @@ def test_eq4_bound_is_below_every_admissible_residual(kets0, kets1, v0, v1,
 def test_eq4_bound_uses_the_witness_check_floor():
     # Y = |c00|^2 <= 1 - |c01|^2 stays a floor below 1: the floor the
     # witness check admits, (delta - 1e-12)^2, not delta^2
-    bound = _eq4_bound(BasisPattern(("00",)), BasisPattern(("00", "01")),
-                       DELTA)
+    bound = _bound(BasisPattern(("00",)).counts,
+                   BasisPattern(("00", "01")).counts, DELTA, False)
     assert bound == pytest.approx(math.sqrt(2.0) * (DELTA - 1e-12) ** 2,
                                   rel=1e-13)
 
@@ -502,8 +484,8 @@ def test_eq4_bound_separates_table_verdicts(tables_run):
     results, _ = tables_run
     for res in itertools.chain.from_iterable(results.values()):
         out = res.outcome
-        bound = _eq4_bound(BasisPattern(res.row.psi0_kets),
-                           BasisPattern(res.row.psi1_kets), DELTA)
+        bound = _bound(BasisPattern(res.row.psi0_kets).counts,
+                       BasisPattern(res.row.psi1_kets).counts, DELTA, False)
         if out.status is FeasibilityStatus.FEASIBLE:
             assert bound < 1e-6
             assert out.decided_by == "search"
@@ -557,8 +539,9 @@ def test_eq4_bound_certifies_exactly_the_unrelated_support_pairs():
     for kets0, kets1 in itertools.product(_MULTISETS, repeat=2):
         r = any(_related(s0, s1) for s0 in _fitting_supports(kets0)
                 for s1 in _fitting_supports(kets1))
-        certified = _eq4_bound(BasisPattern(kets0), BasisPattern(kets1),
-                               DELTA) >= _INFEASIBLE_FLOOR
+        certified = _bound(BasisPattern(kets0).counts,
+                           BasisPattern(kets1).counts, DELTA,
+                           False) >= _INFEASIBLE_FLOOR
         assert certified is not r, (kets0, kets1)
         related += r
         if len(set(kets0)) == len(kets0) and len(set(kets1)) == len(kets1):
@@ -575,8 +558,9 @@ def test_full_bound_certifies_exactly_the_pairs_no_witness_can_fit():
         fits = any(s0 == s1 or _partners(s0, s1)
                    for s0 in _fitting_supports(kets0)
                    for s1 in _fitting_supports(kets1))
-        certified = _full_bound(BasisPattern(kets0), BasisPattern(kets1),
-                                DELTA) >= _INFEASIBLE_FLOOR
+        certified = _bound(BasisPattern(kets0).counts,
+                           BasisPattern(kets1).counts, DELTA,
+                           True) >= _INFEASIBLE_FLOOR
         assert certified is not fits, (kets0, kets1)
         open_pairs += fits
     assert open_pairs == 1157
@@ -825,8 +809,9 @@ def test_entangled_support_bound_decides_the_last_scan_pairs():
     full = BasisPattern(KET_LABELS)
     for kets in (("00", "11"), ("01", "10")):
         for p0, p1 in ((BasisPattern(kets), full), (full, BasisPattern(kets))):
-            assert _eq4_bound(p0, p1, DELTA) < _INFEASIBLE_FLOOR
-            assert _full_bound(p0, p1, DELTA) == bound
+            assert _bound(p0.counts, p1.counts, DELTA,
+                          False) < _INFEASIBLE_FLOOR
+            assert _bound(p0.counts, p1.counts, DELTA, True) == bound
             out = feasible_full(p0, p1, FeasibilityConfig(restarts=2))
             assert out == FeasibilityOutcome(FeasibilityStatus.INFEASIBLE,
                                              bound)
@@ -859,7 +844,7 @@ def _counts(kets) -> list[int]:
 
 def test_diagonal_bound_matches_linprog():
     pairs = [(r.psi0_kets, r.psi1_kets) for r in load_table_fixture()]
-    pats = [p.kets for p in duplicate_free_patterns()]
+    pats = [p.kets for p in _DUPLICATE_FREE]
     pairs += list(itertools.product(pats, repeat=2))
     assert len(pairs) == 106 + 225
     floor = (DELTA - 1e-12) ** 2
@@ -991,7 +976,7 @@ _F = Fraction(DELTA) - Fraction(1e-12)
 
 
 def _exact_clauses(kets0, kets1):
-    """The clauses of `_eq4_bound` and of `_full_bound` as rational
+    """The clauses of the eq4 and full-system `_bound` as rational
     intervals (lo, hi) by name, with delta and the 1e-12 slack at their
     exact binary values: one (eq4, full) pair of dicts per bracket of
     sqrt(2), fine then coarse."""
@@ -1028,7 +1013,8 @@ def test_every_bound_clause_sides_with_its_exact_value():
         fine, coarse = _exact_clauses(kets0, kets1)
         for order in {(kets0, kets1), (kets1, kets0)}:
             p0, p1 = (patterns_by_kets[kets] for kets in order)
-            values = _eq4_bound(p0, p1, DELTA), _full_bound(p0, p1, DELTA)
+            values = (_bound(p0.counts, p1.counts, DELTA, False),
+                      _bound(p0.counts, p1.counts, DELTA, True))
             for name, value, clauses, bracket in zip(
                     ("eq4", "full"), values, fine, coarse):
                 lo, hi = (max(ends) for ends in zip(*clauses.values()))
@@ -1064,7 +1050,8 @@ def test_diagonal_bound_matches_vertex_enumeration():
             oracle, abs=1e-15)
         # the off-diagonal floor (b) is unchanged: the diagonal part
         # decides the bound whenever it is the larger term
-        bound = _eq4_bound(BasisPattern(kets0), BasisPattern(kets1), DELTA)
+        bound = _bound(BasisPattern(kets0).counts, BasisPattern(kets1).counts,
+                       DELTA, False)
         assert bound >= math.sqrt(2.0) * oracle - 1e-15
         if bound > math.sqrt(2.0) * floor:
             assert bound == pytest.approx(math.sqrt(2.0) * oracle,
@@ -1128,11 +1115,11 @@ def test_cached_bounds_equal_the_per_call_computation_bit_for_bit(delta):
         assert (p0.counts, p1.counts) == tuple(map(tuple, counts))
         assert _diagonal_distance(*counts, floor) \
             == _uncached_diagonal_distance(*counts, floor), (k0, k1)
-        for full, bound, uncached in (
-                (False, _eq4_bound, _uncached_eq4_bound),
-                (True, _full_bound, _uncached_full_bound)):
+        for full, uncached in ((False, _uncached_eq4_bound),
+                               (True, _uncached_full_bound)):
             value = uncached(p0, p1, delta)
-            assert bound(p0, p1, delta) == value, (k0, k1)
+            assert _bound(p0.counts, p1.counts, delta, full) == value, \
+                (k0, k1)
             assert _certificate(p0.counts, p1.counts, delta, full) == (
                 None if value < _INFEASIBLE_FLOOR else FeasibilityOutcome(
                     FeasibilityStatus.INFEASIBLE, value)), (k0, k1)
@@ -1163,7 +1150,7 @@ def test_bounds_cache_one_profile_per_ket_multiset():
             for row in load_table_fixture()}
     # the scan skips same-support pairs before it asks
     keys |= {(p0.counts, p1.counts, True) for p0, p1 in itertools.product(
-        duplicate_free_patterns(), repeat=2)
+        _DUPLICATE_FREE, repeat=2)
         if frozenset(p0.kets) != frozenset(p1.kets)}
     multisets = {counts for key in keys for counts in key[:2]}
     caches = (patterns._certificate, patterns._profile, patterns._scan_plan,
@@ -1277,7 +1264,7 @@ def test_full_system_decides_every_scan_pair():
     plus = QubitState.normalized(1.0, 1.0)
     differing = []  # Feasible pairs with differing supports, scan order
     certified = 0
-    for p0, p1 in itertools.product(duplicate_free_patterns(), repeat=2):
+    for p0, p1 in itertools.product(_DUPLICATE_FREE, repeat=2):
         out = feasible_full(p0, p1, cfg)
         s0, s1 = frozenset(p0.kets), frozenset(p1.kets)
         bounded = not (s0 == s1 or _partners(s0, s1))
@@ -1285,7 +1272,8 @@ def test_full_system_decides_every_scan_pair():
         assert (out.status is FeasibilityStatus.INFEASIBLE) is bounded
         if bounded:
             assert out.decided_by == "bound"
-            assert out.best_residual == _full_bound(p0, p1, DELTA)
+            assert out.best_residual == _bound(p0.counts, p1.counts,
+                                               DELTA, True)
             continue
         assert out.status is FeasibilityStatus.FEASIBLE
         assert out.decided_by == "relation"
@@ -1365,7 +1353,7 @@ def test_scan_decides_only_the_pairs_the_bound_leaves_open(monkeypatch):
     monkeypatch.setattr(patterns, "_verify_candidate", recording)
     violations = support_theorem_scan(SCAN_CFG)
     assert [pair for pair, _ in decided] == list(_SCAN_REPRESENTATIVES)
-    pats = duplicate_free_patterns()
+    pats = _DUPLICATE_FREE
     assert [(v.psi0_kets, v.psi1_kets) for v in violations] == [
         (p0.kets, p1.kets) for p0, p1 in itertools.product(pats, repeat=2)
         if _partners(frozenset(p0.kets), frozenset(p1.kets))]
@@ -1408,7 +1396,7 @@ def test_open_scan_pairs_form_two_orbits_of_eight():
     # the pairs the bounds leave open with differing supports, under the
     # eight ket maps times exchanging the states: every image of an open
     # pair is open, and the 16 fall into two orbits of eight
-    pats = duplicate_free_patterns()
+    pats = _DUPLICATE_FREE
     open_pairs = {(frozenset(p0.kets), frozenset(p1.kets)) for p0, p1 in
                   itertools.product(pats, repeat=2)
                   if _partners(frozenset(p0.kets), frozenset(p1.kets))}
@@ -1513,7 +1501,7 @@ def test_scan_plan_lists_the_open_pairs_and_their_representatives():
     # representative, and every other entry names one
     plan = patterns._scan_plan(DELTA)
     assert plan is patterns._scan_plan(DELTA)
-    pats = duplicate_free_patterns()
+    pats = _DUPLICATE_FREE
     assert [(step.p0.kets, step.p1.kets) for step in plan] == [
         (p0.kets, p1.kets) for p0, p1 in itertools.product(pats, repeat=2)
         if _partners(frozenset(p0.kets), frozenset(p1.kets))]
@@ -1787,7 +1775,7 @@ def test_default_budget_finds_every_witness(seed):
         w = r.outcome.witness
         if w is not None:
             assert max(reduced_pair_residual(w.psi0, w.psi1)) <= cfg.tol
-    pats = duplicate_free_patterns()
+    pats = _DUPLICATE_FREE
     pinned = {(p0.kets, p1.kets) for p0 in pats for p1 in pats
               if _partners(frozenset(p0.kets), frozenset(p1.kets))}
     violations = support_theorem_scan(cfg)

@@ -198,6 +198,11 @@ def test_normalized_never_returns_a_non_unit_pair(alpha):
      (complex(SQRT_HALF, SQRT_HALF), 0.0)),
     ((1e200, -1e200j), (SQRT_HALF, -SQRT_HALF * 1j)),   # the norm overflows
     ((5e-324, 0.0), (1.0, 0.0)),                        # 1 / norm overflows
+    # the example-2 qubit (1, i lam) where lam^2 overflows
+    *(pytest.param((1.0, 1j * lam),
+                   (1.0 / abs(lam), complex(0.0, math.copysign(1.0, lam))),
+                   id=f"example2-lam={lam:g}")
+      for lam in (1e155, 1e200, -1e200, 1.7e308)),
 ])
 def test_normalized_normalizes_finite_pairs_of_any_magnitude(alpha,
                                                              expected):
