@@ -20,6 +20,7 @@ import contextlib
 import csv
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -220,8 +221,9 @@ def sample_example2(grid_n: int, tol: float) -> list[SurfacePoint]:
 def _axis(grid_n: int) -> np.ndarray:
     # (k - m)/m for k = 0..2m (odd grid_n) keeps 0 and +-0.5 exact in
     # binary; fall back to linspace spacing for even counts.
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
+    if isinstance(grid_n, bool) or not isinstance(grid_n, Integral) \
+            or grid_n < 2:
+        raise ValueError(f"grid_n must be an integer >= 2, got {grid_n!r}")
     half = (grid_n - 1) / 2.0
     return (np.arange(grid_n) - half) / half
 

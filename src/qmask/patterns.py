@@ -50,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import conditions
-from .qlinalg import QubitState, TwoQubitState, _norm
+from .qlinalg import (QubitState, TwoQubitState, _norm, _prescaled,
+                      _unit_state)
 
 KET_LABELS = ("00", "01", "10", "11")
 
@@ -255,15 +256,22 @@ def assemble(pattern: BasisPattern, coeffs) -> tuple[TwoQubitState, float]:
     Duplicate kets are summed after assignment, so pre-merge
     coefficients carry any nonzero constraints while merged amplitudes
     may vanish.  The state is the merged vector rescaled to unit norm,
-    returned with the norm before rescaling; raises ``ValueError`` when
-    the merged amplitudes cancel.
+    returned with the norm before rescaling (past the float range, the
+    `_prescaled` norm times its scale); raises ``ValueError`` when the
+    merged amplitudes cancel.
     """
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.shape[0] != len(pattern):
         raise ValueError(
             f"pattern has {len(pattern)} slots, got {c.shape[0]} coefficients")
     merged = pattern.slot_matrix() @ c
-    return TwoQubitState.unit(merged), _norm(merged)
+    with np.errstate(over="ignore"):  # an inf is taken again below
+        norm = _norm(merged)
+    state = _unit_state(merged, norm)  # raises for zero, inf or nan
+    if norm == math.inf:
+        w, big = _prescaled(merged)
+        norm = _norm(w) * big
+    return state, norm
 
 
 #: the 15 duplicate-free patterns, ordered by length then labels
@@ -560,10 +568,10 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
     through `conditions`, whatever proposed it.
 
     Each side takes one product, its merged vector S z with S the slot
-    matrix, and one norm of it, by the formula of `TwoQubitState.unit`.
-    Its slots are rescaled to z / norm, and its state is
-    `TwoQubitState.unit` of that same S z, which `assemble` of the
-    rescaled slots gives back to rounding.  Returns (residual, witness)
+    matrix, and one `_norm` of it.  Its slots are rescaled to z / norm,
+    and its state is `_unit_state` of that same S z and norm, bit for
+    bit `TwoQubitState.unit` of S z, which `assemble` of the rescaled
+    slots gives back to rounding.  Returns (residual, witness)
     when every rescaled |slot| is >= delta (up to _CHECK_SLACK) and, for
     the full system, the overlap meets the same floor; else None, also
     when the merged amplitudes cancel.  The residual is the largest
@@ -581,7 +589,7 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
         if not min(map(abs, scaled)) >= delta - _CHECK_SLACK:
             return None
         slots.append(tuple(scaled))
-        states.append(TwoQubitState.unit(merged))
+        states.append(_unit_state(merged, norm))
     psi0, psi1 = states
     if full:
         overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))

@@ -28,6 +28,8 @@ DEFAULT_TOL = 1e-9
 _NORMAL_MIN = sys.float_info.min
 #: moduli sums that keep a 4-vector's squared norm a normal float
 _MODULI_MIN, _MODULI_MAX = 2.0 ** -509, 2.0 ** 510
+#: norms that keep the moduli sum, between n and 2n, in that range
+_NORM_MIN, _NORM_MAX = _MODULI_MIN, _MODULI_MAX / 2
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class QubitState:
         except OverflowError:  # a finite modulus above the float range
             n = math.inf
         if not _NORMAL_MIN <= n < math.inf:  # also zero and nan
-            return cls.normalized(*_prescaled((alpha0, alpha1)).tolist())
+            return cls.normalized(*_prescaled((alpha0, alpha1))[0].tolist())
         # dividing by a normal norm leaves a unit pair to a few ulp
         state = object.__new__(cls)
         object.__setattr__(state, "alpha0", complex(alpha0) / n)
@@ -82,32 +84,42 @@ class TwoQubitState:
 
     @classmethod
     def unit(cls, vec) -> "TwoQubitState":
-        """Rescale ``vec`` to unit norm and construct.
+        """Rescale ``vec`` to unit norm and construct: `_unit_state`,
+        with the norm taken there, after any prescaling."""
+        return _unit_state(_complex_array(vec, "cannot normalize")
+                           .reshape(4), math.nan)
 
-        Divides by `_norm`, the norm ``np.linalg.norm`` computes, bit for bit.
-        When the moduli sum to outside [2^-509, 2^510], where the squared
-        norm could leave the normal float range, ``vec`` is `_prescaled`
-        first, so every finite nonzero vector normalizes.
-        """
-        v = w = _complex_array(vec, "cannot normalize").reshape(4)
+
+def _unit_state(v: np.ndarray, n: float) -> TwoQubitState:
+    """The frozen unit `TwoQubitState` ``v / n`` of a complex 4-vector
+    ``v`` and its `_norm` ``n`` (nan when not yet taken).
+
+    The moduli sum t of ``v`` lies in [n, 2n], so a norm in
+    [2^-509, 2^509] is divided by at once.  Otherwise t decides: outside
+    [2^-509, 2^510], where the squared norm could leave the normal float
+    range, ``v`` is `_prescaled` first, so every finite nonzero vector
+    normalizes.
+    """
+    if not _NORM_MIN <= n <= _NORM_MAX:  # also nan
         c0, c1, c2, c3 = v.tolist()
         try:
             total = abs(c0) + abs(c1) + abs(c2) + abs(c3)
         except OverflowError:  # a finite modulus above the float range
             total = math.inf
         if not _MODULI_MIN <= total <= _MODULI_MAX:  # also zero and nan
-            w = _prescaled(v)
-        # a fresh array, unit to a few ulp: no copy or second check needed
-        w = w / _norm(w)
-        w.flags.writeable = False
-        state = object.__new__(cls)
-        object.__setattr__(state, "vec", w)
-        return state
+            v = _prescaled(v)[0]
+        n = _norm(v)
+    # a fresh array, unit to a few ulp: no copy or second check needed
+    w = v / n
+    w.flags.writeable = False
+    state = object.__new__(TwoQubitState)
+    object.__setattr__(state, "vec", w)
+    return state
 
 
 def _norm(v: np.ndarray) -> float:
     """The norm of a complex vector, bit for bit the value of
-    ``np.linalg.norm``: the one formula `TwoQubitState.unit` divides by."""
+    ``np.linalg.norm``: the one formula `_unit_state` divides by."""
     re, im = v.real, v.imag
     return math.sqrt(re.dot(re) + im.dot(im))
 
@@ -132,11 +144,13 @@ def _complex_array(v, failed: str) -> np.ndarray:
         raise ValueError(f"{failed}: {exc}") from exc
 
 
-def _prescaled(v) -> np.ndarray:
+def _prescaled(v) -> tuple[np.ndarray, float]:
     """``v`` divided by its largest real or imaginary part, so that its
-    squared norm is normal; ``ValueError`` for zero, inf or nan."""
+    squared norm is normal, and that part; ``ValueError`` for zero, inf
+    or nan."""
     v = _complex_array(v, "cannot normalize")
-    big = np.maximum(np.abs(v.real), np.abs(v.imag)).max()  # keeps a nan
+    # the largest part; max keeps a nan
+    big = float(np.maximum(np.abs(v.real), np.abs(v.imag)).max())
     if not 0.0 < big < math.inf:  # zero, inf or nan
         with np.errstate(over="ignore"):  # finite parts beside an inf
             n = float(np.linalg.norm(v))
@@ -144,7 +158,7 @@ def _prescaled(v) -> np.ndarray:
     # part by part: NumPy's complex division takes 1 / big first
     w = np.empty_like(v)
     w.real, w.imag = v.real / big, v.imag / big
-    return w
+    return w, big
 
 
 def ptrace_A(M: np.ndarray) -> np.ndarray:

@@ -165,6 +165,23 @@ def test_sampled_points_are_slotted_and_share_axis_floats():
     assert len(axis) <= 41
 
 
+@pytest.mark.parametrize("grid_n", [2.5, 3.0, True, 1, 0, np.int64(1), "5"])
+def test_samplers_reject_a_grid_that_is_not_an_integer_above_one(grid_n):
+    # a fractional grid_n would build an axis leaving [-1, 1]
+    for sample in (lambda: ortho.sample_example1(grid_n, "plus", 1e-9),
+                   lambda: ortho.sample_example2(grid_n, 0.1)):
+        with pytest.raises(ValueError,
+                           match="grid_n must be an integer >= 2"):
+            sample()
+
+
+def test_samplers_take_a_numpy_integer_grid():
+    assert ortho.sample_example2(np.int64(21), 1e-10) \
+        == ortho.sample_example2(21, 1e-10)
+    assert ortho.sample_example1(np.int64(21), "plus", 1e-9) \
+        == ortho.sample_example1(21, "plus", 1e-9)
+
+
 def test_sample_example1_rejects_bad_branch():
     with pytest.raises(ValueError):
         ortho.sample_example1(11, "sideways", 1e-9)

@@ -4,6 +4,7 @@ system's formula witnesses, verdict tables, and the support scan."""
 import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from qmask import patterns
+from qmask import patterns, qlinalg
 from qmask.conditions import (
     cross_term_matrix,
     masking_partner,
@@ -100,6 +101,26 @@ def test_assemble_norm_is_numpys_bit_for_bit(v):
     assume(any(v))
     _, norm = assemble(BasisPattern(KET_LABELS), v)
     assert norm == float(np.linalg.norm(np.array(v, dtype=complex)))
+
+
+@pytest.mark.parametrize("coeffs, expected", [
+    ([0.6, 0.8j, 0.3], float(np.linalg.norm([0.6, 0.8j, 0.3]))),
+    ([1e150, -2e150j, 3e150], float(np.linalg.norm([1e150, 2e150, 3e150]))),
+    # |1e200|^2 overflows: _norm([1, 1e-200, 1e-200]) = 1, times 1e200
+    ([1e200, 1.0, 1.0], 1e200),
+    # prescaled by 2^700 exactly, to a norm of exactly 1.25
+    ([0.75 * 2.0 ** 700, -1j * 2.0 ** 700, 1.0], 1.25 * 2.0 ** 700),
+])
+def test_assemble_norm_is_finite_past_the_float_range(coeffs, expected):
+    # the bits are np.linalg.norm's where its squares stay finite, and
+    # the prescaled norm times the scale where they do not, with no
+    # overflow warning (the suite makes it an error); the state is
+    # TwoQubitState.unit's bit for bit either way
+    pattern = BasisPattern(("00", "01", "10"))
+    state, norm = assemble(pattern, coeffs)
+    assert norm == expected
+    merged = pattern.slot_matrix() @ np.array(coeffs, dtype=complex)
+    assert state.vec.tobytes() == TwoQubitState.unit(merged).vec.tobytes()
 
 
 def test_assemble_rejects_wrong_length():
@@ -747,21 +768,47 @@ def test_witness_check_takes_a_duplicated_ket_merged_to_zero():
 
 @pytest.mark.parametrize("full", [False, True])
 def test_a_passing_check_normalises_each_side_once(monkeypatch, full):
-    # one TwoQubitState.unit call per side, on a witness with a
-    # duplicated ket and a rescaling
+    # one _norm call per side, on a witness with a duplicated ket and a
+    # rescaling: each state is built from the norm its side already took,
+    # counted through qlinalg and the name patterns imports
     calls = []
-    unit = TwoQubitState.unit.__func__
+    norm = qlinalg._norm
 
-    def counting(cls, vec):
-        calls.append(vec)
-        return unit(cls, vec)
+    def counting(v):
+        calls.append(v)
+        return norm(v)
 
-    monkeypatch.setattr(TwoQubitState, "unit", classmethod(counting))
+    monkeypatch.setattr(qlinalg, "_norm", counting)
+    monkeypatch.setattr(patterns, "_norm", counting)
     p0, p1 = BasisPattern(("00", "00", "11")), BasisPattern(("11",))
     z = np.array([0.3, -0.3, 1.3, 0.7j if full else 0.7], dtype=complex)
     residual, w = _verify_candidate(p0, p1, z, DELTA, full)
     assert residual <= 1e-15
     assert len(calls) == 2
+    _assert_witness_is_its_candidate(p0, p1, z, w)
+
+
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("norm", [5e153, 1.0, 1e-11])
+def test_check_states_are_unit_of_the_merged_vector_at_any_norm(norm, full):
+    # each side's slots scaled to a merged norm above 2^509, where the
+    # moduli sum can pass 2^510 and unit prescales, at 1, and at 1e-11,
+    # just above the check's cancellation floor: every state is
+    # TwoQubitState.unit of its merged vector bit for bit
+    p0, p1 = (BasisPattern(("00", "01", "01", "11")),
+              BasisPattern(("00", "10", "11")))
+    z0 = np.array([0.7, 0.4 - 0.3j, 0.9, 0.35j, 0.5j, 0.6, 0.45])
+    z = np.concatenate([zp / np.linalg.norm(p.slot_matrix() @ zp) * norm
+                        for p, zp in ((p0, z0[:4]), (p1, z0[4:]))])
+    _, w = _verify_candidate(p0, p1, z, DELTA, full)
+    for p, zp, psi in ((p0, z[:4], w.psi0), (p1, z[4:], w.psi1)):
+        merged = p.slot_matrix() @ zp
+        n = float(np.linalg.norm(merged))
+        assert n == pytest.approx(norm, rel=1e-15)
+        assert psi.vec.tobytes() == TwoQubitState.unit(merged).vec.tobytes()
+        # only the prescaled path gives other bits than merged / n here
+        prescaled = n > 2.0 ** 509
+        assert prescaled is not np.array_equal(psi.vec, merged / n)
     _assert_witness_is_its_candidate(p0, p1, z, w)
 
 
@@ -1465,6 +1512,40 @@ def test_a_rejected_image_is_searched_on_its_own_pair(monkeypatch,
     assert out.status is FeasibilityStatus.FEASIBLE and out.iterations == 0
     w = out.witness
     assert max(masks_state(w.b, w.psi0, w.psi1).residuals()) <= SCAN_CFG.tol
+
+
+#: sha256 of `_scan_serialisation` of the scan's violations at SCAN_CFG,
+#: recorded while each check still normalised each side twice
+SCAN_SHA256 = \
+    "5e34f10a6f2fbbf6ab27ecce51fa08cfa3422ee3e12f1b6b7b497d2624b385db"
+
+
+def _scan_serialisation(violations) -> bytes:
+    """One line per violation, in scan order: both ket tuples, status,
+    ``best_residual.hex()``, iterations, the ``float.hex`` parts of every
+    slot, the bytes of psi0 and psi1, and the parts of b."""
+    def parts(c):
+        c = complex(c)
+        return f"{c.real.hex()},{c.imag.hex()}"
+
+    lines = []
+    for v in violations:
+        out, w = v.outcome, v.outcome.witness
+        lines.append(" ".join([
+            "+".join(v.psi0_kets), "+".join(v.psi1_kets), out.status.value,
+            out.best_residual.hex(), str(out.iterations),
+            ";".join(map(parts, w.coeffs0)), ";".join(map(parts, w.coeffs1)),
+            w.psi0.vec.tobytes().hex(), w.psi1.vec.tobytes().hex(),
+            parts(w.b.alpha0), parts(w.b.alpha1)]))
+    return "\n".join(lines).encode()
+
+
+def test_scan_violations_are_golden():
+    # the benchmark's scan, bit for bit: kets, outcomes, slots, states, b
+    violations = support_theorem_scan(SCAN_CFG)
+    assert len(violations) == 16
+    assert hashlib.sha256(_scan_serialisation(violations)).hexdigest() \
+        == SCAN_SHA256
 
 
 def test_two_scans_give_identical_violations_and_witnesses(monkeypatch):

@@ -9,7 +9,13 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qmask.qlinalg import NORM_TOL, QubitState, TwoQubitState
+from qmask.qlinalg import (
+    NORM_TOL,
+    QubitState,
+    TwoQubitState,
+    _norm,
+    _unit_state,
+)
 
 from oracle import (
     basis_ket,
@@ -114,6 +120,18 @@ def test_unit_divides_by_the_numpy_norm_bit_for_bit():
         vec = v if k % 3 else v.tolist()  # arrays and lists of complex
         assert (TwoQubitState.unit(vec).vec.tobytes()
                 == unit_reference(v).tobytes())
+
+
+def test_unit_state_of_a_taken_norm_is_unit_bit_for_bit():
+    # largest moduli from 2^-511 to 2^510, across both ends of the band
+    # [2^-509, 2^509] of norms divided at once, where unit prescales or
+    # not by the moduli sum: the state of a vector and its _norm is unit's
+    vecs = _seeded_vectors(np.random.default_rng(2023), 400)
+    for v in vecs / np.abs(vecs).max(axis=1, keepdims=True):
+        for e in (-511, -510, -509, -508, 0, 508, 509, 510):
+            w = v * 2.0 ** e
+            assert (_unit_state(w, _norm(w)).vec.tobytes()
+                    == TwoQubitState.unit(w).vec.tobytes())
 
 
 def test_normalized_divides_by_the_hypot_norm_bit_for_bit():
