@@ -20,12 +20,12 @@ import contextlib
 import csv
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .conditions import _check_tol
-from .qlinalg import NORM_TOL, QubitState, TwoQubitState, _check_unit
+from .qlinalg import (NORM_TOL, QubitState, TwoQubitState, _check_unit,
+                      _is_integer)
 
 #: branch labels for the eliminated sign in the example-1 parameterization
 BRANCHES = ("plus", "minus")
@@ -221,8 +221,7 @@ def sample_example2(grid_n: int, tol: float) -> list[SurfacePoint]:
 def _axis(grid_n: int) -> np.ndarray:
     # (k - m)/m for k = 0..2m (odd grid_n) keeps 0 and +-0.5 exact in
     # binary; fall back to linspace spacing for even counts.
-    if isinstance(grid_n, bool) or not isinstance(grid_n, Integral) \
-            or grid_n < 2:
+    if not _is_integer(grid_n) or grid_n < 2:
         raise ValueError(f"grid_n must be an integer >= 2, got {grid_n!r}")
     half = (grid_n - 1) / 2.0
     return (np.arange(grid_n) - half) / half

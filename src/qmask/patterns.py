@@ -44,13 +44,12 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
 from . import conditions
-from .qlinalg import (QubitState, TwoQubitState, _norm, _prescaled,
+from .qlinalg import (QubitState, TwoQubitState, _is_integer, _norm,
                       _unit_state)
 
 KET_LABELS = ("00", "01", "10", "11")
@@ -126,12 +125,6 @@ class BasisPattern:
     def slot_matrix(self) -> np.ndarray:
         """Read-only (4, n) 0/1 map from slot coefficients to amplitudes."""
         return self._slots
-
-
-def _is_integer(value) -> bool:
-    """An Integral other than a bool, which would print as true/false in
-    JSON and pass as 0 or 1."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -255,23 +248,17 @@ def assemble(pattern: BasisPattern, coeffs) -> tuple[TwoQubitState, float]:
 
     Duplicate kets are summed after assignment, so pre-merge
     coefficients carry any nonzero constraints while merged amplitudes
-    may vanish.  The state is the merged vector rescaled to unit norm,
-    returned with the norm before rescaling (past the float range, the
-    `_prescaled` norm times its scale); raises ``ValueError`` when the
-    merged amplitudes cancel.
+    may vanish.  The state and norm are `_unit_state`'s of the merged
+    vector: the norm is np.linalg.norm's bit for bit while the squares
+    stay normal floats, and past that range the prescaled norm times its
+    scale, nonzero, and inf only above the largest float; raises
+    ``ValueError`` when the merged amplitudes cancel.
     """
     c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
     if c.shape[0] != len(pattern):
         raise ValueError(
             f"pattern has {len(pattern)} slots, got {c.shape[0]} coefficients")
-    merged = pattern.slot_matrix() @ c
-    with np.errstate(over="ignore"):  # an inf is taken again below
-        norm = _norm(merged)
-    state = _unit_state(merged, norm)  # raises for zero, inf or nan
-    if norm == math.inf:
-        w, big = _prescaled(merged)
-        norm = _norm(w) * big
-    return state, norm
+    return _unit_state(pattern.slot_matrix() @ c, math.nan)
 
 
 #: the 15 duplicate-free patterns, ordered by length then labels
@@ -569,12 +556,12 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
 
     Each side takes one product, its merged vector S z with S the slot
     matrix, and one `_norm` of it.  Its slots are rescaled to z / norm,
-    and its state is `_unit_state` of that same S z and norm, bit for
-    bit `TwoQubitState.unit` of S z, which `assemble` of the rescaled
-    slots gives back to rounding.  Returns (residual, witness)
-    when every rescaled |slot| is >= delta (up to _CHECK_SLACK) and, for
-    the full system, the overlap meets the same floor; else None, also
-    when the merged amplitudes cancel.  The residual is the largest
+    and its state is the one `_unit_state` builds from that same S z
+    and norm, bit for bit `TwoQubitState.unit` of S z, which `assemble`
+    of the rescaled slots gives back to rounding.  Returns (residual,
+    witness) when every rescaled |slot| is >= delta (up to _CHECK_SLACK)
+    and, for the full system, the overlap meets the same floor; else
+    None, also when the merged amplitudes cancel.  The residual is the largest
     marginal distance for eq4 and the largest `masks_state` residual at
     b = |+> for the full system.
     """
@@ -589,7 +576,7 @@ def _verify_candidate(p0: BasisPattern, p1: BasisPattern, z: np.ndarray,
         if not min(map(abs, scaled)) >= delta - _CHECK_SLACK:
             return None
         slots.append(tuple(scaled))
-        states.append(_unit_state(merged, norm))
+        states.append(_unit_state(merged, norm)[0])
     psi0, psi1 = states
     if full:
         overlap = abs(complex(np.vdot(psi0.vec, psi1.vec)))
@@ -690,11 +677,12 @@ def _related_states(s0: int, s1: int) -> tuple | None:
 
     - Equal supports: uniform amplitudes, and Psi1 = i Psi0.
     - Partners, a three-ket support against all four kets or against
-      three kets whose missing ket differs in one bit: moved by the X_A,
-      X_B map of `_KET_MAPS` that takes the three-ket support's missing
-      ket to 11, they are M and i P(M) of `_PARTNERS`; when Psi0 has all
-      four kets, P(M) and i M.  Both orders make the two eq3 cross
-      matrices at |+> anti-Hermitian, so they vanish.
+      three kets whose missing ket differs in one bit: moved by the
+      X_A, X_B flip of the ket index bits that takes the three-ket
+      support's missing ket to 11, they are M and i P(M) of
+      `_PARTNERS`; when Psi0 has all four kets, P(M) and i M.  Both
+      orders make the two eq3 cross matrices at |+> anti-Hermitian, so
+      they vanish.
 
     The maximally entangled pairs of eq4 are not among them: their
     overlap is 0.
@@ -719,7 +707,7 @@ def _related_states(s0: int, s1: int) -> tuple | None:
         return None
     m, partner = _PARTNERS[key]
     states = (m, 1j * partner) if three == s0 else (partner, 1j * m)
-    ket_map = list(_KET_MAPS[flips])
+    ket_map = [i ^ flips for i in range(4)]
     return tuple(psi[ket_map] for psi in states)
 
 

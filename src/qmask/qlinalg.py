@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -84,22 +85,25 @@ class TwoQubitState:
 
     @classmethod
     def unit(cls, vec) -> "TwoQubitState":
-        """Rescale ``vec`` to unit norm and construct: `_unit_state`,
-        with the norm taken there, after any prescaling."""
+        """Rescale ``vec`` to unit norm and construct: the state of
+        `_unit_state`, with the norm taken there."""
         return _unit_state(_complex_array(vec, "cannot normalize")
-                           .reshape(4), math.nan)
+                           .reshape(4), math.nan)[0]
 
 
-def _unit_state(v: np.ndarray, n: float) -> TwoQubitState:
-    """The frozen unit `TwoQubitState` ``v / n`` of a complex 4-vector
-    ``v`` and its `_norm` ``n`` (nan when not yet taken).
+def _unit_state(v: np.ndarray, n: float) -> tuple[TwoQubitState, float]:
+    """The frozen unit `TwoQubitState` of a complex 4-vector ``v``, and
+    the norm it divided by, given ``v``'s `_norm` ``n`` (nan when not yet
+    taken).
 
     The moduli sum t of ``v`` lies in [n, 2n], so a norm in
-    [2^-509, 2^509] is divided by at once.  Otherwise t decides: outside
-    [2^-509, 2^510], where the squared norm could leave the normal float
-    range, ``v`` is `_prescaled` first, so every finite nonzero vector
-    normalizes.
+    [2^-509, 2^509] is divided by at once and returned.  Otherwise t
+    decides: outside [2^-509, 2^510], where the squared norm could leave
+    the normal float range, ``v`` is `_prescaled` first, so every finite
+    nonzero vector normalizes, and the norm returned is the prescaled
+    vector's `_norm` times its scale; ``ValueError`` for zero, inf or nan.
     """
+    scale = 1.0
     if not _NORM_MIN <= n <= _NORM_MAX:  # also nan
         c0, c1, c2, c3 = v.tolist()
         try:
@@ -107,14 +111,14 @@ def _unit_state(v: np.ndarray, n: float) -> TwoQubitState:
         except OverflowError:  # a finite modulus above the float range
             total = math.inf
         if not _MODULI_MIN <= total <= _MODULI_MAX:  # also zero and nan
-            v = _prescaled(v)[0]
+            v, scale = _prescaled(v)
         n = _norm(v)
     # a fresh array, unit to a few ulp: no copy or second check needed
     w = v / n
     w.flags.writeable = False
     state = object.__new__(TwoQubitState)
     object.__setattr__(state, "vec", w)
-    return state
+    return state, n * scale
 
 
 def _norm(v: np.ndarray) -> float:
@@ -144,10 +148,16 @@ def _complex_array(v, failed: str) -> np.ndarray:
         raise ValueError(f"{failed}: {exc}") from exc
 
 
+def _is_integer(value) -> bool:
+    """An Integral other than a bool, which would print as true/false in
+    JSON and pass as 0 or 1."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _prescaled(v) -> tuple[np.ndarray, float]:
     """``v`` divided by its largest real or imaginary part, so that its
-    squared norm is normal, and that part; ``ValueError`` for zero, inf
-    or nan."""
+    squared norm is normal, and that part, the scale `_unit_state`
+    multiplies its norm by; ``ValueError`` for zero, inf or nan."""
     v = _complex_array(v, "cannot normalize")
     # the largest part; max keeps a nan
     big = float(np.maximum(np.abs(v.real), np.abs(v.imag)).max())

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
+import qmask
 from qmask.cli import main
 
 SQRT_HALF = math.sqrt(0.5)
@@ -606,7 +608,11 @@ def test_negative_seed_is_named_in_the_error(command, capsys):
 # ---------------------------------------------------------------------------
 
 def test_console_script_help_runs():
+    # the child finds qmask where this process did, installed or not
+    root = os.path.dirname(os.path.dirname(qmask.__file__))
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "qmask.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "tables" in proc.stdout and "surface" in proc.stdout

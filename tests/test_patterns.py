@@ -94,13 +94,23 @@ def test_assemble_merges_duplicate_kets():
 @settings(max_examples=200, deadline=None)
 @given(v=st.lists(st.complex_numbers(max_magnitude=1e150, allow_nan=False,
                                      allow_infinity=False),
-                  min_size=4, max_size=4))
-def test_assemble_norm_is_numpys_bit_for_bit(v):
-    # the norm that assemble and the witness check compute, as
-    # TwoQubitState.unit does, is the value np.linalg.norm gives
+                  min_size=4, max_size=4),
+       e=st.integers(-1600, 0))
+def test_assemble_norm_is_numpys_bit_for_bit(v, e):
+    # parts down to the subnormals, the vector scaled by 2^e: where the
+    # moduli sum keeps the squares normal floats, the norm that assemble
+    # and TwoQubitState.unit divide by is np.linalg.norm's bit for bit;
+    # elsewhere the prescaled norm times its scale is math.hypot's of the
+    # eight parts to 1e-15, or to one step where it is itself subnormal
+    v = [complex(math.ldexp(c.real, e), math.ldexp(c.imag, e)) for c in v]
     assume(any(v))
     _, norm = assemble(BasisPattern(KET_LABELS), v)
-    assert norm == float(np.linalg.norm(np.array(v, dtype=complex)))
+    if 2.0 ** -509 <= sum(map(abs, v)) <= 2.0 ** 510:
+        assert norm == float(np.linalg.norm(np.array(v, dtype=complex)))
+    else:
+        expected = math.hypot(*(x for c in v for x in (c.real, c.imag)))
+        assert math.isclose(norm, expected, rel_tol=1e-15,
+                            abs_tol=math.ulp(0.0))
 
 
 @pytest.mark.parametrize("coeffs, expected", [
@@ -110,13 +120,19 @@ def test_assemble_norm_is_numpys_bit_for_bit(v):
     ([1e200, 1.0, 1.0], 1e200),
     # prescaled by 2^700 exactly, to a norm of exactly 1.25
     ([0.75 * 2.0 ** 700, -1j * 2.0 ** 700, 1.0], 1.25 * 2.0 ** 700),
+    # the squares underflow: prescaled by the largest part
+    ([5e-324], 5e-324),
+    ([1e-170], 1e-170),
+    ([3e-160, 4e-160], 5e-160),
+    # the moduli sum 7e-155 lies below 2^-509: subnormal squares lose bits
+    ([3e-155, 4e-155], 5e-155),
 ])
 def test_assemble_norm_is_finite_past_the_float_range(coeffs, expected):
-    # the bits are np.linalg.norm's where its squares stay finite, and
+    # the bits are np.linalg.norm's where its squares stay normal, and
     # the prescaled norm times the scale where they do not, with no
     # overflow warning (the suite makes it an error); the state is
     # TwoQubitState.unit's bit for bit either way
-    pattern = BasisPattern(("00", "01", "10"))
+    pattern = BasisPattern(KET_LABELS[:len(coeffs)])
     state, norm = assemble(pattern, coeffs)
     assert norm == expected
     merged = pattern.slot_matrix() @ np.array(coeffs, dtype=complex)

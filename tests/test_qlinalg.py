@@ -125,13 +125,17 @@ def test_unit_divides_by_the_numpy_norm_bit_for_bit():
 def test_unit_state_of_a_taken_norm_is_unit_bit_for_bit():
     # largest moduli from 2^-511 to 2^510, across both ends of the band
     # [2^-509, 2^509] of norms divided at once, where unit prescales or
-    # not by the moduli sum: the state of a vector and its _norm is unit's
+    # not by the moduli sum: the state of a vector and its _norm is unit's,
+    # and inside the band the norm returned is the one passed in
     vecs = _seeded_vectors(np.random.default_rng(2023), 400)
     for v in vecs / np.abs(vecs).max(axis=1, keepdims=True):
         for e in (-511, -510, -509, -508, 0, 508, 509, 510):
             w = v * 2.0 ** e
-            assert (_unit_state(w, _norm(w)).vec.tobytes()
-                    == TwoQubitState.unit(w).vec.tobytes())
+            n = _norm(w)
+            state, norm = _unit_state(w, n)
+            assert state.vec.tobytes() == TwoQubitState.unit(w).vec.tobytes()
+            if 2.0 ** -509 <= n <= 2.0 ** 509:
+                assert norm.hex() == n.hex()
 
 
 def test_normalized_divides_by_the_hypot_norm_bit_for_bit():
